@@ -55,12 +55,14 @@ from .systems import (
     kgf_check,
     kgf_lower_bound,
     synthesis,
+    weighted_gram,
 )
 from .resolution import (
     ResolutionFamily,
     bounded_resolution_check,
     canonical_resolution,
     energy_lower_check,
+    factor_energy,
     frame_from_resolution,
     verify_resolution,
 )
@@ -139,6 +141,7 @@ __all__ = [
     "douglas_factor",
     "dumps_canonical",
     "energy_lower_check",
+    "factor_energy",
     "frame_bounds",
     "frame_from_resolution",
     "kgf_check",
@@ -170,6 +173,7 @@ __all__ = [
     "transform_shift",
     "validate_nodes",
     "verify_resolution",
+    "weighted_gram",
     "weighted_inner",
     "weighted_norm",
 ]

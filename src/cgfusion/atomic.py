@@ -23,7 +23,7 @@ from .errors import (
     ShapeError,
     SingularFrameOperatorError,
 )
-from .measure import CoefficientField, weighted_norm
+from .measure import CoefficientField
 from .operators import (
     ORDER_TOL,
     RANK_TOL,
@@ -42,6 +42,7 @@ from .systems import (
     frame_bounds,
     kgf_lower_bound,
     synthesis,
+    weighted_gram,
 )
 
 
@@ -61,6 +62,23 @@ class AtomicCertificate:
     range_defect: float
 
 
+def _minimal_decomposition(
+    system: GFusionSystem, k: Operator, rank_tol: float = RANK_TOL
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """Core S^+ K of the decomposition map, its norm c, and S S^+ K - K.
+
+    c^2 is the top eigenvalue of (S^+ K)^T S (S^+ K); column j of the
+    residual is synthesis of the decomposition of e_j minus K e_j.
+    """
+    n = system.ambient_dim
+    if k.rows != n or k.cols != n:
+        raise ShapeError(f"operator must be {n}x{n}, got {k.rows}x{k.cols}")
+    s = assemble_frame_operator(system).entries
+    core = pinv(Operator(s), rank_tol).entries @ k.entries
+    c = float(np.sqrt(opnorm(symmetrize(core.T @ s @ core))))
+    return core, c, s @ core - k.entries
+
+
 def decomposition_operator(
     system: GFusionSystem, k: Operator, rank_tol: float = RANK_TOL
 ) -> AtomicCertificate:
@@ -71,25 +89,10 @@ def decomposition_operator(
     projection of K f onto the frame operator's range, so the
     decomposition is exact precisely when K's range is included there.
     """
-    n = system.ambient_dim
-    if k.rows != n or k.cols != n:
-        raise ShapeError(f"operator must be {n}x{n}, got {k.rows}x{k.cols}")
-    s = assemble_frame_operator(system).entries
-    s_pinv = pinv(Operator(s), rank_tol).entries
-    core = s_pinv @ k.entries
-    blocks = tuple(
-        Operator(float(w) * (lam @ core))
-        for w, lam in zip(system.weights, system.effective_maps)
-    )
-    if blocks:
-        stacked = np.vstack(
-            [np.sqrt(float(mass)) * op.entries for mass, op in zip(system.nodes.mu, blocks)]
-        )
-        c = opnorm(stacked)
-    else:
-        c = 0.0
-    range_defect = opnorm(s @ s_pinv @ k.entries - k.entries)
-    return AtomicCertificate(c=c, block_maps=blocks, range_defect=range_defect)
+    core, c, residual = _minimal_decomposition(system, k, rank_tol)
+    rows = system.per_row(system.weights)[:, None] * (system.stacked @ core)
+    blocks = tuple(Operator(block) for block in system.split_rows(rows))
+    return AtomicCertificate(c=c, block_maps=blocks, range_defect=opnorm(residual))
 
 
 def atomic_decompose(
@@ -126,7 +129,6 @@ def atomic_equiv_check(
     decompositions succeed) and, when decompositions exist, the
     quantitative link 1/c^2 <= a_star + tol.
     """
-    n = system.ambient_dim
     if k.entries.size == 0 or np.abs(k.entries).max() == 0.0:
         return build_report(
             name="atomic_equiv_check",
@@ -138,23 +140,18 @@ def atomic_equiv_check(
                    "lower-bound condition is vacuous; both faces hold",),
         )
     a_star = kgf_lower_bound(system, k, tol)
-    cert = decomposition_operator(system, k)
-    decomposable = True
-    worst_recon = 0.0
-    for j in range(n):
-        f = np.eye(n)[:, j]
-        kf = k.apply(f)
-        phi = CoefficientField(tuple(op.apply(f) for op in cert.block_maps))
-        residual = float(np.linalg.norm(synthesis(system, phi) - kf))
-        worst_recon = max(worst_recon, residual)
-        if residual > tol * max(1.0, float(np.linalg.norm(kf))):
-            decomposable = False
+    _, c, residual = _minimal_decomposition(system, k)
+    reconstruction = np.linalg.norm(residual, axis=0)
+    worst_recon = float(reconstruction.max())
+    decomposable = bool(
+        np.all(reconstruction <= tol * np.maximum(1.0, np.linalg.norm(k.entries, axis=0)))
+    )
     residuals = {"equivalence_mismatch": 0.0 if (a_star > tol) == decomposable else 1.0}
-    constants = {"a_star": a_star, "c": cert.c, "worst_reconstruction": worst_recon}
+    constants = {"a_star": a_star, "c": c, "worst_reconstruction": worst_recon}
     notes = []
     if decomposable:
         residuals["quantitative_link_violation"] = (
-            max(0.0, 1.0 / cert.c**2 - a_star) if cert.c > 0 else 0.0
+            max(0.0, 1.0 / c**2 - a_star) if c > 0 else 0.0
         )
         notes.append("decomposition exists for every basis vector")
     else:
@@ -242,11 +239,7 @@ def transform_combined(
         if op.rows != n or op.cols != n:
             raise ShapeError(f"{name} must be {n}x{n}, got {op.rows}x{op.cols}")
     _shared_geometry_or_raise(chi, xi, tol)
-    cross = np.zeros((n, n))
-    for mass, weight, lam, xi_map in zip(
-        chi.nodes.mu, chi.weights, chi.effective_maps, xi.effective_maps
-    ):
-        cross += float(mass) * float(weight) ** 2 * (lam.T @ xi_map)
+    cross = weighted_gram(chi, chi.nodes.mu * chi.weights**2, xi)
     if opnorm(cross) > tol:
         raise HypothesisNotMetError(
             "vanishing_cross_synthesis",
@@ -315,10 +308,3 @@ def transform_shift(
         provenance=EXACT,
     )
     return shifted, report
-
-
-def decomposition_field_norm(
-    system: GFusionSystem, phi: CoefficientField
-) -> float:
-    """Weighted norm of a coefficient field under the system's nodes."""
-    return weighted_norm(phi, system.nodes)

@@ -53,6 +53,7 @@ from .report import SAMPLED, VerificationReport, build_report, dumps_canonical
 from .resolution import (
     canonical_resolution,
     energy_lower_check,
+    factor_energy,
     frame_from_resolution,
     verify_resolution,
 )
@@ -64,6 +65,7 @@ from .systems import (
     kgf_check,
     kgf_lower_bound,
     synthesis,
+    weighted_gram,
 )
 from .sysio import (
     SCHEMA_VERSION,
@@ -235,20 +237,10 @@ def _cmd_resolve(args):
         family = canonical_resolution(system, tol)
         identity_tol = max(tol, 1e-8)
         inner = verify_resolution(family, identity_tol)
-        lower_violation = 0.0
-        upper_violation = 0.0
-        for _ in range(max(args.trials, 1)):
-            f = rng.standard_normal(system.ambient_dim)
-            norm_sq = float(f @ f)
-            if norm_sq == 0.0:
-                continue
-            energy = sum(
-                float(mass) * float(w) ** 2 * float(np.sum((t.entries @ f) ** 2))
-                for mass, w, t in zip(system.nodes.mu, system.weights, family.factors)
-            )
-            ratio = energy / norm_sq
-            lower_violation = max(lower_violation, bounds.lower / bounds.upper**2 - ratio)
-            upper_violation = max(upper_violation, ratio - bounds.upper / bounds.lower**2)
+        samples = rng.standard_normal((max(args.trials, 1), system.ambient_dim))
+        ratio = factor_energy(system, family.factors, samples) / np.sum(samples**2, axis=1)
+        lower_violation = float(np.max(bounds.lower / bounds.upper**2 - ratio))
+        upper_violation = float(np.max(ratio - bounds.upper / bounds.lower**2))
         reports.append(build_report(
             name="canonical_resolution",
             residuals={
@@ -278,10 +270,7 @@ def _cmd_resolve(args):
         constants={"families": float(families)},
         provenance=SAMPLED,
     ))
-    unweighted = np.zeros((system.ambient_dim, system.ambient_dim))
-    for mass, lam in zip(system.nodes.mu, system.effective_maps):
-        unweighted += float(mass) * (lam.T @ lam)
-    top = float(np.linalg.eigvalsh(symmetrize(unweighted))[-1])
+    top = float(np.linalg.eigvalsh(symmetrize(weighted_gram(system, system.nodes.mu)))[-1])
     if top <= 0:
         reports.append(build_report(
             name="frame_from_resolution",
@@ -557,18 +546,11 @@ def _check_canonical(frames, vectors, tol):
         report = verify_resolution(family, 1e-8)
         worst_identity = max(worst_identity, report.residuals["identity_residual"])
         bounds = frame_bounds(system)
-        for f in vectors[id(system)]:
-            norm_sq = float(f @ f)
-            if norm_sq == 0.0:
-                continue
-            energy = sum(
-                float(mass) * float(w) ** 2 * float(np.sum((t.entries @ f) ** 2))
-                for mass, w, t in zip(system.nodes.mu, system.weights, family.factors)
-            )
-            ratio = energy / norm_sq
-            worst_energy = max(worst_energy,
-                               bounds.lower / bounds.upper**2 - ratio,
-                               ratio - bounds.upper / bounds.lower**2)
+        samples = np.array(vectors[id(system)])
+        ratio = factor_energy(system, family.factors, samples) / np.sum(samples**2, axis=1)
+        worst_energy = max(worst_energy,
+                           float(np.max(bounds.lower / bounds.upper**2 - ratio)),
+                           float(np.max(ratio - bounds.upper / bounds.lower**2)))
     return build_report(
         name="selftest_canonical_resolution",
         residuals={"identity_residual": worst_identity,

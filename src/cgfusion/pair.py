@@ -7,10 +7,13 @@ upper frame bounds, its adjoint is the swapped mixed operator, and
 invertibility of the mixed operator forces the analysis-side system to
 be a frame, with an explicit lower bound.
 
-Naming convention used throughout the reports: ``bessel_chi`` is the
-upper frame bound of the analysis-side system chi (the bound every
-certified constant here divides by), and ``bessel_xi`` that of the
-synthesis-side system xi.
+Naming convention used throughout the reports: ``bessel_chi`` (D2) is
+the upper frame bound of the analysis-side system chi, and ``bessel_xi``
+(D1) that of the synthesis-side system xi.  A certified lower bound for
+one side divides by the other side's bound: ||M f|| <= sqrt(D1) ||U_chi f||
+for the mixed operator M and chi's analysis U_chi, so
+lambda_min(S_chi) >= sigma_min(M)^2 / D1, and by transposition
+lambda_min(S_xi) >= sigma_min(M)^2 / D2.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .errors import ParameterError, ShapeError
 from .operators import Operator, STRUCT_TOL, opnorm, symmetrize
 from .report import EXACT, SAMPLED, VerificationReport, build_report
 from .resolution import ResolutionFamily, verify_resolution
-from .systems import GFusionSystem, assemble_frame_operator, frame_bounds
+from .systems import GFusionSystem, assemble_frame_operator, frame_bounds, weighted_gram
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,17 +71,8 @@ class PairSystem:
 
 def pair_frame_operator(pair: PairSystem) -> Operator:
     """Mixed operator sum_i mu_i v_i s_i Xi_i^T Lam_i (not symmetric in general)."""
-    n = pair.ambient_dim
-    acc = np.zeros((n, n))
-    for mass, v, s, lam, xi_map in zip(
-        pair.chi.nodes.mu,
-        pair.chi.weights,
-        pair.xi.weights,
-        pair.chi.effective_maps,
-        pair.xi.effective_maps,
-    ):
-        acc += float(mass) * float(v) * float(s) * (xi_map.T @ lam)
-    return Operator(acc)
+    weights = pair.chi.nodes.mu * pair.chi.weights * pair.xi.weights
+    return Operator(weighted_gram(pair.xi, weights, pair.chi))
 
 
 def pair_adjoint_and_norm(pair: PairSystem, tol: float = STRUCT_TOL) -> VerificationReport:
@@ -111,8 +105,9 @@ def bounded_below_analysis(pair: PairSystem, tol: float = STRUCT_TOL) -> Verific
     When the smallest singular value M exceeds ``tol`` the operator is
     invertible and K = S^-1 turns the per-node summands into a
     resolution of the identity; that resolution, the identity K S = I,
-    and the induced frame lower bound M^2 / D2 for the analysis side are
-    all verified.  Otherwise the pair is reported as not bounded below,
+    and the induced frame lower bound M^2 / D1 for the analysis side
+    (D1 = ``bessel_xi``, the synthesis side's upper bound) are all
+    verified.  Otherwise the pair is reported as not bounded below,
     which is an analysis outcome, not a failure.
     """
     mixed = pair_frame_operator(pair).entries
@@ -145,7 +140,7 @@ def bounded_below_analysis(pair: PairSystem, tol: float = STRUCT_TOL) -> Verific
     )
     resolution = verify_resolution(family, tol)
     chi_lower = frame_bounds(pair.chi).lower
-    certified = sigma_min**2 / d2
+    certified = sigma_min**2 / d1
     return build_report(
         name="bounded_below_analysis",
         residuals={
@@ -166,15 +161,12 @@ def bounded_below_analysis(pair: PairSystem, tol: float = STRUCT_TOL) -> Verific
     )
 
 
-def _unit_directions(mixed: np.ndarray, trials: int, seed: int) -> list[np.ndarray]:
+def _unit_directions(mixed: np.ndarray, trials: int, seed: int) -> np.ndarray:
+    """Seeded random unit directions, then the eigenvectors of three matrices, as rows."""
     n = mixed.shape[0]
-    rng = np.random.default_rng(seed)
-    directions = []
-    for _ in range(max(int(trials), 0)):
-        f = rng.standard_normal(n)
-        norm = np.linalg.norm(f)
-        if norm > 0:
-            directions.append(f / norm)
+    draws = np.random.default_rng(seed).standard_normal((max(int(trials), 0), n))
+    norms = np.linalg.norm(draws, axis=1)
+    directions = [draws[norms > 0] / norms[norms > 0, None]]
     eye = np.eye(n)
     for matrix in (
         symmetrize(mixed),
@@ -182,8 +174,8 @@ def _unit_directions(mixed: np.ndarray, trials: int, seed: int) -> list[np.ndarr
         (eye - mixed).T @ (eye - mixed),
     ):
         _, vectors = np.linalg.eigh(symmetrize(matrix))
-        directions.extend(vectors.T)
-    return directions
+        directions.append(vectors.T)
+    return np.vstack(directions)
 
 
 def perturbation_bound(
@@ -202,7 +194,7 @@ def perturbation_bound(
     (I - S)^T (I - S); it mixes two norms, so this is a sampled
     certificate, flagged as such.  When the hypothesis holds, the
     analysis side is certified a frame with lower bound
-    ((1 - lambda1) / (1 + lambda2))^2 / D2, cross-checked against its
+    ((1 - lambda1) / (1 + lambda2))^2 / D1, cross-checked against its
     spectral lower bound.
     """
     if not lambda1 < 1.0:
@@ -210,15 +202,13 @@ def perturbation_bound(
     if not lambda2 > -1.0:
         raise ParameterError(f"lambda2 must be > -1, got {lambda2}")
     mixed = pair_frame_operator(pair).entries
-    worst = -np.inf
-    for f in _unit_directions(mixed, trials, seed):
-        sf = mixed @ f
-        h = (
-            float(np.linalg.norm(f - sf))
-            - lambda1 * float(np.linalg.norm(f))
-            - lambda2 * float(np.linalg.norm(sf))
-        )
-        worst = max(worst, h)
+    directions = _unit_directions(mixed, trials, seed)
+    images = directions @ mixed.T
+    worst = float(np.max(
+        np.linalg.norm(directions - images, axis=1)
+        - lambda1 * np.linalg.norm(directions, axis=1)
+        - lambda2 * np.linalg.norm(images, axis=1)
+    ))
     d1, d2 = pair.bessel_bounds()
     met = worst <= tol
     constants = {
@@ -229,7 +219,7 @@ def perturbation_bound(
     residuals = {"hypothesis_excess": max(0.0, worst)}
     notes = ["hypothesis checked by structured sampling, not exhaustively"]
     if met:
-        certified = ((1.0 - lambda1) / (1.0 + lambda2)) ** 2 / d2
+        certified = ((1.0 - lambda1) / (1.0 + lambda2)) ** 2 / d1
         chi_lower = frame_bounds(pair.chi).lower
         constants["certified_chi_lower"] = certified
         constants["spectral_chi_lower"] = chi_lower
@@ -259,7 +249,7 @@ def symmetric_perturbation(
     Unlike the mixed-norm hypothesis this one is equivalent to an
     operator-norm inequality, so it is verified exactly through singular
     values.  When met, both systems are certified frames: the analysis
-    side with (1 - lam)^2 / D2, the synthesis side with (1 - lam)^2 / D1,
+    side with (1 - lam)^2 / D1, the synthesis side with (1 - lam)^2 / D2,
     each cross-checked spectrally.  The certified bound is additionally
     spot-checked on seeded random Rayleigh quotients.
     """
@@ -274,27 +264,22 @@ def symmetric_perturbation(
     constants = {"deviation_norm": deviation, "bessel_xi": d1, "bessel_chi": d2}
     notes = []
     if met:
-        chi_cert = (1.0 - lam) ** 2 / d2
-        xi_cert = (1.0 - lam) ** 2 / d1
+        chi_cert = (1.0 - lam) ** 2 / d1
+        xi_cert = (1.0 - lam) ** 2 / d2
         s_chi = assemble_frame_operator(pair.chi).entries
         s_xi = assemble_frame_operator(pair.xi).entries
         chi_lower = max(float(np.linalg.eigvalsh(s_chi)[0]), 0.0)
         xi_lower = max(float(np.linalg.eigvalsh(s_xi)[0]), 0.0)
         residuals["chi_bound_excess"] = max(0.0, chi_cert - chi_lower)
         residuals["xi_bound_excess"] = max(0.0, xi_cert - xi_lower)
-        rng = np.random.default_rng(seed)
-        sampled_excess = 0.0
-        for _ in range(max(int(trials), 1)):
-            f = rng.standard_normal(n)
-            norm_sq = float(f @ f)
-            if norm_sq == 0.0:
-                continue
-            sampled_excess = max(
-                sampled_excess,
-                chi_cert - float(f @ (s_chi @ f)) / norm_sq,
-                xi_cert - float(f @ (s_xi @ f)) / norm_sq,
-            )
-        residuals["sampled_bound_excess"] = max(0.0, sampled_excess)
+        samples = np.random.default_rng(seed).standard_normal((max(int(trials), 1), n))
+        norm_sq = np.einsum("ij,ij->i", samples, samples)
+        samples, norm_sq = samples[norm_sq > 0.0], norm_sq[norm_sq > 0.0]
+        chi_excess = chi_cert - np.einsum("ij,ij->i", samples @ s_chi, samples) / norm_sq
+        xi_excess = xi_cert - np.einsum("ij,ij->i", samples @ s_xi, samples) / norm_sq
+        residuals["sampled_bound_excess"] = float(
+            np.max(np.concatenate(([0.0], chi_excess, xi_excess)))
+        )
         constants.update(
             {
                 "certified_chi_lower": chi_cert,

@@ -22,7 +22,13 @@ from .errors import (
 from .measure import MeasureNodes
 from .operators import ORDER_TOL, STRUCT_TOL, Operator, opnorm, symmetrize
 from .report import EXACT, SAMPLED, VerificationReport, build_report
-from .systems import FrameBounds, GFusionSystem, assemble_frame_operator, frame_bounds
+from .systems import (
+    FrameBounds,
+    GFusionSystem,
+    assemble_frame_operator,
+    frame_bounds,
+    weighted_gram,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,15 +86,12 @@ def canonical_resolution(system: GFusionSystem, tol: float = ORDER_TOL) -> Resol
             f"not a frame: smallest frame-operator eigenvalue {bounds.lower:.3e}"
         )
     s_inv = np.linalg.inv(assemble_frame_operator(system).entries)
-    factors = []
-    operators = []
-    for weight, lam in zip(system.weights, system.effective_maps):
-        t_i = lam @ s_inv
-        factors.append(Operator(t_i))
-        operators.append(Operator(float(weight) ** 2 * (lam.T @ t_i)))
-    return ResolutionFamily(
-        system.ambient_dim, system.nodes, tuple(operators), tuple(factors)
+    factors = tuple(Operator(t_i) for t_i in system.split_rows(system.stacked @ s_inv))
+    operators = tuple(
+        Operator(float(weight) ** 2 * (lam.T @ t_i.entries))
+        for weight, lam, t_i in zip(system.weights, system.effective_maps, factors)
     )
+    return ResolutionFamily(system.ambient_dim, system.nodes, operators, factors)
 
 
 def verify_resolution(family: ResolutionFamily, tol: float = STRUCT_TOL) -> VerificationReport:
@@ -117,6 +120,20 @@ def _factor_matrices(system: GFusionSystem, factors) -> list[np.ndarray]:
     return mats
 
 
+def _stacked_factors(system: GFusionSystem, factors) -> np.ndarray:
+    mats = _factor_matrices(system, factors)
+    rows = tuple(t_i.shape[0] for t_i in mats)
+    if rows != system.codomain_dims:
+        raise ShapeError(f"factor rows {rows} do not match node codomains {system.codomain_dims}")
+    return np.concatenate([np.zeros((0, system.ambient_dim)), *mats])
+
+
+def factor_energy(system: GFusionSystem, factors, samples) -> np.ndarray:
+    """Energy sum_i mu_i v_i^2 ||T_i f||^2 of the factors T_i, for each row f of ``samples``."""
+    measured = np.asarray(samples, dtype=float) @ _stacked_factors(system, factors).T
+    return measured**2 @ system.per_row(system.nodes.mu * system.weights**2)
+
+
 def energy_lower_check(
     system: GFusionSystem, factors, f, tol: float = STRUCT_TOL
 ) -> VerificationReport:
@@ -127,19 +144,15 @@ def energy_lower_check(
     canonical ones, so a failure beyond ``tol`` indicates a broken
     system rather than a poor choice of factors.
     """
-    mats = _factor_matrices(system, factors)
+    stacked = _stacked_factors(system, factors)
     vec = np.asarray(f, dtype=float)
     if vec.shape != (system.ambient_dim,):
         raise ShapeError(f"vector must have shape ({system.ambient_dim},)")
     upper = frame_bounds(system).upper
-    g = np.zeros(system.ambient_dim)
-    energy = 0.0
-    for mass, weight, lam, t_i in zip(
-        system.nodes.mu, system.weights, system.effective_maps, mats
-    ):
-        tf = t_i @ vec
-        g += float(mass) * float(weight) ** 2 * (lam.T @ tf)
-        energy += float(mass) * float(weight) ** 2 * float(tf @ tf)
+    tf = stacked @ vec
+    energy_weights = system.per_row(system.nodes.mu * system.weights**2)
+    g = system.stacked.T @ (energy_weights * tf)
+    energy = float(energy_weights @ tf**2)
     g_norm_sq = float(g @ g)
     lhs = 0.0 if g_norm_sq == 0.0 else g_norm_sq / max(upper, 1e-300)
     return build_report(
@@ -199,21 +212,11 @@ def bounded_resolution_check(
     resolution = verify_resolution(family, tol)
     upper = frame_bounds(system).upper
     largest = max((opnorm(t_i) ** 2 for t_i in mats), default=0.0)
-    rng = np.random.default_rng(0)
-    samples = [np.eye(n)[:, j] for j in range(n)]
-    samples += [rng.standard_normal(n) for _ in range(50)]
-    lower_violation = 0.0
-    upper_violation = 0.0
-    for f in samples:
-        norm_sq = float(f @ f)
-        if norm_sq == 0.0:
-            continue
-        energy = sum(
-            float(mass) * float(w) ** 2 * float((t_i @ f) @ (t_i @ f))
-            for mass, w, t_i in zip(system.nodes.mu, system.weights, mats)
-        )
-        lower_violation = max(lower_violation, norm_sq / max(upper, 1e-300) - energy)
-        upper_violation = max(upper_violation, energy - upper * largest * norm_sq)
+    samples = np.vstack([np.eye(n), np.random.default_rng(0).standard_normal((50, n))])
+    norm_sq = np.einsum("ij,ij->i", samples, samples)
+    energy = factor_energy(system, mats, samples)
+    lower_violation = max(0.0, float(np.max(norm_sq / max(upper, 1e-300) - energy)))
+    upper_violation = max(0.0, float(np.max(energy - upper * largest * norm_sq)))
     residuals = {
         "identity_residual": resolution.residuals["identity_residual"],
         "lower_energy_violation": lower_violation,
@@ -243,30 +246,19 @@ def frame_from_resolution(
     """
     if not lower > 0:
         raise ParameterError(f"lower bound must be positive, got {lower}")
-    n = system.ambient_dim
-    unweighted = np.zeros((n, n))
-    for mass, lam in zip(system.nodes.mu, system.effective_maps):
-        unweighted += float(mass) * (lam.T @ lam)
-    top = float(np.linalg.eigvalsh(symmetrize(unweighted))[-1])
+    top = float(np.linalg.eigvalsh(symmetrize(weighted_gram(system, system.nodes.mu)))[-1])
     if top > 1.0 / lower + tol:
         raise HypothesisNotMetError(
             "energy_upper_bound",
             f"unweighted energy operator reaches {top:.6g} > 1/A = {1.0 / lower:.6g}",
         )
-    family = ResolutionFamily(
-        n,
-        system.nodes,
-        tuple(
-            Operator(float(w) * (lam.T @ lam))
-            for w, lam in zip(system.weights, system.effective_maps)
-        ),
-    )
-    resolution = verify_resolution(family, tol)
-    if not resolution.passed:
+    family_sum = weighted_gram(system, system.nodes.mu * system.weights)
+    residual = opnorm(family_sum - np.eye(system.ambient_dim))
+    if residual > tol:
         raise HypothesisNotMetError(
             "weighted_resolution",
             "the weight-one projection family does not resolve the identity "
-            f"(residual {resolution.residuals['identity_residual']:.3e})",
+            f"(residual {residual:.3e})",
         )
     sup_weight_sq = float(np.max(system.weights) ** 2)
     upper = sup_weight_sq / lower

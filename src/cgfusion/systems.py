@@ -12,26 +12,22 @@ factor through the subspace projection by construction; the rank-typed
 alternative (arbitrary maps silently ignoring the projection) cannot be
 represented at all.
 
-The frame operator accumulates mass * weight^2 * Lam^T Lam over nodes
-(Lam being the effective map); its spectral extremes are the optimal
-frame bounds because the measurement energy equals the Rayleigh quotient
-of the frame operator.
+The effective maps Lam of all nodes are the row blocks of one stacked
+matrix L, so each sum over nodes is one product with L.  The frame
+operator S = L^T diag(mass * weight^2) L; its spectral extremes are the
+optimal frame bounds because the measurement energy equals the Rayleigh
+quotient of S.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateKError, ShapeError
-from .measure import (
-    CoefficientField,
-    MeasureNodes,
-    validate_nodes,
-    weighted_inner,
-    weighted_norm,
-)
+from .measure import CoefficientField, MeasureNodes, validate_nodes
 from .operators import (
     ORDER_TOL,
     RANK_TOL,
@@ -86,7 +82,8 @@ class GFusionSystem:
             raise ShapeError(
                 f"{count} nodes but {len(subspaces)} subspaces / {len(local_maps)} local maps"
             )
-        effective = []
+        offsets = np.concatenate(([0], np.cumsum([loc.rows for loc in local_maps], dtype=int)))
+        stacked = np.empty((int(offsets[-1]), n))
         for i in range(count):
             sub = subspaces[i]
             loc = local_maps[i]
@@ -97,20 +94,23 @@ class GFusionSystem:
                     f"node {i}: local operator has {loc.cols} columns, "
                     f"subspace dimension is {sub.dim}"
                 )
-            lam = loc.entries @ sub.basis.T
+            lam = np.matmul(loc.entries, sub.basis.T, out=stacked[offsets[i] : offsets[i + 1]])
             defect = np.abs(lam - lam @ sub.projector()).max() if lam.size else 0.0
             if defect > _FACTOR_TOL:
                 raise ValueError(
                     f"node {i}: effective map does not factor through the projection "
                     f"(defect {defect:.3e})"
                 )
-            lam.setflags(write=False)
-            effective.append(lam)
+        # Frozen before slicing, so every per-node view is read-only too.
+        stacked.setflags(write=False)
+        offsets.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "subspaces", subspaces)
         object.__setattr__(self, "local_maps", local_maps)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_effective", tuple(effective))
+        object.__setattr__(self, "_stacked", stacked)
+        object.__setattr__(self, "_offsets", offsets)
+        object.__setattr__(self, "_effective", self.split_rows(stacked))
 
     @property
     def node_count(self) -> int:
@@ -121,9 +121,28 @@ class GFusionSystem:
         return tuple(op.rows for op in self.local_maps)
 
     @property
+    def stacked(self) -> np.ndarray:
+        """All effective maps stacked by node: read-only, shape (sum m_i, ambient_dim)."""
+        return self._stacked
+
+    @property
     def effective_maps(self) -> tuple[np.ndarray, ...]:
-        """Per-node maps local_i basis_i^T, shape (m_i, ambient_dim)."""
+        """Per-node maps local_i basis_i^T, shape (m_i, ambient_dim); views of :attr:`stacked`."""
         return self._effective
+
+    def per_row(self, node_values) -> np.ndarray:
+        """Expand one value per node to one value per row of :attr:`stacked`."""
+        return np.repeat(np.asarray(node_values, dtype=float), np.diff(self._offsets))
+
+    def split_rows(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Split an array indexed like the rows of :attr:`stacked` into per-node views."""
+        bounds = self._offsets.tolist()
+        return tuple(rows[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
+
+    @cached_property
+    def _frame_operator(self) -> Operator:
+        # Safe to cache: the system and all its arrays are immutable.
+        return Operator(symmetrize(weighted_gram(self, self.nodes.mu * self.weights**2)))
 
     def with_weights(self, weights) -> "GFusionSystem":
         return GFusionSystem(
@@ -146,28 +165,47 @@ class FrameBounds:
             raise ValueError("lower bound exceeds upper bound")
 
 
+def weighted_gram(
+    system: GFusionSystem, node_weights, other: GFusionSystem | None = None
+) -> np.ndarray:
+    """Sum over nodes of w_i Lam_i^T Xi_i, as one product of stacked maps.
+
+    Lam_i are the effective maps of ``system`` and Xi_i those of
+    ``other`` (default: ``system`` itself), which must share the node
+    codomain dimensions.  With w = mu v^2 this is the frame operator.
+    """
+    other = system if other is None else other
+    if other.codomain_dims != system.codomain_dims:
+        raise ShapeError(f"codomains differ: {system.codomain_dims} vs {other.codomain_dims}")
+    return (system.stacked.T * system.per_row(node_weights)) @ other.stacked
+
+
 def assemble_frame_operator(system: GFusionSystem) -> Operator:
     """Frame operator S = sum_i mu_i v_i^2 Lam_i^T Lam_i (symmetrized).
 
-    Nodes are accumulated in order; the result is symmetric positive
-    semidefinite and equals synthesis composed with analysis.
+    Computed once per system, as L^T diag(mu v^2) L, and cached; the
+    result is symmetric positive semidefinite and equals synthesis
+    composed with analysis.
     """
-    n = system.ambient_dim
-    acc = np.zeros((n, n))
-    for mass, weight, lam in zip(system.nodes.mu, system.weights, system.effective_maps):
-        acc += float(mass) * float(weight) ** 2 * (lam.T @ lam)
-    return Operator(symmetrize(acc))
+    return system._frame_operator
+
+
+def _analysis_rows(system: GFusionSystem, f: np.ndarray) -> np.ndarray:
+    """Stacked analysis v_i Lam_i f of each row of f (or of the vector f)."""
+    rows = f @ system.stacked.T
+    rows *= system.per_row(system.weights)
+    return rows
+
+
+def _synthesis_rows(system: GFusionSystem, phi: np.ndarray) -> np.ndarray:
+    """Synthesis sum_i mu_i v_i Lam_i^T phi_i of each stacked field row of phi."""
+    return (phi * system.per_row(system.nodes.mu * system.weights)) @ system.stacked
 
 
 def analysis(system: GFusionSystem, f) -> CoefficientField:
     """Measure f at every node: block i is v_i Lam_i f."""
     vec = _as_vector(f, system.ambient_dim)
-    return CoefficientField(
-        tuple(
-            float(weight) * (lam @ vec)
-            for weight, lam in zip(system.weights, system.effective_maps)
-        )
-    )
+    return CoefficientField(system.split_rows(_analysis_rows(system, vec)))
 
 
 def synthesis(system: GFusionSystem, phi: CoefficientField) -> np.ndarray:
@@ -182,12 +220,7 @@ def synthesis(system: GFusionSystem, phi: CoefficientField) -> np.ndarray:
         raise ShapeError(
             f"block dims {phi.block_dims} do not match node codomains {system.codomain_dims}"
         )
-    out = np.zeros(system.ambient_dim)
-    for mass, weight, lam, block in zip(
-        system.nodes.mu, system.weights, system.effective_maps, phi.blocks
-    ):
-        out += float(mass) * float(weight) * (lam.T @ block)
-    return out
+    return _synthesis_rows(system, np.concatenate((np.zeros(0),) + phi.blocks))
 
 
 def frame_bounds(system: GFusionSystem, tol: float = ORDER_TOL) -> FrameBounds:
@@ -269,6 +302,23 @@ def kgf_lower_bound(system: GFusionSystem, k: Operator, tol: float = ORDER_TOL) 
     return lo if lo > precision else 0.0
 
 
+def _adjoint_mismatch(system: GFusionSystem, draws: np.ndarray) -> float:
+    """Largest scale-normalized mismatch over the trials in ``draws``.
+
+    Row t holds trial t's vector f, then its field blocks in node order.
+    """
+    n = system.ambient_dim
+    f, phi = draws[:, :n], draws[:, n:]
+    mass = system.per_row(system.nodes.mu)
+    left = np.einsum("ij,ij->i", _synthesis_rows(system, phi), f)
+    measured = _analysis_rows(system, f)
+    measured *= mass
+    right = np.einsum("ij,ij->i", phi, measured)
+    field_norm = np.sqrt(np.maximum(np.einsum("ij,ij,j->i", phi, phi, mass), 0.0))
+    scale = np.maximum(1.0, field_norm * np.linalg.norm(f, axis=1))
+    return float(np.max(np.abs(left - right) / scale))
+
+
 def adjoint_consistency(
     system: GFusionSystem, trials: int = 100, seed: int = 0
 ) -> VerificationReport:
@@ -276,21 +326,16 @@ def adjoint_consistency(
 
     For random f and phi, compares <synthesis(phi), f> in the ambient
     space with the mass-weighted <phi, analysis(f)>; reports the largest
-    scale-normalized mismatch.
+    scale-normalized mismatch.  Trials run in batches of n, which keeps
+    each batch of draws near the size of the stacked matrix.
     """
     rng = np.random.default_rng(seed)
-    dims = system.codomain_dims
+    n = system.ambient_dim
+    total = max(int(trials), 1)
     worst = 0.0
-    for _ in range(max(int(trials), 1)):
-        f = rng.standard_normal(system.ambient_dim)
-        phi = CoefficientField(tuple(rng.standard_normal(d) for d in dims))
-        left = float(synthesis(system, phi) @ f)
-        right = weighted_inner(phi, analysis(system, f), system.nodes)
-        scale = max(
-            1.0,
-            weighted_norm(phi, system.nodes) * float(np.linalg.norm(f)),
-        )
-        worst = max(worst, abs(left - right) / scale)
+    for start in range(0, total, n):
+        draws = rng.standard_normal((min(n, total - start), n + system.stacked.shape[0]))
+        worst = max(worst, _adjoint_mismatch(system, draws))
     return build_report(
         name="adjoint_consistency",
         residuals={"adjoint_mismatch": worst},

@@ -422,7 +422,7 @@ def _fixture_checks():
     below = bounded_below_analysis(pair)
     add("pair_bounded_below",
         [below.constants["sigma_min"], below.constants["certified_chi_lower"]],
-        [1.0, 0.25])
+        [1.0, 1.0])
     shrunk = PairSystem(make_e1(), make_e1().with_weights(np.array([0.8, 1.0])))
     pert = perturbation_bound(shrunk, 0.2, 0.0)
     add("perturbation_tight",

@@ -9,7 +9,9 @@ from cgfusion import (
     pair_adjoint_and_norm,
     pair_frame_operator,
     perturbation_bound,
+    frame_bounds,
     random_pair,
+    random_system,
     symmetric_perturbation,
 )
 
@@ -103,8 +105,8 @@ class TestBoundedBelow:
         report = bounded_below_analysis(PairSystem(e2, e1))
         assert report.passed
         assert report.constants["sigma_min"] == pytest.approx(1.0, abs=1e-12)
-        # certified lower bound sigma_min^2 / bessel_chi = 1/4, below the true 1
-        assert report.constants["certified_chi_lower"] == pytest.approx(0.25, abs=1e-12)
+        # certified lower bound sigma_min^2 / bessel_xi = 1/1, equal to the true 1
+        assert report.constants["certified_chi_lower"] == pytest.approx(1.0, abs=1e-12)
         assert report.constants["spectral_chi_lower"] == pytest.approx(1.0, abs=1e-12)
         assert report.residuals["inverse_identity"] <= 1e-12
 
@@ -235,3 +237,39 @@ class TestPairValidation:
         )
         mixed = pair_frame_operator(PairSystem(chi, xi)).entries
         assert np.abs(mixed - mixed.T).max() > 0.1
+
+
+def certificate_pairs(rng, count):
+    """Random pairs, plus pairs (chi, c chi) whose two Bessel bounds differ by c^2."""
+    for _ in range(count):
+        n, nodes = int(rng.integers(2, 6)), int(rng.integers(1, 6))
+        yield random_pair(rng, n, nodes)
+        chi = random_system(rng, n, nodes, ensure_frame=True)
+        chi = chi.with_weights(chi.weights / np.sqrt(frame_bounds(chi).upper))
+        chi = chi.with_weights(chi.weights * np.exp(rng.uniform(-1.5, 1.5)))
+        yield PairSystem(chi, chi.with_weights(chi.weights * np.exp(rng.uniform(-1.5, 1.5))))
+
+
+class TestCertifiedLowerBounds:
+    def test_certificates_never_exceed_spectral_bounds(self):
+        rng = np.random.default_rng(45)
+        checked = {"chi": 0, "xi": 0}
+        for pair in certificate_pairs(rng, 150):
+            mixed = pair_frame_operator(pair).entries
+            deviation = float(np.linalg.norm(np.eye(pair.ambient_dim) - mixed, 2))
+            reports = [bounded_below_analysis(pair)]
+            if deviation < 1.0:
+                reports.append(perturbation_bound(pair, deviation, 0.0))
+                reports.append(perturbation_bound(pair, deviation, 0.5))
+                reports.append(symmetric_perturbation(pair, deviation))
+            for report in reports:
+                for side in checked:
+                    if f"certified_{side}_lower" not in report.constants:
+                        continue
+                    certified = report.constants[f"certified_{side}_lower"]
+                    spectral = report.constants[f"spectral_{side}_lower"]
+                    assert certified <= spectral + 1e-12 * max(1.0, spectral), (
+                        report.name, side, certified, spectral)
+                    checked[side] += 1
+        assert checked["chi"] >= 200
+        assert checked["xi"] >= 50

@@ -11,6 +11,7 @@ from cgfusion import (
     bounded_resolution_check,
     canonical_resolution,
     energy_lower_check,
+    factor_energy,
     frame_bounds,
     frame_from_resolution,
     random_system,
@@ -142,6 +143,22 @@ class TestEnergyLowerCheck:
     def test_shape_error(self, e2):
         with pytest.raises(ShapeError):
             energy_lower_check(e2, [np.zeros((1, 3)), np.zeros((1, 3))], np.zeros(2))
+        with pytest.raises(ShapeError):
+            energy_lower_check(e2, [np.zeros((2, 2)), np.zeros((1, 2))], np.zeros(2))
+
+    def test_factor_energy_matches_per_node_sum(self):
+        rng = np.random.default_rng(24)
+        system = random_system(rng, 4, 5)
+        factors = [rng.standard_normal((m, 4)) for m in system.codomain_dims]
+        samples = rng.standard_normal((6, 4))
+        expected = [
+            sum(mu * v**2 * float(np.sum((t @ f) ** 2))
+                for mu, v, t in zip(system.nodes.mu, system.weights, factors))
+            for f in samples
+        ]
+        np.testing.assert_allclose(
+            factor_energy(system, factors, samples), expected, rtol=1e-12, atol=0.0
+        )
 
     def test_holds_for_arbitrary_factors(self):
         rng = np.random.default_rng(23)

@@ -268,3 +268,68 @@ class TestSystemValidation:
             system = random_system(rng, 5, 3)
             for lam, sub in zip(system.effective_maps, system.subspaces):
                 np.testing.assert_allclose(lam, lam @ sub.projector(), atol=1e-10)
+
+
+def random_raw_system(rng, n, count):
+    """Oracle arguments and the system built from them; every third node is trivial."""
+    masses = rng.uniform(0.5, 2.0, count)
+    weights = rng.uniform(0.5, 2.0, count)
+    bases, locals_ = [], []
+    for i in range(count):
+        k = 0 if i % 3 == 1 else int(rng.integers(1, n + 1))
+        m = int(rng.integers(0, n + 1))
+        bases.append(np.linalg.qr(rng.standard_normal((n, n)))[0][:, :k])
+        locals_.append(rng.uniform(-1.0, 1.0, size=(m, k)))
+    args = (masses, weights, bases, locals_)
+    return args, make_system(n, bases, locals_, weights, masses)
+
+
+class TestStackedCore:
+    SHAPES = [(1, 1), (3, 1), (4, 2), (5, 4), (2, 7), (6, 9)]
+
+    @pytest.mark.parametrize("n,count", SHAPES)
+    def test_matches_oracle(self, n, count):
+        rng = np.random.default_rng(100 * n + count)
+        args, system = random_raw_system(rng, n, count)
+        masses, weights, bases, locals_ = args
+        np.testing.assert_allclose(
+            assemble_frame_operator(system).entries,
+            oracles.frame_operator(*args), rtol=0.0, atol=1e-12,
+        )
+        f = rng.standard_normal(n)
+        blocks = oracles.analysis_blocks(weights, bases, locals_, f)
+        for got, expected in zip(analysis(system, f).blocks, blocks, strict=True):
+            np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+        phi = [rng.standard_normal(m) for m in system.codomain_dims]
+        np.testing.assert_allclose(
+            synthesis(system, CoefficientField(tuple(phi))),
+            oracles.synthesis_vector(masses, weights, bases, locals_, phi),
+            rtol=0.0, atol=1e-12,
+        )
+
+    @pytest.mark.parametrize("n,count", SHAPES)
+    def test_maps_are_read_only_views_of_the_stacked_matrix(self, n, count):
+        rng = np.random.default_rng(200 * n + count)
+        args, system = random_raw_system(rng, n, count)
+        maps = [oracles.effective_map(b, x) for b, x in zip(args[2], args[3])]
+        np.testing.assert_allclose(system.stacked, np.vstack(maps), rtol=0.0, atol=1e-15)
+        assert [lam.shape for lam in system.effective_maps] == [m.shape for m in maps]
+        with pytest.raises(ValueError):
+            system.stacked[...] = 0.0
+        for lam in system.effective_maps:
+            assert lam.base is system.stacked
+            with pytest.raises(ValueError):
+                lam[...] = 0.0
+
+    def test_frame_operator_is_cached(self):
+        system = random_system(np.random.default_rng(17), 4, 3)
+        assert assemble_frame_operator(system) is assemble_frame_operator(system)
+
+    @pytest.mark.parametrize("trials", [0, 1, 2, 3, 7, 100, 101])
+    def test_adjoint_trials_and_roundoff(self, trials):
+        rng = np.random.default_rng(trials)
+        _, system = random_raw_system(rng, 3, 5)
+        report = adjoint_consistency(system, trials=trials, seed=trials)
+        assert report.passed
+        assert report.constants["trials"] == float(trials)
+        assert report.residuals["adjoint_mismatch"] <= 1e-13
