@@ -593,7 +593,7 @@ def _check_atomic(frames, atomic_rand, tol):
         residuals={"equivalence_mismatch": mismatches,
                    "quantitative_link_violation": worst_link,
                    "worst_reconstruction": worst_recon},
-        tolerances={"tol": max(tol, 1e-7), "equivalence_mismatch": 0.0},
+        tolerances={"tol": tol, "equivalence_mismatch": 0.0},
         provenance=SAMPLED,
     )
 

@@ -245,16 +245,6 @@ def pinv(t: Operator, rank_tol: float = RANK_TOL) -> Operator:
     return Operator((vt.T * inv) @ u.T)
 
 
-def positive_singular_values(a: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Singular values above the relative rank cutoff, descending."""
-    if a.size == 0:
-        return np.zeros(0)
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros(0)
-    return s[s > rank_tol * s[0]]
-
-
 def douglas_factor(
     l: Operator,
     t: Operator,
@@ -268,10 +258,9 @@ def douglas_factor(
     ``tol``; otherwise the range of L is not contained in the range of T
     and :class:`RangeInclusionError` carries the measured residual.
 
-    ``lam`` is the smallest nonnegative value whose scaled Gram operator
-    dominates L L^T to within -tol.  It is found by bisection on
-    [0, ||L|| / sigma_min+(T) + 1]; the bisection runs to absolute
-    precision min(tol, 1e-9).
+    ``lam`` is the smallest nonnegative value with L L^T <= lam^2 T T^T.
+    By Douglas' range-inclusion lemma it is the norm of the
+    minimal-norm factor, lam = ||pinv(T) L||_2.
     """
     if l.rows != t.rows:
         raise ShapeError(f"codomain mismatch: L has {l.rows} rows, T has {t.rows}")
@@ -282,33 +271,7 @@ def douglas_factor(
             f"range(L) is not contained in range(T): residual {residual:.3e} > {tol:g}",
             residual=residual,
         )
-
-    llt = symmetrize(l.entries @ l.entries.T)
-    ttt = symmetrize(t.entries @ t.entries.T)
-
-    def dominated(lam: float) -> bool:
-        if ttt.shape[0] == 0:
-            return True
-        gap = np.linalg.eigvalsh(symmetrize(lam * lam * ttt - llt))[0]
-        return gap >= -tol
-
-    if dominated(0.0):
-        return s_factor, 0.0
-    sigma = positive_singular_values(t.entries, rank_tol)
-    hi = opnorm(l.entries) / sigma[-1] + 1.0 if sigma.size else 1.0
-    for _ in range(64):
-        if dominated(hi):
-            break
-        hi *= 2.0
-    lo = 0.0
-    precision = max(min(tol, 1e-9), 1e-15)
-    while hi - lo > precision:
-        mid = (lo + hi) / 2
-        if dominated(mid):
-            hi = mid
-        else:
-            lo = mid
-    return s_factor, hi
+    return s_factor, s_factor.norm()
 
 
 def positive_sqrt(s: Operator, invert: bool = False) -> Operator:
@@ -331,60 +294,27 @@ def positive_sqrt(s: Operator, invert: bool = False) -> Operator:
     return Operator(symmetrize(root))
 
 
-def orthonormal_columns(
-    m: np.ndarray, rank_tol: float = RANK_TOL, pivot: bool = True
-) -> np.ndarray:
-    """Orthonormalize the columns of ``m``, dropping dependent ones.
+def orthonormal_columns(m: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """Orthonormal basis of the column range of ``m``, from its SVD.
 
-    With ``pivot`` the largest remaining column is selected at every
-    step (rank-revealing); columns whose residual falls below
-    ``rank_tol`` relative to the largest original column are dropped.
-    Without pivoting the column order is preserved and a ValueError is
-    raised if any column turns out dependent.
+    Keeps the left singular vectors whose singular value exceeds
+    ``rank_tol`` times the largest one, so the number of columns is the
+    numerical rank.  An empty or all-zero input gives an ``(n, 0)``
+    basis.  The basis spans the same range as ``m`` but its columns are
+    singular vectors, not orthonormalized input columns.
     """
-    work = np.array(m, dtype=float)
-    n, k = work.shape
-    if k == 0:
-        return np.zeros((n, 0))
-    scale = float(np.linalg.norm(work, axis=0).max())
-    if scale == 0.0:
-        if pivot:
-            return np.zeros((n, 0))
-        raise ValueError("columns are numerically dependent; cannot orthonormalize")
-    threshold = rank_tol * scale
-    qs: list[np.ndarray] = []
-    remaining = list(range(k))
-    while remaining:
-        norms = np.linalg.norm(work[:, remaining], axis=0)
-        pick = int(np.argmax(norms)) if pivot else 0
-        if norms[pick] <= threshold:
-            if pivot:
-                break
-            raise ValueError("columns are numerically dependent; cannot orthonormalize")
-        j = remaining.pop(pick)
-        q = work[:, j] / np.linalg.norm(work[:, j])
-        if qs:
-            basis = np.column_stack(qs)
-            q = q - basis @ (basis.T @ q)
-            nq = np.linalg.norm(q)
-            if nq <= threshold:
-                if pivot:
-                    continue
-                raise ValueError("columns are numerically dependent; cannot orthonormalize")
-            q = q / nq
-        qs.append(q)
-        if remaining:
-            rest = work[:, remaining]
-            work[:, remaining] = rest - np.outer(q, q @ rest)
-    if not qs:
-        return np.zeros((n, 0))
-    return np.column_stack(qs)
+    m = np.asarray(m, dtype=float)
+    if m.size == 0 or not m.any():
+        return np.zeros((m.shape[0], 0))
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    return u[:, s > rank_tol * s[0]]
 
 
 def orthonormalize_image(t: Operator, v: Subspace, rank_tol: float = RANK_TOL) -> Subspace:
     """Orthonormal basis of T applied to the subspace.
 
-    The result's dimension equals the numerical rank of the image; a
+    The basis is :func:`orthonormal_columns` of T B for the subspace
+    basis B: its dimension equals the numerical rank of the image, and a
     rank-zero image yields the empty subspace.
     """
     if t.cols != v.ambient_dim:

@@ -23,8 +23,8 @@ number as decimal with 17 significant digits, which round-trips doubles
 bit-exactly.
 
 A basis whose orthonormality defect exceeds 1e-10 but stays within 1e-6
-is silently re-orthonormalized on load (column order preserved); a worse
-defect rejects the file.
+is silently re-orthonormalized on load (column order and signs
+preserved); a worse defect rejects the file.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import SystemFileError
 from .measure import MeasureNodes, WeightProfile, validate_nodes
-from .operators import Operator, Subspace, orthonormal_columns
+from .operators import Operator, Subspace
 from .report import dumps_canonical
 from .systems import GFusionSystem
 
@@ -94,10 +94,13 @@ def _subspace_from(value, where: str, ambient_dim: int) -> Subspace:
     if defect > REPAIR_ORTHONORMALITY:
         _fail(where, f"basis orthonormality defect {defect:.3e} exceeds {REPAIR_ORTHONORMALITY:g}")
     if defect > STRICT_ORTHONORMALITY:
-        try:
-            basis = orthonormal_columns(basis, 1e-8, pivot=False)
-        except ValueError:
+        # QR with diag R > 0 is Gram-Schmidt in column order: the repaired
+        # basis stays close to the file's, which the local operator uses.
+        q, r = np.linalg.qr(basis)
+        diag = np.diag(r)
+        if np.abs(diag).min() <= 1e-8 * np.linalg.norm(basis, axis=0).max():
             _fail(where, "basis vectors are numerically dependent")
+        basis = q * np.sign(diag)
     return Subspace(ambient_dim, basis)
 
 

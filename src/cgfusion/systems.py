@@ -30,12 +30,12 @@ from .errors import DegenerateKError, ShapeError
 from .measure import CoefficientField, MeasureNodes, validate_nodes
 from .operators import (
     ORDER_TOL,
-    RANK_TOL,
     Operator,
     OrderCertificate,
     Subspace,
     _as_vector,
     operator_leq,
+    opnorm,
     symmetrize,
 )
 from .report import SAMPLED, VerificationReport, build_report
@@ -50,6 +50,9 @@ CLASSIFICATIONS = (
 )
 
 _FACTOR_TOL = 1e-10
+#: Share of ``tol`` added to S when :func:`kgf_lower_bound` takes its
+#: closed form; keeps the constant inside :func:`kgf_check`'s boundary.
+KGF_SLACK = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,45 +264,27 @@ def kgf_check(
 
 
 def kgf_lower_bound(system: GFusionSystem, k: Operator, tol: float = ORDER_TOL) -> float:
-    """Largest constant A with A K K^T <= S, located by bisection.
+    """Largest constant A with A K K^T <= S + KGF_SLACK * tol * I, in closed form.
 
-    Bisection runs to absolute precision ``tol`` on [0, hi], where hi
-    caps the constant through the smallest positive singular value of K.
-    Returns 0 when no positive constant works within ``tol``.  K = 0
-    raises :class:`DegenerateKError`: every constant works, so the
+    With S + c tol I = Q diag(w) Q^T (c = :data:`KGF_SLACK`), the
+    supremum is A = 1 / ||diag(w)^(-1/2) Q^T K||_2^2, from one symmetric
+    eigensolve.  The slack keeps A half of ``tol`` inside the -tol
+    boundary of :func:`kgf_check`, so ``kgf_check(system, k, A, tol)``
+    certifies the returned constant whenever ``tol`` exceeds the
+    eigensolver's roundoff on S (about 1e-16 ||S||).  Returns 0 when A
+    is at most ``tol``: no positive constant works beyond that slack.
+    K = 0 raises :class:`DegenerateKError`: every constant works, so the
     condition certifies nothing.
     """
     _require_comparison_operator(system, k)
     if k.entries.size == 0 or np.abs(k.entries).max() == 0.0:
         raise DegenerateKError("comparison operator is zero; the bound is vacuous")
     s = assemble_frame_operator(system).entries
-    gram = symmetrize(k.entries @ k.entries.T)
-    s_max = max(float(np.linalg.eigvalsh(s)[-1]), 0.0)
-    singular = np.linalg.svd(k.entries, compute_uv=False)
-    positive = singular[singular > RANK_TOL * singular[0]]
-    smallest_sq = float(positive[-1]) ** 2 if positive.size else 0.0
-    hi = s_max / max(smallest_sq, 1e-30) + 1.0
-
-    def dominated(a: float) -> bool:
-        return float(np.linalg.eigvalsh(symmetrize(s - a * gram))[0]) >= -tol
-
-    if not dominated(0.0):
+    w, q = np.linalg.eigh(s + KGF_SLACK * tol * np.eye(system.ambient_dim))
+    if w[0] <= 0.0:
         return 0.0
-    for _ in range(64):
-        if not dominated(hi):
-            break
-        hi *= 2.0
-    else:
-        return hi
-    lo = 0.0
-    precision = max(tol, 1e-15)
-    while hi - lo > precision:
-        mid = (lo + hi) / 2
-        if dominated(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo if lo > precision else 0.0
+    a = 1.0 / opnorm((q.T @ k.entries) / np.sqrt(w)[:, None]) ** 2
+    return a if a > tol else 0.0
 
 
 def _adjoint_mismatch(system: GFusionSystem, draws: np.ndarray) -> float:

@@ -34,6 +34,18 @@ def make_system(ambient_dim, bases, local_maps, weights, masses=None, ids=None):
     return GFusionSystem(ambient_dim, nodes, subspaces, locals_, np.asarray(weights, dtype=float))
 
 
+def make_deficient_system(rng, n):
+    """A Bessel-only system: fewer rank-one nodes than dimensions."""
+    count = n - 2
+    bases, locals_ = [], []
+    for _ in range(count):
+        direction = rng.standard_normal((n, 1))
+        bases.append(direction / np.linalg.norm(direction))
+        locals_.append(rng.uniform(0.5, 2.0, size=(1, 1)))
+    return make_system(n, bases, locals_, rng.uniform(0.5, 2.0, count),
+                       masses=rng.uniform(0.5, 2.0, count))
+
+
 def make_e1():
     """Two coordinate lines in R^2, scalar local maps, unit weights."""
     return make_system(

@@ -55,8 +55,8 @@ def best_lower_constant(s, k, tol):
     """Largest a with lmin(S - a K K^T) >= -tol, by a closed-form eigensolve.
 
     The -tol slack is equivalent to a K K^T <= S + tol I, whose exact
-    supremum is 1 / lmax(K^T (S + tol I)^-1 K); computed here directly,
-    independent of any bisection.
+    supremum is 1 / lmax(K^T (S + tol I)^-1 K); computed here through an
+    explicit inverse, a different route than the library's eigensolve.
     """
     s = np.asarray(s, float)
     k = np.asarray(k, float)

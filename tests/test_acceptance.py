@@ -53,7 +53,7 @@ from cgfusion import (
 from cgfusion.pair import PairSystem
 
 import oracles
-from conftest import make_e1, make_e2, make_single_node, make_system
+from conftest import make_deficient_system, make_e1, make_e2, make_single_node, make_system
 
 
 def _verdict(number, description, ok):
@@ -151,18 +151,6 @@ def test_criterion_04_energy_lower_arbitrary_families():
                 f"factor families (worst violation {worst:.2e} <= 1e-9)", worst <= 1e-9)
 
 
-def _deficient_system(rng, n):
-    """A Bessel-only system: fewer rank-one nodes than dimensions."""
-    count = n - 2
-    bases, locals_ = [], []
-    for _ in range(count):
-        direction = rng.standard_normal((n, 1))
-        bases.append(direction / np.linalg.norm(direction))
-        locals_.append(rng.uniform(0.5, 2.0, size=(1, 1)))
-    return make_system(n, bases, locals_, rng.uniform(0.5, 2.0, count),
-                       masses=rng.uniform(0.5, 2.0, count))
-
-
 def test_criterion_05_atomic_equivalence():
     rng = np.random.default_rng(105)
     ok = True
@@ -184,7 +172,7 @@ def test_criterion_05_atomic_equivalence():
         if cert.c > 0:
             ok &= 1.0 / cert.c**2 <= a_star + 1e-6
     for _ in range(50):
-        system = _deficient_system(rng, int(rng.integers(4, 10)))
+        system = make_deficient_system(rng, int(rng.integers(4, 10)))
         n = system.ambient_dim
         identity = Operator.identity(n)
         ok &= kgf_lower_bound(system, identity) <= 1e-6
@@ -279,7 +267,9 @@ def test_criterion_09_direct_sum_suite():
 # --- criterion 10: worked-oracle regression ------------------------------
 
 TOL10 = 1e-12
-BISECT_TOL = 1e-13
+#: Tolerance handed to the optimal constants and the atomic checks;
+#: kgf_lower_bound's closed form moves by half of it, well inside TOL10.
+CONSTANT_TOL = 1e-13
 
 
 def _close(a, b, tol=TOL10):
@@ -327,14 +317,14 @@ def _fixture_checks():
         oracles.loewner_gap(2.0 * np.eye(2), np.diag([4.0, 1.0])))
     add("kgf_gap_single", kgf_check(single, Operator(np.diag([1.0, 0.0])), 1.0).gap, 0.0)
 
-    # bisection-backed constants, invoked at fine tolerance
-    add("kgf_lower_e2_identity", kgf_lower_bound(e2, ident, BISECT_TOL), 1.0,
-        oracles.best_lower_constant(np.diag([4.0, 1.0]), np.eye(2), BISECT_TOL))
+    # optimal constants in closed form, invoked at CONSTANT_TOL
+    add("kgf_lower_e2_identity", kgf_lower_bound(e2, ident, CONSTANT_TOL), 1.0,
+        oracles.best_lower_constant(np.diag([4.0, 1.0]), np.eye(2), CONSTANT_TOL))
     add("kgf_lower_single", kgf_lower_bound(single, Operator(np.diag([1.0, 0.0])),
-                                            BISECT_TOL), 1.0)
+                                            CONSTANT_TOL), 1.0)
     add("kgf_lower_e1_scaled", kgf_lower_bound(e1, Operator(3.0 * np.eye(2)),
-                                               BISECT_TOL), 1.0 / 9.0,
-        oracles.best_lower_constant(np.eye(2), 3.0 * np.eye(2), BISECT_TOL))
+                                               CONSTANT_TOL), 1.0 / 9.0,
+        oracles.best_lower_constant(np.eye(2), 3.0 * np.eye(2), CONSTANT_TOL))
 
     # canonical resolution values
     family = canonical_resolution(e2)
@@ -386,13 +376,13 @@ def _fixture_checks():
     phi_e1, c_e1 = atomic_decompose(e1, ident, np.array([3.0, 4.0]))
     add("atomic_phi_e1", np.concatenate(phi_e1.blocks), [3.0, 4.0])
     add("atomic_c_e1", c_e1, 1.0)
-    equiv = atomic_equiv_check(e2, ident, BISECT_TOL)
+    equiv = atomic_equiv_check(e2, ident, CONSTANT_TOL)
     add("atomic_equiv_constants", [equiv.constants["a_star"], equiv.constants["c"]],
         [1.0, 1.0], tol=1e-12)
-    wrt = atomic_wrt_frame_operator(e2, BISECT_TOL)
+    wrt = atomic_wrt_frame_operator(e2, CONSTANT_TOL)
     add("atomic_wrt_a_star", wrt.constants["a_star"], 0.25,
         oracles.best_lower_constant(np.diag([4.0, 1.0]),
-                                    np.diag([4.0, 1.0]), BISECT_TOL))
+                                    np.diag([4.0, 1.0]), CONSTANT_TOL))
 
     # combined and shift transforms
     chi = make_system(2, bases=[[[1.0], [0.0]], [[0.0], [1.0]]],
@@ -457,7 +447,7 @@ def _fixture_checks():
 
     # operator-core worked values
     s_factor, lam = douglas_factor(Operator(np.diag([1.0, 0.0])),
-                                   Operator(np.diag([2.0, 0.0])), BISECT_TOL)
+                                   Operator(np.diag([2.0, 0.0])), CONSTANT_TOL)
     oracle_factor, oracle_lam = oracles.douglas_minimal_factor(
         np.diag([1.0, 0.0]), np.diag([2.0, 0.0]))
     add("douglas_factor", s_factor.entries, np.diag([0.5, 0.0]), oracle_factor)

@@ -66,6 +66,19 @@ class TestLoadSystem:
         np.testing.assert_allclose(basis.T @ basis, np.eye(1), atol=1e-14)
         assert abs(np.linalg.norm(basis[:, 0]) - 1.0) <= 1e-14
 
+    def test_small_defect_repair_keeps_column_order_and_signs(self, tmp_path):
+        # nearly equal singular values: any rotation of the span would pass
+        # an orthonormality check, but the local operator needs these columns
+        rows = [[0.0, -1.0, 1e-8], [1.0, 1e-8, 0.0]]
+        doc = {"version": "1", "ambient_dim": 3, "nodes": [
+            {"id": "n0", "mu": 1.0, "v": 1.0, "subspace": rows,
+             "local_operator": [[1.0, 0.0], [0.0, 2.0]]},
+        ]}
+        system = load_system(write_doc(tmp_path, doc))
+        basis = system.subspaces[0].basis
+        np.testing.assert_allclose(basis.T @ basis, np.eye(2), atol=1e-14)
+        assert np.abs(basis - np.array(rows).T).max() <= 1e-6
+
     def test_missing_version_rejected(self, tmp_path):
         doc = {"ambient_dim": 2, "nodes": E2_DOC["nodes"]}
         path = write_doc(tmp_path, doc)

@@ -17,10 +17,10 @@ from cgfusion import (
     random_system,
     synthesis,
 )
-from cgfusion.systems import GFusionSystem
+from cgfusion.systems import KGF_SLACK, GFusionSystem
 
 import oracles
-from conftest import make_system
+from conftest import make_deficient_system, make_system
 
 
 class TestFrameOperator:
@@ -195,8 +195,8 @@ class TestKgf:
             system = random_system(rng, 4, 4, ensure_frame=True)
             k = Operator(rng.standard_normal((4, 4)))
             s = assemble_frame_operator(system).entries
-            expected = oracles.best_lower_constant(s, k.entries, tol)
-            assert kgf_lower_bound(system, k, tol) == pytest.approx(expected, rel=1e-6, abs=1e-9)
+            expected = oracles.best_lower_constant(s, k.entries, KGF_SLACK * tol)
+            assert kgf_lower_bound(system, k, tol) == pytest.approx(expected, rel=1e-12)
 
     def test_lower_bound_matches_frame_bound_for_identity(self):
         rng = np.random.default_rng(14)
@@ -205,6 +205,26 @@ class TestKgf:
             system = random_system(rng, 4, 4, ensure_frame=True)
             a_star = kgf_lower_bound(system, Operator.identity(4), tol)
             assert abs(a_star - frame_bounds(system).lower) <= 2 * tol
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    def test_lower_bound_certifies_itself(self, scale, tol):
+        # kgf_check's tolerance is absolute and S grows as scale^2, so tol
+        # grows with S: unscaled, tol = 1e-12 at ||S|| ~ 1e6 lies below the
+        # eigensolver's roundoff, and deficient systems fail even at 0.
+        rng = np.random.default_rng(16)
+        tol *= scale**2
+        for i in range(40):
+            if i % 2:
+                base = random_system(rng, int(rng.integers(2, 9)), int(rng.integers(1, 6)),
+                                     ensure_frame=True)
+            else:
+                base = make_deficient_system(rng, int(rng.integers(4, 10)))
+            system = base.with_weights(scale * base.weights)
+            n = system.ambient_dim
+            for k in (Operator.identity(n), Operator(rng.standard_normal((n, n)))):
+                a_star = kgf_lower_bound(system, k, tol)
+                assert kgf_check(system, k, a_star, tol).holds
 
     def test_zero_comparison_operator_degenerate(self, e2):
         with pytest.raises(DegenerateKError):
