@@ -1,0 +1,104 @@
+"""Golden outputs: every subcommand's ``--out`` file, pinned by sha256.
+
+Runs in a temporary directory with relative file names, so the system
+paths recorded in report parameters are the same on every machine.  A
+refactor that keeps behaviour must keep every hash; a change that alters
+an output on purpose must update the pin and say why.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from cgfusion import Operator, save_system
+from cgfusion.cli import main
+
+from conftest import make_deficient_system, make_e1, make_e2, make_single_node, make_system
+
+GOLDEN = {
+    # name: (argv, exit code, sha256 of the --out file, or None when none is written)
+    "check-e1": (["check", "e1.json"], 0,
+        "24f43cd0cd5fda5970b041f1238d7f06fc3e55b48358512235311a0d256b1975"),
+    "check-e2": (["check", "e2.json"], 0,
+        "61d1da43128b9a303a425ec2cb548d7cd2fb45e9e36232e5ab934f7124067f2a"),
+    "check-single": (["check", "single.json"], 1,
+        "d44591e02523209482f627569768943565c092eeb0eb006de11839179b53bfc3"),
+    "kgf-lower-bound": (["kgf", "e2.json", "--K", "k.json"], 0,
+        "8897190cd398577cf483518fd39807968586e763d3e3e5226296a07c5913e154"),
+    "kgf-certify": (["kgf", "e2.json", "--K", "k.json", "--A", "1"], 0,
+        "0201913309d0213f884bdfec868bad62642aeac4faae5fb491112433b69e6f29"),
+    "kgf-file-operator": (["kgf", "e2k.json", "--A", "2"], 1,
+        "8d7922d55931895af32e0e5387b478556772833b4ef53aeaf08cdfaa5c9bb8ac"),
+    "resolve-e1": (["resolve", "e1.json"], 0,
+        "b3e983f54aa2ddcb9545c0df8c980790a6f1c4979de906cfa8c5ee022df617eb"),
+    "resolve-e2": (["resolve", "e2.json", "--seed", "3", "--trials", "30"], 0,
+        "5da8122e1c2fa5a838235e8858f123e800445eeffdd1696d7aa503f826457957"),
+    "resolve-single": (["resolve", "single.json"], 1,
+        "53323a6387567c903299f4ff06df4704bcc6d0b6c77625bd331810aded591567"),
+    "resolve-deficient": (["resolve", "deficient.json", "--seed", "2"], 1,
+        "612da2b94d637a8aa4047ea348886ace151c56e7036d5b14a7165d6336b64951"),
+    "atomic-e1": (["atomic", "e1.json"], 0,
+        "0f11cc5e375520bd21ff1454d1e2ed891090e5f5a338d5eec1a7193b9afc3cb2"),
+    "atomic-e2-K": (["atomic", "e2.json", "--K", "k.json"], 0,
+        "393762ae14f45a457e5a1b9a21647d1be3a94b4dadf00e4ad2e18e15c9fa7c92"),
+    "atomic-single": (["atomic", "single.json"], 1, None),
+    "transform-shift": (["transform", "e2.json", "--L", "l.json"], 0,
+        "40b560a5af465c33ea456bb77689b01814e4f15af5432917dbca4bae868b1a6d"),
+    "transform-combined": (["transform", "chi.json", "--xi", "xi.json",
+                            "--L", "half.json", "--G", "half.json"], 0,
+        "79ace364c9fb65869cf1b6d1419fcf14a08e8d5d5c2b69b0a2bc0559434d2d4c"),
+    "pair-files": (["pair", "e2.json", "--xi", "e1.json"], 0,
+        "026fe9e86aff0807575c03f048aa409ad5e9a4584618c32b0a188b24f22b14f1"),
+    "pair-secondary": (["pair", "e1s.json", "--lam", "0.05", "--trials", "10"], 1,
+        "76fa1d8f2b14f51ed2e56cd4d359eb95c19b44bd1a7f2ee2bce3417943bd4a7b"),
+    "dsum": (["dsum", "e2.json", "--xi", "e1.json"], 0,
+        "7a9fd372a9a9aee645acdf6d6900f98c883a7f548debc4bdc2351541c5597912"),
+    "parseval": (["parseval", "e2.json"], 0,
+        "b515a50b2333291a7ca1ddede22ab5e71197c9795adad084d3f9630285ac0d1d"),
+    "dual": (["dual", "e2.json"], 0,
+        "dc5c9fd55d79f1a363c4225f4c937b29be829b0bbe1bacdc56aacd86dc331a70"),
+    "random": (["random", "--seed", "7"], 0,
+        "f5e1de5facf6704b052cbc1207aee3f68b6c0ebb9ad1a0b1328e5a26bab7c6c5"),
+    "selftest-30": (["selftest", "--seed", "0", "--trials", "30"], 0,
+        "4a14331001d9f7e921691d6f6381d667ff405662e1e43f7f606a010fa67085b3"),
+    "selftest": (["selftest", "--seed", "0"], 0,
+        "17de06f651ceb4a299365f655c70508587e3dcb3bd8620a73ee91448c0179ff4"),
+}
+
+
+def write_inputs():
+    """Write every input file that GOLDEN names into the current directory."""
+    save_system(make_e1(), "e1.json")
+    save_system(make_e2(), "e2.json")
+    save_system(make_single_node(), "single.json")
+    save_system(make_e2(), "e2k.json", operators={"K": Operator.identity(2)})
+    save_system(make_e1(), "e1s.json", secondary_weights=[0.8, 1.0])
+    save_system(make_deficient_system(np.random.default_rng(5), 4), "deficient.json")
+    lines = [[[1.0], [0.0]], [[0.0], [1.0]]]
+    save_system(make_system(2, lines, [[[1.0]], [[0.0]]], [1.0, 1.0]), "chi.json")
+    save_system(make_system(2, lines, [[[0.0]], [[1.0]]], [1.0, 1.0]), "xi.json")
+    for name, matrix in (("k.json", [[1.0, 0.0], [0.0, 1.0]]),
+                         ("l.json", [[1.0, 0.0], [0.0, 0.0]]),
+                         ("half.json", [[0.5, 0.0], [0.0, 0.5]])):
+        with open(name, "w", encoding="utf-8") as handle:
+            json.dump(matrix, handle)
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("CGFUSION_TOL", raising=False)
+    write_inputs()
+    return tmp_path
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_out_file_is_pinned(workdir, name, capsys):
+    argv, code, digest = GOLDEN[name]
+    out = workdir / "out.json"
+    assert main(argv + ["--out", "out.json"]) == code
+    capsys.readouterr()
+    written = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
+    assert written == digest
