@@ -21,7 +21,6 @@ from .errors import (
     NotPositiveError,
     RangeInclusionError,
     ShapeError,
-    SingularFrameOperatorError,
 )
 from .measure import CoefficientField
 from .operators import (
@@ -31,7 +30,6 @@ from .operators import (
     SYM_TOL,
     Operator,
     opnorm,
-    orthonormalize_image,
     pinv,
     symmetrize,
 )
@@ -39,8 +37,9 @@ from .report import EXACT, VerificationReport, build_report
 from .systems import (
     GFusionSystem,
     assemble_frame_operator,
-    frame_bounds,
     kgf_lower_bound,
+    push_through,
+    require_frame,
     synthesis,
     weighted_gram,
 )
@@ -174,11 +173,7 @@ def atomic_wrt_frame_operator(
     Must hold for every frame, with a strictly positive a_star; raises
     :class:`SingularFrameOperatorError` when the system is not a frame.
     """
-    bounds = frame_bounds(system, tol)
-    if bounds.lower <= tol:
-        raise SingularFrameOperatorError(
-            f"not a frame: smallest frame-operator eigenvalue {bounds.lower:.3e}"
-        )
+    require_frame(system, tol)
     inner = atomic_equiv_check(system, assemble_frame_operator(system), tol)
     a_star = inner.constants.get("a_star", 0.0)
     residuals = dict(inner.residuals)
@@ -256,16 +251,7 @@ def transform_combined(
         raise HypothesisNotMetError(
             "commutation", f"K does not commute with L + G (norm {commutator:.3e})"
         )
-    m_op = Operator(m)
-    new_subspaces = []
-    new_locals = []
-    for lam, xi_map, sub in zip(chi.effective_maps, xi.effective_maps, chi.subspaces):
-        image = orthonormalize_image(m_op, sub)
-        new_subspaces.append(image)
-        new_locals.append(Operator((lam + xi_map) @ m.T @ image.basis))
-    return GFusionSystem(
-        n, chi.nodes, tuple(new_subspaces), tuple(new_locals), chi.weights
-    )
+    return push_through(chi, chi.split_rows(chi.stacked + xi.stacked), m)
 
 
 def transform_shift(
@@ -287,16 +273,7 @@ def transform_shift(
     if smallest < -tol:
         raise NotPositiveError(f"L has negative eigenvalue {smallest:.3e}")
     m = np.eye(n) + entries
-    m_op = Operator(m)
-    new_subspaces = []
-    new_locals = []
-    for lam, sub in zip(system.effective_maps, system.subspaces):
-        image = orthonormalize_image(m_op, sub)
-        new_subspaces.append(image)
-        new_locals.append(Operator(lam @ m.T @ image.basis))
-    shifted = GFusionSystem(
-        n, system.nodes, tuple(new_subspaces), tuple(new_locals), system.weights
-    )
+    shifted = push_through(system, system.effective_maps, m)
     s_old = assemble_frame_operator(system).entries
     s_new = assemble_frame_operator(shifted).entries
     residual = opnorm(s_new - m @ s_old @ m.T)

@@ -1,20 +1,22 @@
 """Command-line front end: load system files, run checks, emit reports.
 
-Exit codes: 0 when every requested check passes, 1 on a verification
-failure, 2 on usage or file errors.  ``--out`` writes the machine-readable
-document: a report for verification subcommands, a loadable system file
-for producing subcommands (random, parseval, dual, dsum, transform).
-Machine output is canonical JSON and contains no timing, so identical
-inputs and seeds give byte-identical artifacts.
+Each subcommand is a thin shell over library functions that return
+reports, and takes only the flags it reads.  Exit codes: 0 when every
+requested check passes, 1 on a verification failure, 2 on usage or file
+errors, including a number out of range in a flag or in CGFUSION_TOL.
+``--out`` writes the machine-readable document: a report for verification
+subcommands, a loadable system file for producing subcommands (random,
+parseval, dual, dsum, transform).  Machine output is canonical JSON and
+contains no timing, so identical inputs and seeds give byte-identical
+artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import math
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .atomic import (
     transform_combined,
     transform_shift,
 )
-from .direct_sum import canonical_dual, direct_sum_system, parsevalize
+from .direct_sum import canonical_dual, direct_sum_laws, parsevalize
 from .errors import (
     DegenerateKError,
     GFusionError,
@@ -51,11 +53,9 @@ from .random_systems import (
 )
 from .report import SAMPLED, VerificationReport, build_report, dumps_canonical
 from .resolution import (
-    canonical_resolution,
+    canonical_resolution_report,
     energy_lower_check,
-    factor_energy,
     frame_from_resolution,
-    verify_resolution,
 )
 from .systems import (
     adjoint_consistency,
@@ -85,26 +85,46 @@ PASS, FAIL, USAGE = 0, 1, 2
 _FRAME_LABELS = ("frame", "tight", "parseval")
 
 
+def _checked(kind, least=None):
+    """An argparse type: a finite ``kind`` value, at least ``least`` when given."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+            if math.isfinite(value) and (least is None or value >= least):
+                return value
+        except ValueError:
+            pass
+        bound = "" if least is None else f" >= {least}"
+        raise argparse.ArgumentTypeError(f"expected a finite {kind.__name__}{bound}, got {text!r}")
+    return parse
+
+
+_TOLERANCE = _checked(float, 0)
+_FLAGS = {
+    "--tol": dict(type=_TOLERANCE, default=None,
+                  help=f"tolerance (default {DEFAULT_TOL:g}, or ${TOL_ENV_VAR})"),
+    "--trials": dict(type=_checked(int, 1), default=100, help="sampling trials"),
+    "--seed": dict(type=_checked(int, 0), default=0, help="random seed"),
+}
+
+
 def _resolve_tol(args) -> float:
     if args.tol is not None:
         return args.tol
     env = os.environ.get(TOL_ENV_VAR)
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError:
-            raise SystemFileError(f"{TOL_ENV_VAR} is not a float: {env!r}")
-    return DEFAULT_TOL
+    if env is None:
+        return DEFAULT_TOL
+    try:
+        return _TOLERANCE(env)
+    except argparse.ArgumentTypeError as err:
+        raise ParameterError(f"{TOL_ENV_VAR}: {err}")
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=None,
-                        help=f"tolerance (default {DEFAULT_TOL:g}, or ${TOL_ENV_VAR})")
-    parser.add_argument("--trials", type=int, default=100, help="sampling trials")
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
+def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Add the shared flags in ``names``, and ``--out``, to a subcommand."""
+    for name in names:
+        parser.add_argument(name, **_FLAGS[name])
     parser.add_argument("--out", default=None, help="write the machine-readable output here")
-    parser.add_argument("--parallel", action="store_true",
-                        help="run independent checks concurrently")
 
 
 def _named_operator(flag_value, doc_operators, name, required=False) -> Operator | None:
@@ -117,12 +137,6 @@ def _named_operator(flag_value, doc_operators, name, required=False) -> Operator
             f"operator {name} required: pass --{name} or add operators.{name} to the file"
         )
     return None
-
-
-def _timed(fn, *args, **kwargs) -> VerificationReport:
-    start = time.perf_counter()
-    report = fn(*args, **kwargs)
-    return dataclasses.replace(report, wall_time_s=time.perf_counter() - start)
 
 
 def _report_document(command: str, parameters: dict, reports: list[VerificationReport]) -> dict:
@@ -140,8 +154,7 @@ def _report_document(command: str, parameters: dict, reports: list[VerificationR
 def _print_reports(reports: list[VerificationReport]) -> None:
     for rep in sorted(reports, key=lambda r: r.name):
         status = "PASS" if rep.passed else "FAIL"
-        timing = f"  [{rep.wall_time_s * 1e3:.1f} ms]" if rep.wall_time_s is not None else ""
-        print(f"[{status}] {rep.name}{timing}")
+        print(f"[{status}] {rep.name}")
         for key in sorted(rep.residuals):
             print(f"    {key} = {rep.residuals[key]:.6g} (tol {rep.tolerance_for(key):.6g})")
         for key in sorted(rep.constants):
@@ -165,7 +178,7 @@ def _cmd_check(args):
     system = system_from_document(load_document(args.system), args.system)
     bounds = frame_bounds(system, tol)
     reports = [
-        _timed(validate_nodes, system.nodes, WeightProfile(system.weights)),
+        validate_nodes(system.nodes, WeightProfile(system.weights)),
         build_report(
             name="frame_bounds",
             residuals={},
@@ -174,7 +187,7 @@ def _cmd_check(args):
             notes=(f"classification: {bounds.classification}",),
             force_fail=bounds.classification not in _FRAME_LABELS,
         ),
-        _timed(adjoint_consistency, system, args.trials, args.seed),
+        adjoint_consistency(system, args.trials, args.seed),
     ]
     params = {"tol": tol, "trials": args.trials, "seed": args.seed, "system": args.system}
     return reports, _report_document("check", params, reports)
@@ -223,35 +236,9 @@ def _cmd_resolve(args):
     tol = _resolve_tol(args)
     system = system_from_document(load_document(args.system), args.system)
     rng = np.random.default_rng(args.seed)
-    reports = []
-    bounds = frame_bounds(system, tol)
-    if bounds.lower <= tol:
-        reports.append(build_report(
-            name="canonical_resolution",
-            residuals={},
-            tolerances={"tol": tol},
-            notes=("not a frame; the canonical resolution is undefined",),
-            force_fail=True,
-        ))
-    else:
-        family = canonical_resolution(system, tol)
-        identity_tol = max(tol, 1e-8)
-        inner = verify_resolution(family, identity_tol)
-        samples = rng.standard_normal((max(args.trials, 1), system.ambient_dim))
-        ratio = factor_energy(system, family.factors, samples) / np.sum(samples**2, axis=1)
-        lower_violation = float(np.max(bounds.lower / bounds.upper**2 - ratio))
-        upper_violation = float(np.max(ratio - bounds.upper / bounds.lower**2))
-        reports.append(build_report(
-            name="canonical_resolution",
-            residuals={
-                "identity_residual": inner.residuals["identity_residual"],
-                "energy_lower_violation": max(0.0, lower_violation),
-                "energy_upper_violation": max(0.0, upper_violation),
-            },
-            tolerances={"tol": identity_tol},
-            constants={"lower": bounds.lower, "upper": bounds.upper},
-            provenance=SAMPLED,
-        ))
+    reports = [canonical_resolution_report(
+        system, lambda: rng.standard_normal((args.trials, system.ambient_dim)), tol
+    )]
     worst = 0.0
     families = max(1, args.trials // 10)
     for _ in range(families):
@@ -304,9 +291,9 @@ def _cmd_atomic(args):
     system = system_from_document(doc, args.system)
     k = _named_operator(args.K, operators_from_document(doc, args.system), "K")
     if k is None:
-        reports = [_timed(atomic_wrt_frame_operator, system, tol)]
+        reports = [atomic_wrt_frame_operator(system, tol)]
     else:
-        reports = [_timed(atomic_equiv_check, system, k, tol)]
+        reports = [atomic_equiv_check(system, k, tol)]
     params = {"tol": tol, "system": args.system, "K": args.K or "frame-operator"}
     return reports, _report_document("atomic", params, reports)
 
@@ -360,16 +347,15 @@ def _cmd_pair(args):
     tol = _resolve_tol(args)
     pair = _pair_from_args(args)
     reports = [
-        _timed(pair_adjoint_and_norm, pair, tol),
-        _timed(bounded_below_analysis, pair, tol),
+        pair_adjoint_and_norm(pair, tol),
+        bounded_below_analysis(pair, tol),
     ]
     mixed = pair_frame_operator(pair).entries
     deviation = opnorm(np.eye(pair.ambient_dim) - mixed)
     lam1 = args.lambda1 if args.lambda1 is not None else deviation
     lam2 = args.lambda2 if args.lambda2 is not None else 0.0
     if lam1 < 1.0 and lam2 > -1.0:
-        reports.append(_timed(perturbation_bound, pair, lam1, lam2,
-                              args.trials, args.seed, tol))
+        reports.append(perturbation_bound(pair, lam1, lam2, args.trials, args.seed, tol))
     else:
         reports.append(build_report(
             name="perturbation_bound", residuals={}, tolerances={"tol": tol},
@@ -377,8 +363,7 @@ def _cmd_pair(args):
         ))
     lam = args.lam if args.lam is not None else deviation
     if 0.0 <= lam < 1.0:
-        reports.append(_timed(symmetric_perturbation, pair, lam,
-                              args.trials, args.seed, tol))
+        reports.append(symmetric_perturbation(pair, lam, args.trials, args.seed, tol))
     else:
         reports.append(build_report(
             name="symmetric_perturbation", residuals={}, tolerances={"tol": tol},
@@ -395,27 +380,8 @@ def _cmd_dsum(args):
     tol = _resolve_tol(args)
     chi = system_from_document(load_document(args.system), args.system)
     xi = system_from_document(load_document(args.xi), args.xi)
-    ds = direct_sum_system(chi, xi)
-    s_combined = assemble_frame_operator(ds.system).entries
-    s_chi = assemble_frame_operator(chi).entries
-    s_xi = assemble_frame_operator(xi).entries
-    block = np.zeros_like(s_combined)
-    block[: chi.ambient_dim, : chi.ambient_dim] = s_chi
-    block[chi.ambient_dim :, chi.ambient_dim :] = s_xi
-    b_chi = frame_bounds(chi, tol)
-    b_xi = frame_bounds(xi, tol)
-    b_sum = frame_bounds(ds.system, tol)
-    reports = [build_report(
-        name="direct_sum_laws",
-        residuals={
-            "blockdiag_residual": opnorm(s_combined - block),
-            "lower_bound_mismatch": abs(b_sum.lower - min(b_chi.lower, b_xi.lower)),
-            "upper_bound_mismatch": abs(b_sum.upper - max(b_chi.upper, b_xi.upper)),
-        },
-        tolerances={"tol": tol},
-        constants={"lower": b_sum.lower, "upper": b_sum.upper},
-    )]
-    return reports, system_to_document(ds.system)
+    ds, report = direct_sum_laws(chi, xi, tol)
+    return [report], system_to_document(ds.system)
 
 
 def _cmd_parseval(args):
@@ -446,8 +412,7 @@ def _cmd_random(args):
 
 def _cmd_selftest(args):
     tol = _resolve_tol(args)
-    reports = run_selftest(seed=args.seed, trials=args.trials, tol=tol,
-                           parallel=args.parallel)
+    reports = run_selftest(seed=args.seed, trials=args.trials, tol=tol)
     params = {"tol": tol, "trials": args.trials, "seed": args.seed}
     return reports, _report_document("selftest", params, reports)
 
@@ -542,19 +507,14 @@ def _check_canonical(frames, vectors, tol):
     worst_identity = 0.0
     worst_energy = 0.0
     for system in frames:
-        family = canonical_resolution(system)
-        report = verify_resolution(family, 1e-8)
+        report = canonical_resolution_report(system, lambda: np.array(vectors[id(system)]))
         worst_identity = max(worst_identity, report.residuals["identity_residual"])
-        bounds = frame_bounds(system)
-        samples = np.array(vectors[id(system)])
-        ratio = factor_energy(system, family.factors, samples) / np.sum(samples**2, axis=1)
-        worst_energy = max(worst_energy,
-                           float(np.max(bounds.lower / bounds.upper**2 - ratio)),
-                           float(np.max(ratio - bounds.upper / bounds.lower**2)))
+        worst_energy = max(worst_energy, report.residuals["energy_lower_violation"],
+                           report.residuals["energy_upper_violation"])
     return build_report(
         name="selftest_canonical_resolution",
         residuals={"identity_residual": worst_identity,
-                   "energy_bound_violation": max(0.0, worst_energy)},
+                   "energy_bound_violation": worst_energy},
         tolerances={"tol": max(tol, 1e-8)},
         provenance=SAMPLED,
     )
@@ -639,16 +599,10 @@ def _check_direct_sums(sum_parts, tol):
     worst_parseval = 0.0
     worst_dual = 0.0
     for chi, xi in sum_parts:
-        ds = direct_sum_system(chi, xi)
-        s = assemble_frame_operator(ds.system).entries
-        block = np.zeros_like(s)
-        block[: chi.ambient_dim, : chi.ambient_dim] = assemble_frame_operator(chi).entries
-        block[chi.ambient_dim :, chi.ambient_dim :] = assemble_frame_operator(xi).entries
-        worst_block = max(worst_block, opnorm(s - block))
-        b_chi, b_xi, b_sum = frame_bounds(chi), frame_bounds(xi), frame_bounds(ds.system)
-        worst_bounds = max(worst_bounds,
-                           abs(b_sum.lower - min(b_chi.lower, b_xi.lower)),
-                           abs(b_sum.upper - max(b_chi.upper, b_xi.upper)))
+        ds, laws = direct_sum_laws(chi, xi)
+        worst_block = max(worst_block, laws.residuals["blockdiag_residual"])
+        worst_bounds = max(worst_bounds, laws.residuals["lower_bound_mismatch"],
+                           laws.residuals["upper_bound_mismatch"])
         flat = parsevalize(ds.system)
         worst_parseval = max(worst_parseval, opnorm(
             assemble_frame_operator(flat).entries - np.eye(flat.ambient_dim)))
@@ -664,34 +618,26 @@ def _check_direct_sums(sum_parts, tol):
     )
 
 
-def run_selftest(seed: int = 0, trials: int = 100, tol: float = DEFAULT_TOL,
-                 parallel: bool = False) -> list[VerificationReport]:
+def run_selftest(seed: int = 0, trials: int = 100,
+                 tol: float = DEFAULT_TOL) -> list[VerificationReport]:
     """Seeded property campaign across every subsystem.
 
-    All randomness is drawn up front from one generator, so the reports
-    are identical for identical seeds regardless of ``parallel``.
+    The corpus is drawn up front from one generator, so the reports are
+    identical for identical seeds.
     """
     systems, frames, pairs, sum_parts, shifts, atomic_rand, vectors = \
         _selftest_corpus(seed, trials)
-    checks = [
-        lambda: _check_composition(systems + frames, vectors, tol),
-        lambda: _check_bounds(systems + frames, vectors, tol),
-        lambda: _check_scaling(systems, tol),
-        lambda: _check_canonical(frames, vectors, tol),
-        lambda: _check_energy_lower(frames, vectors, seed, tol),
-        lambda: _check_atomic(frames, atomic_rand, tol),
-        lambda: _check_shift(shifts, tol),
-        lambda: _check_pairs(pairs, tol),
-        lambda: _check_direct_sums(sum_parts, tol),
+    return [
+        _check_composition(systems + frames, vectors, tol),
+        _check_bounds(systems + frames, vectors, tol),
+        _check_scaling(systems, tol),
+        _check_canonical(frames, vectors, tol),
+        _check_energy_lower(frames, vectors, seed, tol),
+        _check_atomic(frames, atomic_rand, tol),
+        _check_shift(shifts, tol),
+        _check_pairs(pairs, tol),
+        _check_direct_sums(sum_parts, tol),
     ]
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            reports = list(pool.map(lambda fn: fn(), checks))
-    else:
-        reports = [fn() for fn in checks]
-    return reports
 
 
 # --- parser -------------------------------------------------------------
@@ -705,25 +651,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="frame bounds and classification")
     p.add_argument("system")
-    _add_common_flags(p)
+    _add_flags(p, "--tol", "--trials", "--seed")
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("kgf", help="lower-bound certificate against an operator")
     p.add_argument("system")
     p.add_argument("--K", default=None, help="operator file (default: operators.K)")
-    p.add_argument("--A", type=float, default=None, help="lower bound to certify")
-    _add_common_flags(p)
+    p.add_argument("--A", type=_checked(float), default=None, help="lower bound to certify")
+    _add_flags(p, "--tol")
     p.set_defaults(handler=_cmd_kgf)
 
     p = sub.add_parser("resolve", help="resolution-of-identity suite")
     p.add_argument("system")
-    _add_common_flags(p)
+    _add_flags(p, "--tol", "--trials", "--seed")
     p.set_defaults(handler=_cmd_resolve)
 
     p = sub.add_parser("atomic", help="atomic decomposition checks")
     p.add_argument("system")
     p.add_argument("--K", default=None, help="operator file (default: frame operator)")
-    _add_common_flags(p)
+    _add_flags(p, "--tol")
     p.set_defaults(handler=_cmd_atomic)
 
     p = sub.add_parser("transform", help="shift or combined system transform")
@@ -732,42 +678,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--G", default=None, help="operator file (combined transform)")
     p.add_argument("--K", default=None, help="operator file (combined transform)")
     p.add_argument("--xi", default=None, help="second system file (combined transform)")
-    _add_common_flags(p)
+    _add_flags(p, "--tol")
     p.set_defaults(handler=_cmd_transform)
 
     p = sub.add_parser("pair", help="mixed-operator laws and perturbation bounds")
     p.add_argument("system")
     p.add_argument("--xi", default=None, help="second system file")
-    p.add_argument("--lambda1", type=float, default=None)
-    p.add_argument("--lambda2", type=float, default=None)
-    p.add_argument("--lam", type=float, default=None)
-    _add_common_flags(p)
+    p.add_argument("--lambda1", type=_checked(float), default=None)
+    p.add_argument("--lambda2", type=_checked(float), default=None)
+    p.add_argument("--lam", type=_checked(float), default=None)
+    _add_flags(p, "--tol", "--trials", "--seed")
     p.set_defaults(handler=_cmd_pair)
 
     p = sub.add_parser("dsum", help="direct sum of two systems")
     p.add_argument("system")
     p.add_argument("--xi", required=True, help="second system file")
-    _add_common_flags(p)
+    _add_flags(p, "--tol")
     p.set_defaults(handler=_cmd_dsum)
 
     p = sub.add_parser("parseval", help="canonical Parseval version")
     p.add_argument("system")
-    _add_common_flags(p)
+    _add_flags(p, "--tol")
     p.set_defaults(handler=_cmd_parseval)
 
     p = sub.add_parser("dual", help="canonical dual system")
     p.add_argument("system")
-    _add_common_flags(p)
+    _add_flags(p, "--tol")
     p.set_defaults(handler=_cmd_dual)
 
     p = sub.add_parser("random", help="generate a seeded random system")
-    p.add_argument("--dim", type=int, default=4)
-    p.add_argument("--nodes", type=int, default=3)
-    _add_common_flags(p)
+    p.add_argument("--dim", type=_checked(int, 1), default=4)
+    p.add_argument("--nodes", type=_checked(int, 0), default=3)
+    _add_flags(p, "--seed")
     p.set_defaults(handler=_cmd_random)
 
     p = sub.add_parser("selftest", help="full seeded property campaign")
-    _add_common_flags(p)
+    _add_flags(p, "--tol", "--trials", "--seed")
     p.set_defaults(handler=_cmd_selftest)
 
     return parser

@@ -15,17 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, SingularFrameOperatorError
-from .operators import (
-    ORDER_TOL,
-    Operator,
-    Subspace,
-    opnorm,
-    orthonormalize_image,
-    positive_sqrt,
-)
+from .errors import ShapeError
+from .operators import ORDER_TOL, Operator, Subspace, opnorm, positive_sqrt
 from .report import EXACT, VerificationReport, build_report
-from .systems import GFusionSystem, assemble_frame_operator, frame_bounds
+from .systems import (
+    GFusionSystem,
+    assemble_frame_operator,
+    frame_bounds,
+    push_through,
+    require_frame,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,27 +100,33 @@ def direct_sum_system(chi: GFusionSystem, xi: GFusionSystem) -> DirectSumSystem:
     )
 
 
-def _require_frame(system: GFusionSystem, tol: float):
-    bounds = frame_bounds(system, tol)
-    if bounds.lower <= tol:
-        raise SingularFrameOperatorError(
-            f"not a frame: smallest frame-operator eigenvalue {bounds.lower:.3e}"
-        )
-    return bounds
+def direct_sum_laws(
+    chi: GFusionSystem, xi: GFusionSystem, tol: float = ORDER_TOL
+) -> tuple[DirectSumSystem, VerificationReport]:
+    """The direct sum of two systems, with a report on its two laws.
 
-
-def _push_through(system: GFusionSystem, transform: np.ndarray) -> GFusionSystem:
-    """Rebuild a system with subspaces T F_i and effective maps Lam_i T^T."""
-    op = Operator(transform)
-    subspaces = []
-    locals_ = []
-    for lam, sub in zip(system.effective_maps, system.subspaces):
-        image = orthonormalize_image(op, sub)
-        subspaces.append(image)
-        locals_.append(Operator(lam @ transform.T @ image.basis))
-    return GFusionSystem(
-        system.ambient_dim, system.nodes, tuple(subspaces), tuple(locals_), system.weights
+    The combined frame operator must equal blockdiag(S_chi, S_xi), and
+    the combined bounds must be the min of the lower and the max of the
+    upper component bounds.
+    """
+    ds = direct_sum_system(chi, xi)
+    s_sum = assemble_frame_operator(ds.system).entries
+    block = np.zeros_like(s_sum)
+    block[: chi.ambient_dim, : chi.ambient_dim] = assemble_frame_operator(chi).entries
+    block[chi.ambient_dim :, chi.ambient_dim :] = assemble_frame_operator(xi).entries
+    b_chi, b_xi = frame_bounds(chi, tol), frame_bounds(xi, tol)
+    b_sum = frame_bounds(ds.system, tol)
+    report = build_report(
+        name="direct_sum_laws",
+        residuals={
+            "blockdiag_residual": opnorm(s_sum - block),
+            "lower_bound_mismatch": abs(b_sum.lower - min(b_chi.lower, b_xi.lower)),
+            "upper_bound_mismatch": abs(b_sum.upper - max(b_chi.upper, b_xi.upper)),
+        },
+        tolerances={"tol": tol},
+        constants={"lower": b_sum.lower, "upper": b_sum.upper},
     )
+    return ds, report
 
 
 def parsevalize(system: GFusionSystem, tol: float = ORDER_TOL) -> GFusionSystem:
@@ -132,9 +137,9 @@ def parsevalize(system: GFusionSystem, tol: float = ORDER_TOL) -> GFusionSystem:
     new subspace coordinates.  The result's frame operator is the
     identity within roundoff.
     """
-    _require_frame(system, tol)
+    require_frame(system, tol)
     root = positive_sqrt(assemble_frame_operator(system), invert=True)
-    return _push_through(system, root.entries)
+    return push_through(system, system.effective_maps, root.entries)
 
 
 def canonical_dual(
@@ -146,10 +151,10 @@ def canonical_dual(
     equal S^-1, and its optimal bounds are the reciprocals [1/B, 1/A] of
     the original ones, which the report checks to ``tol``.
     """
-    bounds = _require_frame(system, tol)
+    bounds = require_frame(system, tol)
     s = assemble_frame_operator(system).entries
     s_inv = np.linalg.inv(s)
-    dual = _push_through(system, s_inv)
+    dual = push_through(system, system.effective_maps, s_inv)
     s_dual = assemble_frame_operator(dual).entries
     dual_bounds = frame_bounds(dual, tol)
     report = build_report(

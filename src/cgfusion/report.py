@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 def format_float(x: float) -> str:
@@ -96,7 +96,6 @@ class VerificationReport:
     constants: dict[str, float] = field(default_factory=dict)
     provenance: str = EXACT
     notes: tuple[str, ...] = ()
-    wall_time_s: float | None = None
 
     def __post_init__(self):
         for group in (self.residuals, self.tolerances, self.constants):
@@ -116,8 +115,8 @@ class VerificationReport:
     def residuals_ok(self) -> bool:
         return all(value <= self.tolerance_for(key) for key, value in self.residuals.items())
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "name": self.name,
             "passed": self.passed,
             "residuals": dict(self.residuals),
@@ -126,9 +125,6 @@ class VerificationReport:
             "provenance": self.provenance,
             "notes": list(self.notes),
         }
-        if include_timing and self.wall_time_s is not None:
-            doc["wall_time_s"] = self.wall_time_s
-        return doc
 
 
 def build_report(
@@ -139,10 +135,9 @@ def build_report(
     provenance: str = EXACT,
     notes: tuple[str, ...] = (),
     force_fail: bool = False,
-    wall_time_s: float | None = None,
 ) -> VerificationReport:
     """Assemble a report, deciding pass/fail from the residuals."""
-    probe = VerificationReport(
+    report = VerificationReport(
         name=name,
         passed=False,
         residuals=dict(residuals),
@@ -150,16 +145,5 @@ def build_report(
         constants=dict(constants or {}),
         provenance=provenance,
         notes=tuple(notes),
-        wall_time_s=wall_time_s,
     )
-    passed = probe.residuals_ok() and not force_fail
-    return VerificationReport(
-        name=name,
-        passed=passed,
-        residuals=dict(residuals),
-        tolerances=dict(tolerances),
-        constants=dict(constants or {}),
-        provenance=provenance,
-        notes=tuple(notes),
-        wall_time_s=wall_time_s,
-    )
+    return replace(report, passed=report.residuals_ok() and not force_fail)

@@ -27,6 +27,7 @@ from .systems import (
     GFusionSystem,
     assemble_frame_operator,
     frame_bounds,
+    require_frame,
     weighted_gram,
 )
 
@@ -80,11 +81,7 @@ def canonical_resolution(system: GFusionSystem, tol: float = ORDER_TOL) -> Resol
     so the mass-weighted sum telescopes to S S^-1 = I.  Raises
     :class:`SingularFrameOperatorError` when the system is not a frame.
     """
-    bounds = frame_bounds(system, tol)
-    if bounds.lower <= tol:
-        raise SingularFrameOperatorError(
-            f"not a frame: smallest frame-operator eigenvalue {bounds.lower:.3e}"
-        )
+    require_frame(system, tol)
     s_inv = np.linalg.inv(assemble_frame_operator(system).entries)
     factors = tuple(Operator(t_i) for t_i in system.split_rows(system.stacked @ s_inv))
     operators = tuple(
@@ -103,6 +100,48 @@ def verify_resolution(family: ResolutionFamily, tol: float = STRUCT_TOL) -> Veri
         tolerances={"tol": tol},
         constants={"node_count": float(len(family.nodes))},
         provenance=EXACT,
+    )
+
+
+def canonical_resolution_report(
+    system: GFusionSystem, draw_samples, tol: float = ORDER_TOL
+) -> VerificationReport:
+    """Check the canonical resolution of a frame with bounds A <= B.
+
+    Measures its identity residual (to max(tol, 1e-8)) and, on the rows f
+    of ``draw_samples()``, the energy bounds
+    (A/B^2) ||f||^2 <= sum_i mu_i v_i^2 ||T_i f||^2 <= (B/A^2) ||f||^2.
+    A system that is not a frame gets a failed report with a note;
+    ``draw_samples`` is then never called, so a caller's seeded stream
+    is left as it was.
+    """
+    try:
+        bounds = require_frame(system, tol)
+    except SingularFrameOperatorError:
+        return build_report(
+            name="canonical_resolution",
+            residuals={},
+            tolerances={"tol": tol},
+            notes=("not a frame; the canonical resolution is undefined",),
+            force_fail=True,
+        )
+    family = canonical_resolution(system, tol)
+    identity_tol = max(tol, 1e-8)
+    inner = verify_resolution(family, identity_tol)
+    samples = draw_samples()
+    ratio = factor_energy(system, family.factors, samples) / np.sum(samples**2, axis=1)
+    lower_violation = float(np.max(bounds.lower / bounds.upper**2 - ratio))
+    upper_violation = float(np.max(ratio - bounds.upper / bounds.lower**2))
+    return build_report(
+        name="canonical_resolution",
+        residuals={
+            "identity_residual": inner.residuals["identity_residual"],
+            "energy_lower_violation": max(0.0, lower_violation),
+            "energy_upper_violation": max(0.0, upper_violation),
+        },
+        tolerances={"tol": identity_tol},
+        constants={"lower": bounds.lower, "upper": bounds.upper},
+        provenance=SAMPLED,
     )
 
 

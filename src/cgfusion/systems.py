@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateKError, ShapeError
+from .errors import DegenerateKError, ShapeError, SingularFrameOperatorError
 from .measure import CoefficientField, MeasureNodes, validate_nodes
 from .operators import (
     ORDER_TOL,
@@ -36,6 +36,7 @@ from .operators import (
     _as_vector,
     operator_leq,
     opnorm,
+    orthonormalize_image,
     symmetrize,
 )
 from .report import SAMPLED, VerificationReport, build_report
@@ -245,6 +246,39 @@ def frame_bounds(system: GFusionSystem, tol: float = ORDER_TOL) -> FrameBounds:
     else:
         label = "frame"
     return FrameBounds(lower, upper, label)
+
+
+def require_frame(system: GFusionSystem, tol: float = ORDER_TOL) -> FrameBounds:
+    """The frame bounds of ``system``, which must be a frame.
+
+    Raises :class:`SingularFrameOperatorError` when the lower bound is at
+    most ``tol``.
+    """
+    bounds = frame_bounds(system, tol)
+    if bounds.lower <= tol:
+        raise SingularFrameOperatorError(
+            f"not a frame: smallest frame-operator eigenvalue {bounds.lower:.3e}"
+        )
+    return bounds
+
+
+def push_through(system: GFusionSystem, maps, transform: np.ndarray) -> GFusionSystem:
+    """The system with subspaces T F_i and effective maps M_i T^T, for T = ``transform``.
+
+    ``maps`` holds one map M_i per node, shaped like the effective maps
+    of ``system``; each new local operator is M_i T^T expressed in the
+    coordinates of the image basis of T F_i.  Nodes and weights are kept.
+    """
+    op = Operator(transform)
+    subspaces = []
+    locals_ = []
+    for m_i, sub in zip(maps, system.subspaces):
+        image = orthonormalize_image(op, sub)
+        subspaces.append(image)
+        locals_.append(Operator(m_i @ transform.T @ image.basis))
+    return GFusionSystem(
+        system.ambient_dim, system.nodes, tuple(subspaces), tuple(locals_), system.weights
+    )
 
 
 def _require_comparison_operator(system: GFusionSystem, k: Operator) -> None:

@@ -41,6 +41,15 @@ def weighted_field_norm(masses, blocks):
     )))
 
 
+def block_diagonal(a, b):
+    """The matrix with diagonal blocks A and B and zeros elsewhere."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
+    out[: a.shape[0], : a.shape[1]] = a
+    out[a.shape[0] :, a.shape[1] :] = b
+    return out
+
+
 def spectral_bounds(s):
     eigenvalues = np.linalg.eigvalsh(np.asarray(s, float))
     return max(float(eigenvalues[0]), 0.0), max(float(eigenvalues[-1]), 0.0)

@@ -217,12 +217,12 @@ class TestSelftest:
         assert main(["selftest", "--seed", "0", "--trials", "30", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_parallel_matches_sequential(self, tmp_path):
-        a, b = tmp_path / "seq.json", tmp_path / "par.json"
-        assert main(["selftest", "--seed", "3", "--trials", "20", "--out", str(a)]) == 0
-        assert main(["selftest", "--seed", "3", "--trials", "20", "--parallel",
-                     "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestFlags:
@@ -242,3 +242,46 @@ class TestFlags:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("argv, env, named", [
+        (["check", "{e2}", "--tol", "nan"], {}, "--tol"),
+        (["check", "{e2}", "--tol", "inf"], {}, "--tol"),
+        (["check", "{e2}", "--tol", "-1"], {}, "--tol"),
+        (["check", "{e2}"], {"CGFUSION_TOL": "nan"}, "CGFUSION_TOL"),
+        (["check", "{e2}"], {"CGFUSION_TOL": "-1"}, "CGFUSION_TOL"),
+        (["check", "{e2}", "--trials", "-3"], {}, "--trials"),
+        (["check", "{e2}", "--trials", "0"], {}, "--trials"),
+        (["random", "--dim", "0"], {}, "--dim"),
+        (["random", "--dim", "-2"], {}, "--dim"),
+        (["random", "--nodes", "-1"], {}, "--nodes"),
+        (["random", "--seed", "-1"], {}, "--seed"),
+        (["kgf", "{e2}", "--K", "{k}", "--A", "nan"], {}, "--A"),
+        (["pair", "{e2}", "--xi", "{e1}", "--lambda1", "nan"], {}, "--lambda1"),
+        (["pair", "{e2}", "--xi", "{e1}", "--lambda2", "inf"], {}, "--lambda2"),
+        (["pair", "{e2}", "--xi", "{e1}", "--lam", "nan"], {}, "--lam"),
+    ])
+    def test_invalid_number_exits_two(self, argv, env, named, e1_path, e2_path, tmp_path,
+                                      monkeypatch, capsys):
+        monkeypatch.delenv("CGFUSION_TOL", raising=False)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        paths = {"e1": e1_path, "e2": e2_path,
+                 "k": write_matrix(tmp_path, "k.json", [[1.0, 0.0], [0.0, 1.0]])}
+        assert exit_code([arg.format(**paths) for arg in argv]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_random_accepts_zero_nodes(self, tmp_path):
+        out = tmp_path / "empty.json"
+        assert main(["random", "--nodes", "0", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["nodes"] == []
+
+    @pytest.mark.parametrize("argv", [
+        ["kgf", "{e2}", "--seed", "1"],
+        ["atomic", "{e2}", "--trials", "5"],
+        ["parseval", "{e2}", "--seed", "1"],
+        ["random", "--tol", "1e-6"],
+        ["selftest", "--parallel"],
+    ])
+    def test_unread_flag_exits_two(self, argv, e2_path, capsys):
+        assert exit_code([arg.format(e2=e2_path) for arg in argv]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -7,6 +7,7 @@ from cgfusion import (
     analysis,
     assemble_frame_operator,
     canonical_dual,
+    direct_sum_laws,
     direct_sum_system,
     frame_bounds,
     opnorm,
@@ -16,7 +17,14 @@ from cgfusion import (
     synthesis,
 )
 
+import oracles
 from conftest import make_e1, make_e2, make_system
+
+
+def raw_args(system):
+    """Masses, weights, bases and local maps, as the oracle takes them."""
+    return (system.nodes.mu, system.weights, [sub.basis for sub in system.subspaces],
+            [loc.entries for loc in system.local_maps])
 
 
 class TestDirectSum:
@@ -90,6 +98,23 @@ class TestDirectSum:
             b_chi, b_xi, b_sum = frame_bounds(chi), frame_bounds(xi), frame_bounds(ds.system)
             assert b_sum.lower == pytest.approx(min(b_chi.lower, b_xi.lower), abs=1e-9)
             assert b_sum.upper == pytest.approx(max(b_chi.upper, b_xi.upper), abs=1e-9)
+
+    def test_direct_sum_laws_match_oracle(self):
+        rng = np.random.default_rng(53)
+        for _ in range(10):
+            chi, xi = random_shared_weight_frames(
+                rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)), int(rng.integers(2, 5))
+            )
+            ds, laws = direct_sum_laws(chi, xi)
+            block = oracles.block_diagonal(
+                oracles.frame_operator(*raw_args(chi)), oracles.frame_operator(*raw_args(xi))
+            )
+            assert laws.passed
+            assert max(laws.residuals.values()) <= 1e-12
+            assert opnorm(assemble_frame_operator(ds.system).entries - block) <= 1e-12
+            lower, upper = oracles.spectral_bounds(block)
+            assert laws.constants["lower"] == pytest.approx(lower, abs=1e-12)
+            assert laws.constants["upper"] == pytest.approx(upper, abs=1e-12)
 
 
 class TestParsevalize:

@@ -10,6 +10,7 @@ from cgfusion import (
     SingularFrameOperatorError,
     bounded_resolution_check,
     canonical_resolution,
+    canonical_resolution_report,
     energy_lower_check,
     factor_energy,
     frame_bounds,
@@ -64,6 +65,23 @@ class TestCanonicalResolution:
     def test_requires_frame(self, single_node):
         with pytest.raises(SingularFrameOperatorError):
             canonical_resolution(single_node)
+
+    def test_report_fails_on_non_frame_without_sampling(self, single_node):
+        def draw_samples():
+            raise AssertionError("a non-frame must not draw samples")
+
+        report = canonical_resolution_report(single_node, draw_samples)
+        assert not report.passed
+        assert report.residuals == {}
+        assert report.notes == ("not a frame; the canonical resolution is undefined",)
+
+    def test_report_on_e2(self, e2):
+        report = canonical_resolution_report(e2, lambda: np.eye(2))
+        assert report.passed
+        assert report.constants == {"lower": pytest.approx(1.0), "upper": pytest.approx(4.0)}
+        assert report.residuals["identity_residual"] <= 1e-14
+        assert report.residuals["energy_lower_violation"] == 0.0
+        assert report.residuals["energy_upper_violation"] == 0.0
 
     def test_reconstruction_on_random_frames(self):
         rng = np.random.default_rng(21)

@@ -4,6 +4,7 @@ import pytest
 from cgfusion import (
     CoefficientField,
     DegenerateKError,
+    SingularFrameOperatorError,
     MeasureNodes,
     Operator,
     ShapeError,
@@ -15,6 +16,7 @@ from cgfusion import (
     kgf_check,
     kgf_lower_bound,
     random_system,
+    require_frame,
     synthesis,
 )
 from cgfusion.systems import KGF_SLACK, GFusionSystem
@@ -106,6 +108,18 @@ class TestFrameBounds:
         assert bounds.classification == "bessel-only"
         assert bounds.lower == pytest.approx(0.0, abs=1e-12)
         assert bounds.upper == pytest.approx(1.0, abs=1e-12)
+
+    def test_require_frame_rejects_bessel_only(self, single_node):
+        with pytest.raises(SingularFrameOperatorError,
+                           match=r"^not a frame: smallest frame-operator eigenvalue 0\.000e\+00$"):
+            require_frame(single_node)
+
+    def test_require_frame_returns_frame_bounds(self, e1, e2):
+        rng = np.random.default_rng(14)
+        frames = [e1, e2] + [random_system(rng, 4, 3, ensure_frame=True) for _ in range(5)]
+        for system in frames:
+            for tol in (1e-9, 1e-3):
+                assert require_frame(system, tol) == frame_bounds(system, tol)
 
     def test_tight_classification(self):
         system = make_system(
