@@ -46,6 +46,20 @@ def make_deficient_system(rng, n):
                        masses=rng.uniform(0.5, 2.0, count))
 
 
+def make_wide_system(rng, n=40, count=6):
+    """A frame with long rows: node 0 spans R^n, the others random subspaces.
+
+    Node dimensions spread over [1, n]; each local operator is a square
+    uniform draw, so rows of both the bases and the local operators hold
+    up to n numbers.
+    """
+    dims = [n] + [max(1, n * i // count) for i in range(1, count)]
+    bases = [np.linalg.qr(rng.standard_normal((n, k)))[0] for k in dims]
+    locals_ = [rng.uniform(0.5, 1.5, size=(k, k)) for k in dims]
+    return make_system(n, bases, locals_, rng.uniform(0.5, 2.0, count),
+                       masses=rng.uniform(0.5, 2.0, count))
+
+
 def make_e1():
     """Two coordinate lines in R^2, scalar local maps, unit weights."""
     return make_system(

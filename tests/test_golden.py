@@ -15,7 +15,14 @@ import pytest
 from cgfusion import Operator, save_system
 from cgfusion.cli import main
 
-from conftest import make_deficient_system, make_e1, make_e2, make_single_node, make_system
+from conftest import (
+    make_deficient_system,
+    make_e1,
+    make_e2,
+    make_single_node,
+    make_system,
+    make_wide_system,
+)
 
 GOLDEN = {
     # name: (argv, exit code, sha256 of the --out file, or None when none is written)
@@ -59,6 +66,11 @@ GOLDEN = {
         "b515a50b2333291a7ca1ddede22ab5e71197c9795adad084d3f9630285ac0d1d"),
     "dual": (["dual", "e2.json"], 0,
         "dc5c9fd55d79f1a363c4225f4c937b29be829b0bbe1bacdc56aacd86dc331a70"),
+    # n = 40: rows of up to 40 floats, five levels deep in the document.
+    "parseval-wide": (["parseval", "wide.json"], 0,
+        "efc778e964a54775ab054e4d9404ed730ccaa1b17250eb2edc7201e8de8416a0"),
+    "dual-wide": (["dual", "wide.json"], 0,
+        "b98a68d4fc953c1eaf4d7c914b5dc9413553b1a9465253ec02d5f5e4dbbffa3b"),
     "random": (["random", "--seed", "7"], 0,
         "f5e1de5facf6704b052cbc1207aee3f68b6c0ebb9ad1a0b1328e5a26bab7c6c5"),
     "selftest-30": (["selftest", "--seed", "0", "--trials", "30"], 0,
@@ -76,6 +88,7 @@ def write_inputs():
     save_system(make_e2(), "e2k.json", operators={"K": Operator.identity(2)})
     save_system(make_e1(), "e1s.json", secondary_weights=[0.8, 1.0])
     save_system(make_deficient_system(np.random.default_rng(5), 4), "deficient.json")
+    save_system(make_wide_system(np.random.default_rng(11)), "wide.json")
     lines = [[[1.0], [0.0]], [[0.0], [1.0]]]
     save_system(make_system(2, lines, [[[1.0]], [[0.0]]], [1.0, 1.0]), "chi.json")
     save_system(make_system(2, lines, [[[0.0]], [[1.0]]], [1.0, 1.0]), "xi.json")
