@@ -26,7 +26,7 @@ from .atomic import (
     transform_combined,
     transform_shift,
 )
-from .direct_sum import canonical_dual, direct_sum_laws, parsevalize
+from .direct_sum import canonical_dual, direct_sum_laws, parseval_residual, parsevalize
 from .errors import (
     DegenerateKError,
     GFusionError,
@@ -388,10 +388,9 @@ def _cmd_parseval(args):
     tol = _resolve_tol(args)
     system = system_from_document(load_document(args.system), args.system)
     flat = parsevalize(system, tol)
-    residual = opnorm(assemble_frame_operator(flat).entries - np.eye(flat.ambient_dim))
     reports = [build_report(
         name="parseval_identity",
-        residuals={"identity_residual": residual},
+        residuals={"identity_residual": parseval_residual(flat)},
         tolerances={"tol": max(tol, 1e-8)},
     )]
     return reports, system_to_document(flat)
@@ -603,9 +602,7 @@ def _check_direct_sums(sum_parts, tol):
         worst_block = max(worst_block, laws.residuals["blockdiag_residual"])
         worst_bounds = max(worst_bounds, laws.residuals["lower_bound_mismatch"],
                            laws.residuals["upper_bound_mismatch"])
-        flat = parsevalize(ds.system)
-        worst_parseval = max(worst_parseval, opnorm(
-            assemble_frame_operator(flat).entries - np.eye(flat.ambient_dim)))
+        worst_parseval = max(worst_parseval, parseval_residual(parsevalize(ds.system)))
         _, dual_rep = canonical_dual(ds.system)
         worst_dual = max(worst_dual, dual_rep.residuals["dual_operator_residual"])
     return build_report(

@@ -142,6 +142,11 @@ def parsevalize(system: GFusionSystem, tol: float = ORDER_TOL) -> GFusionSystem:
     return push_through(system, system.effective_maps, root.entries)
 
 
+def parseval_residual(system: GFusionSystem) -> float:
+    """||S - I||_2, the distance of the frame operator from the identity."""
+    return opnorm(assemble_frame_operator(system).entries - np.eye(system.ambient_dim))
+
+
 def canonical_dual(
     system: GFusionSystem, tol: float = ORDER_TOL
 ) -> tuple[GFusionSystem, VerificationReport]:

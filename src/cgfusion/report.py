@@ -39,9 +39,20 @@ def _write_json(value, out: list[str], indent: int, level: int) -> None:
             out.append(",\n" if i < len(keys) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(value, (list, tuple)):
-        seq = list(value)
+        seq = tuple(value)
         if not seq:
             out.append("[]")
+            return
+        if set(map(type, seq)) == {float}:
+            # A row of plain floats is one %-format call; "%.17g" % v is
+            # the text of format_float(v).  A non-finite sum means some
+            # item may be non-finite: format_float names the first one.
+            if not math.isfinite(sum(seq)):
+                for item in seq:
+                    format_float(item)
+            sep = ",\n" + pad_in
+            out.append("[\n" + pad_in + sep.join(["%.17g"] * len(seq)) % seq)
+            out.append("\n" + pad + "]")
             return
         out.append("[\n")
         for i, item in enumerate(seq):
@@ -66,8 +77,9 @@ def _write_json(value, out: list[str], indent: int, level: int) -> None:
 def dumps_canonical(document, indent: int = 2) -> str:
     """Serialize nested dict/list data to deterministic JSON text.
 
-    Keys are emitted sorted and every float goes through
-    :func:`format_float`, so equal documents produce byte-equal text.
+    Keys are emitted sorted and every float is written as
+    :func:`format_float` writes it, so equal documents produce byte-equal
+    text.  A list of plain floats is formatted in one call.
     """
     out: list[str] = []
     _write_json(document, out, indent, 0)

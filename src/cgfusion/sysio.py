@@ -67,15 +67,19 @@ def _matrix_from(value, where: str, rows: int | None = None, cols: int | None = 
     return arr
 
 
-def load_document(path: str | os.PathLike) -> dict:
-    """Parse a JSON document and check the schema version."""
+def _read_json(path: str | os.PathLike):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            return json.load(handle)
     except FileNotFoundError:
         raise SystemFileError(f"{path}: file not found")
     except json.JSONDecodeError as err:
         raise SystemFileError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}")
+
+
+def load_document(path: str | os.PathLike) -> dict:
+    """Parse a JSON document and check the schema version."""
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         _fail(str(path), "top level must be an object")
     version = doc.get("version")
@@ -182,13 +186,7 @@ def load_system(path: str | os.PathLike, use_secondary: bool = False) -> GFusion
 
 def load_operator(path: str | os.PathLike, name: str = "matrix") -> Operator:
     """Load an operator file: either {"version","matrix"} or a bare row-list."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except FileNotFoundError:
-        raise SystemFileError(f"{path}: file not found")
-    except json.JSONDecodeError as err:
-        raise SystemFileError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}")
+    doc = _read_json(path)
     if isinstance(doc, dict):
         value = doc.get(name, doc.get("matrix"))
         if value is None:
@@ -210,8 +208,8 @@ def system_to_document(
             "id": system.nodes.ids[i],
             "mu": float(system.nodes.mu[i]),
             "v": float(system.weights[i]),
-            "subspace": [list(map(float, row)) for row in system.subspaces[i].basis.T],
-            "local_operator": [list(map(float, row)) for row in system.local_maps[i].entries],
+            "subspace": system.subspaces[i].basis.T.tolist(),
+            "local_operator": system.local_maps[i].entries.tolist(),
         }
         if secondary_weights is not None:
             node["s"] = float(secondary_weights[i])
@@ -222,10 +220,7 @@ def system_to_document(
         "nodes": nodes,
     }
     if operators:
-        doc["operators"] = {
-            name: [list(map(float, row)) for row in op.entries]
-            for name, op in operators.items()
-        }
+        doc["operators"] = {name: op.entries.tolist() for name, op in operators.items()}
     return doc
 
 

@@ -148,6 +148,13 @@ class GFusionSystem:
         # Safe to cache: the system and all its arrays are immutable.
         return Operator(symmetrize(weighted_gram(self, self.nodes.mu * self.weights**2)))
 
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        # Ascending eigenvalues of S, cached with it; read-only like S.
+        eigenvalues = np.linalg.eigvalsh(self._frame_operator.entries)
+        eigenvalues.setflags(write=False)
+        return eigenvalues
+
     def with_weights(self, weights) -> "GFusionSystem":
         return GFusionSystem(
             self.ambient_dim, self.nodes, self.subspaces, self.local_maps, weights
@@ -232,9 +239,9 @@ def frame_bounds(system: GFusionSystem, tol: float = ORDER_TOL) -> FrameBounds:
 
     Classification requires lower > tol for "frame"; "tight" means the
     bounds agree within tol and "parseval" that both equal 1 within tol.
+    The spectrum is computed once per system and cached with S.
     """
-    s = assemble_frame_operator(system).entries
-    eigenvalues = np.linalg.eigvalsh(s)
+    eigenvalues = system._spectrum
     lower = max(float(eigenvalues[0]), 0.0)
     upper = max(float(eigenvalues[-1]), 0.0)
     if lower <= tol:

@@ -102,6 +102,20 @@ def lift_codomains(system):
 
 
 @pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """A list that grows by one on every numpy.linalg.eigvalsh call in the test."""
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+@pytest.fixture
 def e1():
     return make_e1()
 

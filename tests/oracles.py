@@ -3,7 +3,10 @@
 Pure numpy, no package imports: every quantity is assembled directly
 from its defining formula (dense sums, pseudoinverses, eigensolves), so
 the library's code paths can be regression-pinned against these values.
+:func:`canonical_text` is a plain writer of the canonical JSON form.
 """
+
+import json
 
 import numpy as np
 
@@ -141,3 +144,40 @@ SINGLE = {
 
 def system_args(spec):
     return spec["masses"], spec["weights"], spec["bases"], spec["locals"]
+
+
+def canonical_text(doc, indent=2):
+    """Canonical JSON text of ``doc``, built value by value.
+
+    Sorted keys, one item per line, ``indent`` spaces per level, empty
+    containers as {} and []; every float is format(v, ".17g"), every int
+    str(v), strings and keys go through json.dumps.
+    """
+    def text(value, level):
+        pad = " " * (indent * level)
+        inner = " " * (indent * (level + 1))
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            items = [inner + json.dumps(k) + ": " + text(value[k], level + 1) for k in sorted(value)]
+            return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return "[]"
+            items = [inner + text(item, level + 1) for item in value]
+            return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if value is None:
+            return "null"
+        if isinstance(value, float):
+            return format(value, ".17g")
+        if isinstance(value, int):
+            return str(value)
+        if isinstance(value, str):
+            return json.dumps(value)
+        raise TypeError(f"cannot write {type(value).__name__}")
+
+    return text(doc, 0) + "\n"

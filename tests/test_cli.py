@@ -99,6 +99,12 @@ class TestResolve:
         save_system(make_single_node(), path)
         assert main(["resolve", str(path), "--trials", "10"]) == 1
 
+    def test_spectrum_solved_once(self, e2_path, eigvalsh_calls):
+        # S once (cached), plus the unweighted energy operator in the CLI
+        # and again in frame_from_resolution; not once per sample.
+        assert main(["resolve", e2_path]) == 0
+        assert len(eigvalsh_calls) <= 3
+
 
 class TestAtomic:
     def test_default_uses_frame_operator(self, e2_path, capsys):

@@ -11,6 +11,7 @@ from cgfusion import (
     direct_sum_system,
     frame_bounds,
     opnorm,
+    parseval_residual,
     parsevalize,
     random_shared_weight_frames,
     random_system,
@@ -145,6 +146,11 @@ class TestParsevalize:
     def test_rejects_non_frame(self, single_node):
         with pytest.raises(SingularFrameOperatorError):
             parsevalize(single_node)
+
+    def test_parseval_residual(self, e1, e2):
+        assert parseval_residual(e1) == 0.0
+        assert parseval_residual(e2) == pytest.approx(3.0, rel=1e-15)
+        assert parseval_residual(parsevalize(e2)) <= 1e-12
 
     def test_random_frames(self):
         rng = np.random.default_rng(53)

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgfusion import Operator, SystemFileError, load_operator, load_system, save_system
 from cgfusion.report import dumps_canonical, format_float
@@ -13,7 +15,23 @@ from cgfusion.sysio import (
     system_to_document,
 )
 
-from conftest import make_e2
+import oracles
+from conftest import make_e2, make_wide_system
+
+#: Doubles at the edges of the 17-digit form: subnormals, signed zeros,
+#: the largest double, and the 1e16-1e17 band where %.17g switches form.
+EDGE_FLOATS = (5e-324, -5e-324, 1.1e-308, 2.2250738585072014e-308, 0.0, -0.0,
+               1.7976931348623157e308, -1e300, 1e16, 9.999999999999998e16, 1e17,
+               123456789012345680.0, 0.1, 1.0 / 3.0)
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+scalars = finite_floats | st.integers() | st.booleans() | st.none() | st.text(max_size=5)
+documents = st.recursive(
+    scalars | st.lists(finite_floats, min_size=1, max_size=40),
+    lambda children: (st.lists(children, max_size=6)
+                      | st.lists(children, max_size=6).map(tuple)
+                      | st.dictionaries(st.text(max_size=5), children, max_size=5)),
+    max_leaves=60,
+)
 
 
 E2_DOC = {
@@ -181,6 +199,19 @@ class TestOperators:
         op = load_operator(path)
         np.testing.assert_array_equal(op.entries, np.diag([1.0, 2.0]))
 
+    def test_missing_operator_file(self, tmp_path):
+        path = tmp_path / "absent.json"
+        with pytest.raises(SystemFileError) as caught:
+            load_operator(path)
+        assert str(caught.value) == f"{path}: file not found"
+
+    def test_invalid_operator_json(self, tmp_path):
+        path = tmp_path / "k.json"
+        path.write_text("[[1.0, 0.0],\n [0.0 2.0]]", encoding="utf-8")
+        with pytest.raises(SystemFileError) as caught:
+            load_operator(path)
+        assert str(caught.value) == f"{path}: invalid JSON at line 2: Expecting ',' delimiter"
+
     def test_wrapped_matrix_file(self, tmp_path):
         path = tmp_path / "k.json"
         path.write_text(json.dumps({"version": "1", "matrix": [[0.0, 1.0], [1.0, 0.0]]}))
@@ -200,3 +231,34 @@ class TestCanonicalJson:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             dumps_canonical({"x": float("nan")})
+
+    @settings(max_examples=150)
+    @given(documents)
+    def test_matches_plain_writer(self, doc):
+        assert dumps_canonical(doc) == oracles.canonical_text(doc)
+
+    def test_wide_system_document_matches_plain_writer(self):
+        system = make_wide_system(np.random.default_rng(3))
+        doc = system_to_document(
+            system,
+            secondary_weights=np.linspace(0.5, 1.5, system.node_count),
+            operators={"K": Operator(np.random.default_rng(4).standard_normal((40, 40)))},
+        )
+        assert dumps_canonical(doc) == oracles.canonical_text(doc)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_in_long_row_named(self, bad):
+        row = [0.25] * 30
+        row[17] = bad
+        message = f"non-finite value cannot be serialized: {bad!r}"
+        with pytest.raises(ValueError) as caught:
+            dumps_canonical({"nodes": [{"subspace": [row]}]})
+        assert str(caught.value) == message
+
+    def test_row_whose_sum_overflows_is_written(self):
+        row = [1.7976931348623157e308, 1.7976931348623157e308, -1.0]
+        assert dumps_canonical(row) == oracles.canonical_text(row)
+
+    def test_mixed_row_keeps_ints_and_booleans(self):
+        assert dumps_canonical([1.0, 2, True]) == "[\n  1,\n  2,\n  true\n]\n"
+        assert dumps_canonical([1.0, None, "a"]) == '[\n  1,\n  null,\n  "a"\n]\n'

@@ -359,6 +359,14 @@ class TestStackedCore:
         system = random_system(np.random.default_rng(17), 4, 3)
         assert assemble_frame_operator(system) is assemble_frame_operator(system)
 
+    def test_spectrum_is_cached(self, eigvalsh_calls):
+        _, system = random_raw_system(np.random.default_rng(17), 4, 3)
+        first = frame_bounds(system)
+        assert len(eigvalsh_calls) == 1
+        second = frame_bounds(system, tol=1e-3)
+        assert len(eigvalsh_calls) == 1
+        assert (second.lower, second.upper) == (first.lower, first.upper)
+
     @pytest.mark.parametrize("trials", [0, 1, 2, 3, 7, 100, 101])
     def test_adjoint_trials_and_roundoff(self, trials):
         rng = np.random.default_rng(trials)
