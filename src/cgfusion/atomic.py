@@ -30,12 +30,12 @@ from .operators import (
     SYM_TOL,
     Operator,
     opnorm,
-    pinv,
     symmetrize,
 )
 from .report import EXACT, VerificationReport, build_report
 from .systems import (
     GFusionSystem,
+    _frame_operator_power,
     assemble_frame_operator,
     kgf_lower_bound,
     push_through,
@@ -66,6 +66,7 @@ def _minimal_decomposition(
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """Core S^+ K of the decomposition map, its norm c, and S S^+ K - K.
 
+    S^+ comes from the cached eigenpairs of S, cut at ``rank_tol``.
     c^2 is the top eigenvalue of (S^+ K)^T S (S^+ K); column j of the
     residual is synthesis of the decomposition of e_j minus K e_j.
     """
@@ -73,7 +74,7 @@ def _minimal_decomposition(
     if k.rows != n or k.cols != n:
         raise ShapeError(f"operator must be {n}x{n}, got {k.rows}x{k.cols}")
     s = assemble_frame_operator(system).entries
-    core = pinv(Operator(s), rank_tol).entries @ k.entries
+    core = _frame_operator_power(system, -1.0, rank_tol) @ k.entries
     c = float(np.sqrt(opnorm(symmetrize(core.T @ s @ core))))
     return core, c, s @ core - k.entries
 

@@ -35,7 +35,7 @@ from .errors import (
     SystemFileError,
 )
 from .measure import WeightProfile, validate_nodes
-from .operators import Operator, opnorm, symmetrize
+from .operators import Operator, opnorm
 from .pair import (
     PairSystem,
     bounded_below_analysis,
@@ -65,7 +65,6 @@ from .systems import (
     kgf_check,
     kgf_lower_bound,
     synthesis,
-    weighted_gram,
 )
 from .sysio import (
     SCHEMA_VERSION,
@@ -257,7 +256,7 @@ def _cmd_resolve(args):
         constants={"families": float(families)},
         provenance=SAMPLED,
     ))
-    top = float(np.linalg.eigvalsh(symmetrize(weighted_gram(system, system.nodes.mu)))[-1])
+    top = system._energy_top
     if top <= 0:
         reports.append(build_report(
             name="frame_from_resolution",

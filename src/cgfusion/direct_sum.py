@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .operators import ORDER_TOL, Operator, Subspace, opnorm, positive_sqrt
+from .operators import ORDER_TOL, Operator, Subspace, opnorm
 from .report import EXACT, VerificationReport, build_report
 from .systems import (
     GFusionSystem,
+    _frame_operator_power,
     assemble_frame_operator,
     frame_bounds,
     push_through,
@@ -138,8 +139,8 @@ def parsevalize(system: GFusionSystem, tol: float = ORDER_TOL) -> GFusionSystem:
     identity within roundoff.
     """
     require_frame(system, tol)
-    root = positive_sqrt(assemble_frame_operator(system), invert=True)
-    return push_through(system, system.effective_maps, root.entries)
+    # Uncut (rank_tol 0): every eigenvalue of a frame's S is positive, at any condition number.
+    return push_through(system, system.effective_maps, _frame_operator_power(system, -0.5, 0.0))
 
 
 def parseval_residual(system: GFusionSystem) -> float:

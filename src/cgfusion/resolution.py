@@ -20,12 +20,13 @@ from .errors import (
     SingularFrameOperatorError,
 )
 from .measure import MeasureNodes
-from .operators import ORDER_TOL, STRUCT_TOL, Operator, opnorm, symmetrize
+from .operators import ORDER_TOL, STRUCT_TOL, Operator, opnorm
 from .report import EXACT, SAMPLED, VerificationReport, build_report
 from .systems import (
     FrameBounds,
     GFusionSystem,
     assemble_frame_operator,
+    classify,
     frame_bounds,
     require_frame,
     weighted_gram,
@@ -285,7 +286,7 @@ def frame_from_resolution(
     """
     if not lower > 0:
         raise ParameterError(f"lower bound must be positive, got {lower}")
-    top = float(np.linalg.eigvalsh(symmetrize(weighted_gram(system, system.nodes.mu)))[-1])
+    top = system._energy_top
     if top > 1.0 / lower + tol:
         raise HypothesisNotMetError(
             "energy_upper_bound",
@@ -308,10 +309,4 @@ def frame_from_resolution(
             "certified bounds disagree with the spectral bounds "
             f"([{lower:.6g}, {upper:.6g}] vs [{spectral.lower:.6g}, {spectral.upper:.6g}])",
         )
-    if abs(lower - 1.0) <= tol and abs(upper - 1.0) <= tol:
-        label = "parseval"
-    elif abs(lower - upper) <= tol:
-        label = "tight"
-    else:
-        label = "frame"
-    return FrameBounds(lower, upper, label)
+    return FrameBounds(lower, upper, classify(lower, upper, tol))

@@ -16,7 +16,8 @@ The effective maps Lam of all nodes are the row blocks of one stacked
 matrix L, so each sum over nodes is one product with L.  The frame
 operator S = L^T diag(mass * weight^2) L; its spectral extremes are the
 optimal frame bounds because the measurement energy equals the Rayleigh
-quotient of S.
+quotient of S.  S is eigendecomposed once per system, and the bounds, the
+kgf constant, S^+ and S^(-1/2) are all read from that one S = Q diag(w) Q^T.
 """
 
 from __future__ import annotations
@@ -30,10 +31,12 @@ from .errors import DegenerateKError, ShapeError, SingularFrameOperatorError
 from .measure import CoefficientField, MeasureNodes, validate_nodes
 from .operators import (
     ORDER_TOL,
+    RANK_TOL,
     Operator,
     OrderCertificate,
     Subspace,
     _as_vector,
+    _freeze,
     operator_leq,
     opnorm,
     orthonormalize_image,
@@ -50,7 +53,6 @@ CLASSIFICATIONS = (
     "parseval",
 )
 
-_FACTOR_TOL = 1e-10
 #: Share of ``tol`` added to S when :func:`kgf_lower_bound` takes its
 #: closed form; keeps the constant inside :func:`kgf_check`'s boundary.
 KGF_SLACK = 0.5
@@ -98,13 +100,7 @@ class GFusionSystem:
                     f"node {i}: local operator has {loc.cols} columns, "
                     f"subspace dimension is {sub.dim}"
                 )
-            lam = np.matmul(loc.entries, sub.basis.T, out=stacked[offsets[i] : offsets[i + 1]])
-            defect = np.abs(lam - lam @ sub.projector()).max() if lam.size else 0.0
-            if defect > _FACTOR_TOL:
-                raise ValueError(
-                    f"node {i}: effective map does not factor through the projection "
-                    f"(defect {defect:.3e})"
-                )
+            np.matmul(loc.entries, sub.basis.T, out=stacked[offsets[i] : offsets[i + 1]])
         # Frozen before slicing, so every per-node view is read-only too.
         stacked.setflags(write=False)
         offsets.setflags(write=False)
@@ -149,11 +145,15 @@ class GFusionSystem:
         return Operator(symmetrize(weighted_gram(self, self.nodes.mu * self.weights**2)))
 
     @cached_property
-    def _spectrum(self) -> np.ndarray:
-        # Ascending eigenvalues of S, cached with it; read-only like S.
-        eigenvalues = np.linalg.eigvalsh(self._frame_operator.entries)
-        eigenvalues.setflags(write=False)
-        return eigenvalues
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        # S = Q diag(w) Q^T, w ascending; the one factorization of S, read-only like S.
+        w, q = np.linalg.eigh(self._frame_operator.entries)
+        return _freeze(w), _freeze(q)
+
+    @cached_property
+    def _energy_top(self) -> float:
+        # Top eigenvalue of the unweighted energy operator sum_i mu_i Lam_i^T Lam_i.
+        return float(np.linalg.eigvalsh(symmetrize(weighted_gram(self, self.nodes.mu)))[-1])
 
     def with_weights(self, weights) -> "GFusionSystem":
         return GFusionSystem(
@@ -189,6 +189,20 @@ def weighted_gram(
     if other.codomain_dims != system.codomain_dims:
         raise ShapeError(f"codomains differ: {system.codomain_dims} vs {other.codomain_dims}")
     return (system.stacked.T * system.per_row(node_weights)) @ other.stacked
+
+
+def _frame_operator_power(
+    system: GFusionSystem, power: float, rank_tol: float = RANK_TOL
+) -> np.ndarray:
+    """S^power as Q diag(w^power) Q^T over the cached eigenpairs of S.
+
+    Eigenvalues with |w| <= rank_tol * max|w| map to 0, the cut of
+    :func:`~cgfusion.operators.pinv`; with ``power`` = -1 this is S^+.
+    """
+    w, q = system._eigh
+    kept = np.abs(w) > rank_tol * np.abs(w).max()
+    mapped = np.power(w, power, out=np.zeros_like(w), where=kept)
+    return symmetrize((q * mapped) @ q.T)
 
 
 def assemble_frame_operator(system: GFusionSystem) -> Operator:
@@ -234,25 +248,23 @@ def synthesis(system: GFusionSystem, phi: CoefficientField) -> np.ndarray:
     return _synthesis_rows(system, np.concatenate((np.zeros(0),) + phi.blocks))
 
 
-def frame_bounds(system: GFusionSystem, tol: float = ORDER_TOL) -> FrameBounds:
-    """Optimal bounds: the spectral extremes of the frame operator.
-
-    Classification requires lower > tol for "frame"; "tight" means the
-    bounds agree within tol and "parseval" that both equal 1 within tol.
-    The spectrum is computed once per system and cached with S.
-    """
-    eigenvalues = system._spectrum
-    lower = max(float(eigenvalues[0]), 0.0)
-    upper = max(float(eigenvalues[-1]), 0.0)
+def classify(lower: float, upper: float, tol: float) -> str:
+    """Label of bounds: "bessel-only" at lower <= tol, else "parseval", "tight" or "frame"."""
     if lower <= tol:
-        label = "bessel-only"
-    elif abs(lower - 1.0) <= tol and abs(upper - 1.0) <= tol:
-        label = "parseval"
-    elif abs(lower - upper) <= tol:
-        label = "tight"
-    else:
-        label = "frame"
-    return FrameBounds(lower, upper, label)
+        return "bessel-only"
+    if abs(lower - 1.0) <= tol and abs(upper - 1.0) <= tol:
+        return "parseval"
+    if abs(lower - upper) <= tol:
+        return "tight"
+    return "frame"
+
+
+def frame_bounds(system: GFusionSystem, tol: float = ORDER_TOL) -> FrameBounds:
+    """Optimal bounds, the extreme cached eigenvalues of S, labelled by :func:`classify`."""
+    w, _ = system._eigh
+    lower = max(float(w[0]), 0.0)
+    upper = max(float(w[-1]), 0.0)
+    return FrameBounds(lower, upper, classify(lower, upper, tol))
 
 
 def require_frame(system: GFusionSystem, tol: float = ORDER_TOL) -> FrameBounds:
@@ -308,9 +320,9 @@ def kgf_lower_bound(system: GFusionSystem, k: Operator, tol: float = ORDER_TOL) 
     """Largest constant A with A K K^T <= S + KGF_SLACK * tol * I, in closed form.
 
     With S + c tol I = Q diag(w) Q^T (c = :data:`KGF_SLACK`), the
-    supremum is A = 1 / ||diag(w)^(-1/2) Q^T K||_2^2, from one symmetric
-    eigensolve.  The slack keeps A half of ``tol`` inside the -tol
-    boundary of :func:`kgf_check`, so ``kgf_check(system, k, A, tol)``
+    supremum is A = 1 / ||diag(w)^(-1/2) Q^T K||_2^2, read from the cached
+    eigenpairs of S (w - c tol, Q).  The slack keeps A half of ``tol`` inside
+    the -tol boundary of :func:`kgf_check`, so ``kgf_check(system, k, A, tol)``
     certifies the returned constant whenever ``tol`` exceeds the
     eigensolver's roundoff on S (about 1e-16 ||S||).  Returns 0 when A
     is at most ``tol``: no positive constant works beyond that slack.
@@ -320,8 +332,8 @@ def kgf_lower_bound(system: GFusionSystem, k: Operator, tol: float = ORDER_TOL) 
     _require_comparison_operator(system, k)
     if k.entries.size == 0 or np.abs(k.entries).max() == 0.0:
         raise DegenerateKError("comparison operator is zero; the bound is vacuous")
-    s = assemble_frame_operator(system).entries
-    w, q = np.linalg.eigh(s + KGF_SLACK * tol * np.eye(system.ambient_dim))
+    w, q = system._eigh
+    w = w + KGF_SLACK * tol
     if w[0] <= 0.0:
         return 0.0
     a = 1.0 / opnorm((q.T @ k.entries) / np.sqrt(w)[:, None]) ** 2

@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 from pathlib import Path
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
@@ -102,16 +103,23 @@ def lift_codomains(system):
 
 
 @pytest.fixture
-def eigvalsh_calls(monkeypatch):
-    """A list that grows by one on every numpy.linalg.eigvalsh call in the test."""
-    calls = []
-    original = np.linalg.eigvalsh
+def linalg_calls(monkeypatch):
+    """A Counter of the numpy.linalg eigvalsh, eigh, svd and inv calls made in the test.
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    Counts calls through the ``numpy.linalg`` module attributes, as the
+    library makes them; numpy's own internal calls (the SVD behind
+    ``norm(a, 2)``) are not counted.  ``clear()`` it to count a later step.
+    """
+    calls = Counter()
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    def counted(name, original):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    for name in ("eigvalsh", "eigh", "svd", "inv"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     return calls
 
 

@@ -99,11 +99,12 @@ class TestResolve:
         save_system(make_single_node(), path)
         assert main(["resolve", str(path), "--trials", "10"]) == 1
 
-    def test_spectrum_solved_once(self, e2_path, eigvalsh_calls):
-        # S once (cached), plus the unweighted energy operator in the CLI
-        # and again in frame_from_resolution; not once per sample.
+    def test_spectrum_solved_once(self, e2_path, linalg_calls):
+        # One eigh of S (cached), one eigvalsh of the unweighted energy
+        # operator (cached, read by the CLI and frame_from_resolution) and
+        # the LU inverse of S for the canonical resolution.
         assert main(["resolve", e2_path]) == 0
-        assert len(eigvalsh_calls) <= 3
+        assert linalg_calls == {"eigh": 1, "eigvalsh": 1, "inv": 1}
 
 
 class TestAtomic:
@@ -119,6 +120,11 @@ class TestAtomic:
         path = tmp_path / "single.json"
         save_system(make_single_node(), path)
         assert main(["atomic", str(path)]) == 1
+
+    def test_one_eigendecomposition(self, e2_path, linalg_calls):
+        # Bounds, a_star and S^+ all read the one cached eigh of S.
+        assert main(["atomic", e2_path]) == 0
+        assert linalg_calls == {"eigh": 1}
 
 
 class TestTransform:

@@ -147,6 +147,14 @@ class TestParsevalize:
         with pytest.raises(SingularFrameOperatorError):
             parsevalize(single_node)
 
+    def test_ill_conditioned_frame(self):
+        # S = diag(1e13, 1/2): kappa = 2e13 is past the 1e-12 rank cut, and
+        # the small eigenvalue must still be inverted, not cut to 0.
+        e = np.eye(2)
+        system = make_system(2, [e[:, :1], e[:, 1:]], [[[np.sqrt(1e13)]], [[np.sqrt(0.5)]]],
+                             [1.0, 1.0])
+        assert parseval_residual(parsevalize(system)) <= 1e-12
+
     def test_parseval_residual(self, e1, e2):
         assert parseval_residual(e1) == 0.0
         assert parseval_residual(e2) == pytest.approx(3.0, rel=1e-15)

@@ -74,9 +74,9 @@ GOLDEN = {
     "random": (["random", "--seed", "7"], 0,
         "f5e1de5facf6704b052cbc1207aee3f68b6c0ebb9ad1a0b1328e5a26bab7c6c5"),
     "selftest-30": (["selftest", "--seed", "0", "--trials", "30"], 0,
-        "4a14331001d9f7e921691d6f6381d667ff405662e1e43f7f606a010fa67085b3"),
+        "8297ec880fe305cc0762197e875bdad0f01c10a5fdbd1d4d1efb2c9dbd1dfb6a"),
     "selftest": (["selftest", "--seed", "0"], 0,
-        "17de06f651ceb4a299365f655c70508587e3dcb3bd8620a73ee91448c0179ff4"),
+        "576e016d4148dc5c9d2542b2adb799df0ae0e89c24173f6caa868cb2ccb6ec59"),
 }
 
 

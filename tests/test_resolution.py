@@ -249,6 +249,12 @@ class TestFrameFromResolution:
             frame_from_resolution(e1, 2.0)
         assert excinfo.value.condition == "energy_upper_bound"
 
+    def test_lower_at_tol_is_bessel_only(self, e1):
+        # One label rule with frame_bounds: a lower bound at or below tol.
+        assert frame_from_resolution(e1, 1e-10, tol=1e-9).classification == "bessel-only"
+        assert frame_from_resolution(e1, 1e-9, tol=1e-9).classification == "bessel-only"
+        assert frame_from_resolution(e1, 0.5, tol=1e-9).classification == "frame"
+
     def test_certified_bounds_bracket_spectrum(self):
         scaled = make_e2().with_weights(np.array([1.0, 1.0]))
         bounds = frame_from_resolution(scaled, 1.0)

@@ -7,19 +7,25 @@ from cgfusion import (
     SingularFrameOperatorError,
     MeasureNodes,
     Operator,
+    PairSystem,
     ShapeError,
     Subspace,
     adjoint_consistency,
     analysis,
     assemble_frame_operator,
+    atomic_wrt_frame_operator,
     frame_bounds,
     kgf_check,
     kgf_lower_bound,
+    parsevalize,
+    pinv,
+    positive_sqrt,
     random_system,
     require_frame,
+    symmetric_perturbation,
     synthesis,
 )
-from cgfusion.systems import KGF_SLACK, GFusionSystem
+from cgfusion.systems import KGF_SLACK, GFusionSystem, _frame_operator_power
 
 import oracles
 from conftest import make_deficient_system, make_system
@@ -303,6 +309,17 @@ class TestSystemValidation:
             for lam, sub in zip(system.effective_maps, system.subspaces):
                 np.testing.assert_allclose(lam, lam @ sub.projector(), atol=1e-10)
 
+    def test_large_local_operator_on_a_nearly_orthonormal_basis(self):
+        # Gram defect 8e-11, inside BASIS_TOL: the system loads at any scale
+        # of the local operator, and its maps are exactly local_i basis_i^T.
+        basis = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 2)))[0]
+        basis[:, 0] *= 1.0 + 4e-11
+        assert np.abs(basis.T @ basis - np.eye(2)).max() > 7e-11
+        for scale in (1.0, 10.0, 1e6):
+            loc = scale * np.eye(2)
+            system = make_system(4, [basis], [loc], [1.0])
+            np.testing.assert_array_equal(system.stacked, loc @ basis.T)
+
 
 def random_raw_system(rng, n, count):
     """Oracle arguments and the system built from them; every third node is trivial."""
@@ -359,12 +376,12 @@ class TestStackedCore:
         system = random_system(np.random.default_rng(17), 4, 3)
         assert assemble_frame_operator(system) is assemble_frame_operator(system)
 
-    def test_spectrum_is_cached(self, eigvalsh_calls):
+    def test_spectrum_is_cached(self, linalg_calls):
         _, system = random_raw_system(np.random.default_rng(17), 4, 3)
         first = frame_bounds(system)
-        assert len(eigvalsh_calls) == 1
+        assert linalg_calls == {"eigh": 1}
         second = frame_bounds(system, tol=1e-3)
-        assert len(eigvalsh_calls) == 1
+        assert linalg_calls == {"eigh": 1}
         assert (second.lower, second.upper) == (first.lower, first.upper)
 
     @pytest.mark.parametrize("trials", [0, 1, 2, 3, 7, 100, 101])
@@ -375,3 +392,45 @@ class TestStackedCore:
         assert report.passed
         assert report.constants["trials"] == float(trials)
         assert report.residuals["adjoint_mismatch"] <= 1e-13
+
+
+def relative_error(got, expected):
+    return np.linalg.norm(got - expected, 2) / np.linalg.norm(expected, 2)
+
+
+class TestOneFactorization:
+    """Every spectral function of S is read from its one cached eigendecomposition."""
+
+    def test_certificates_reuse_the_cached_eigenpairs(self, linalg_calls):
+        rng = np.random.default_rng(23)
+        chi = parsevalize(random_system(rng, 5, 4, ensure_frame=True))
+        xi = chi.with_weights(1.1 * chi.weights)
+        k = Operator(rng.standard_normal((5, 5)))
+        frame_bounds(chi), frame_bounds(xi)
+        linalg_calls.clear()
+        kgf_lower_bound(chi, k)
+        assert linalg_calls["eigh"] == linalg_calls["eigvalsh"] == 0
+        report = atomic_wrt_frame_operator(chi)
+        assert report.passed
+        assert linalg_calls["eigh"] == linalg_calls["eigvalsh"] == linalg_calls["svd"] == 0
+        report = symmetric_perturbation(PairSystem(chi, xi), 0.5)
+        assert "spectral_xi_lower" in report.constants
+        assert linalg_calls["eigh"] == linalg_calls["eigvalsh"] == 0
+
+    def test_pseudoinverse_matches_pinv(self):
+        rng = np.random.default_rng(29)
+        systems = [random_system(rng, int(rng.integers(2, 9)), int(rng.integers(1, 9)),
+                                 ensure_frame=True) for _ in range(20)]
+        systems += [make_deficient_system(rng, n) for n in range(3, 9)]
+        for system in systems:
+            s = assemble_frame_operator(system)
+            expected = pinv(s).entries
+            assert relative_error(_frame_operator_power(system, -1.0), expected) <= 1e-12
+
+    def test_inverse_root_matches_positive_sqrt(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            system = random_system(rng, int(rng.integers(2, 9)), int(rng.integers(1, 9)),
+                                   ensure_frame=True)
+            expected = positive_sqrt(assemble_frame_operator(system), invert=True).entries
+            assert relative_error(_frame_operator_power(system, -0.5, 0.0), expected) <= 1e-12
