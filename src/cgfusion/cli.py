@@ -54,7 +54,7 @@ from .random_systems import (
 from .report import SAMPLED, VerificationReport, build_report, dumps_canonical
 from .resolution import (
     canonical_resolution_report,
-    energy_lower_check,
+    energy_lower_violation,
     frame_from_resolution,
 )
 from .systems import (
@@ -238,48 +238,32 @@ def _cmd_resolve(args):
     reports = [canonical_resolution_report(
         system, lambda: rng.standard_normal((args.trials, system.ambient_dim)), tol
     )]
-    worst = 0.0
-    families = max(1, args.trials // 10)
-    for _ in range(families):
-        factors = [
-            rng.standard_normal((m, system.ambient_dim))
-            for m in system.codomain_dims
-        ]
-        for _ in range(10):
-            f = rng.standard_normal(system.ambient_dim)
-            rep = energy_lower_check(system, factors, f, tol)
-            worst = max(worst, rep.residuals["lower_energy_violation"])
+    families, vectors = [], []
+    for _ in range(max(1, args.trials // 10)):
+        families.append([rng.standard_normal((m, system.ambient_dim))
+                         for m in system.codomain_dims])
+        vectors.append(rng.standard_normal((10, system.ambient_dim)))
     reports.append(build_report(
         name="energy_lower_random_families",
-        residuals={"lower_energy_violation": worst},
+        residuals={"lower_energy_violation": energy_lower_violation(system, families, vectors)},
         tolerances={"tol": max(tol, 1e-9)},
-        constants={"families": float(families)},
+        constants={"families": float(len(families))},
         provenance=SAMPLED,
     ))
     top = system._energy_top
-    if top <= 0:
-        reports.append(build_report(
-            name="frame_from_resolution",
-            residuals={}, tolerances={"tol": tol},
-            notes=("skipped: zero energy operator",),
-        ))
-    else:
+    constants, notes = {}, ("skipped: zero energy operator",)
+    if top > 0:
         try:
             certified = frame_from_resolution(system, 1.0 / top, tol)
         except HypothesisNotMetError as err:
-            reports.append(build_report(
-                name="frame_from_resolution",
-                residuals={}, tolerances={"tol": tol},
-                notes=(f"hypotheses not met ({err.condition}); skipped",),
-            ))
+            notes = (f"hypotheses not met ({err.condition}); skipped",)
         else:
-            reports.append(build_report(
-                name="frame_from_resolution",
-                residuals={}, tolerances={"tol": tol},
-                constants={"certified_lower": certified.lower,
-                           "certified_upper": certified.upper},
-                notes=(f"classification: {certified.classification}",),
-            ))
+            constants = {"certified_lower": certified.lower, "certified_upper": certified.upper}
+            notes = (f"classification: {certified.classification}",)
+    reports.append(build_report(
+        name="frame_from_resolution", residuals={}, tolerances={"tol": tol},
+        constants=constants, notes=notes,
+    ))
     params = {"tol": tol, "trials": args.trials, "seed": args.seed, "system": args.system}
     return reports, _report_document("resolve", params, reports)
 
@@ -524,9 +508,7 @@ def _check_energy_lower(frames, vectors, seed, tol):
     for system in frames:
         factors = [rng.standard_normal((m, system.ambient_dim))
                    for m in system.codomain_dims]
-        for f in vectors[id(system)]:
-            rep = energy_lower_check(system, factors, f, tol)
-            worst = max(worst, rep.residuals["lower_energy_violation"])
+        worst = max(worst, energy_lower_violation(system, [factors], [vectors[id(system)]]))
     return build_report(
         name="selftest_energy_lower",
         residuals={"lower_energy_violation": worst},

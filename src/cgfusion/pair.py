@@ -19,6 +19,7 @@ lambda_min(S_xi) >= sigma_min(M)^2 / D2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,12 @@ class PairSystem:
     def ambient_dim(self) -> int:
         return self.chi.ambient_dim
 
+    @cached_property
+    def _mixed_operator(self) -> Operator:
+        # Safe to cache: the pair and both systems are immutable.
+        weights = self.chi.nodes.mu * self.chi.weights * self.xi.weights
+        return Operator(weighted_gram(self.xi, weights, self.chi))
+
     def swapped(self) -> "PairSystem":
         return PairSystem(self.xi, self.chi)
 
@@ -70,9 +77,8 @@ class PairSystem:
 
 
 def pair_frame_operator(pair: PairSystem) -> Operator:
-    """Mixed operator sum_i mu_i v_i s_i Xi_i^T Lam_i (not symmetric in general)."""
-    weights = pair.chi.nodes.mu * pair.chi.weights * pair.xi.weights
-    return Operator(weighted_gram(pair.xi, weights, pair.chi))
+    """Mixed operator sum_i mu_i v_i s_i Xi_i^T Lam_i (not symmetric), cached per pair."""
+    return pair._mixed_operator
 
 
 def pair_adjoint_and_norm(pair: PairSystem, tol: float = STRUCT_TOL) -> VerificationReport:
@@ -125,18 +131,11 @@ def bounded_below_analysis(pair: PairSystem, tol: float = STRUCT_TOL) -> Verific
             notes=("mixed operator is not bounded below; no resolution induced",),
         )
     inverse = np.linalg.inv(mixed)
-    family = ResolutionFamily(
-        n,
-        pair.chi.nodes,
-        tuple(
-            Operator(float(v) * float(s) * (inverse @ xi_map.T @ lam))
-            for v, s, lam, xi_map in zip(
-                pair.chi.weights,
-                pair.xi.weights,
-                pair.chi.effective_maps,
-                pair.xi.effective_maps,
-            )
-        ),
+    chi, xi = pair.chi, pair.xi
+    # W_i = v_i s_i M^-1 Xi_i^T Lam_i: P = Xi M^-T, T = L_chi, w = v s.
+    family = ResolutionFamily.from_rows(
+        chi.nodes, xi.stacked @ inverse.T, chi.stacked, chi.per_row(chi.weights * xi.weights),
+        chi.codomain_dims,
     )
     resolution = verify_resolution(family, tol)
     chi_lower = frame_bounds(pair.chi).lower

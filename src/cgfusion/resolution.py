@@ -20,7 +20,7 @@ from .errors import (
     SingularFrameOperatorError,
 )
 from .measure import MeasureNodes
-from .operators import ORDER_TOL, STRUCT_TOL, Operator, opnorm
+from .operators import ORDER_TOL, STRUCT_TOL, Operator, _freeze, opnorm
 from .report import EXACT, SAMPLED, VerificationReport, build_report
 from .systems import (
     FrameBounds,
@@ -33,63 +33,92 @@ from .systems import (
 )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ResolutionFamily:
-    """Per-node operators W_i on the ambient space, plus optional factors.
+    """Per-node operators W_i = P_i^T diag(w_i) T_i on the ambient space.
 
-    The family claims sum_i mu_i W_i = I; :func:`verify_resolution`
-    measures how true that is.  ``factors`` carries the per-node maps
-    T_i (shape m_i x ambient) when the family was built from them.
+    The family is held as two stacked row blocks, ``left`` (P) and
+    ``right`` (T), each sum m_i x ambient with node i's rows in block i,
+    and one weight per row (``row_weights``): two sum m_i x n arrays in
+    place of N dense n x n operators.  It claims sum_i mu_i W_i = I;
+    :func:`verify_resolution` measures how true that is.  The row blocks
+    T_i are the family's factors.
     """
 
     ambient_dim: int
     nodes: MeasureNodes
-    operators: tuple[Operator, ...]
-    factors: tuple[Operator, ...] | None = None
+    left: np.ndarray
+    right: np.ndarray
+    row_weights: np.ndarray
 
-    def __post_init__(self):
-        n = int(self.ambient_dim)
-        operators = tuple(self.operators)
-        if len(operators) != len(self.nodes):
-            raise ShapeError(
-                f"{len(operators)} operators for {len(self.nodes)} nodes"
-            )
+    def __init__(self, ambient_dim: int, nodes: MeasureNodes, operators):
+        """The family of explicit n x n operators W_i: P_i = I, T_i = W_i, w_i = 1."""
+        n = int(ambient_dim)
+        operators = tuple(operators)
+        if len(operators) != len(nodes):
+            raise ShapeError(f"{len(operators)} operators for {len(nodes)} nodes")
         for i, op in enumerate(operators):
             if op.rows != n or op.cols != n:
                 raise ShapeError(f"operator {i} must be {n}x{n}, got {op.rows}x{op.cols}")
-        if self.factors is not None:
-            factors = tuple(self.factors)
-            if len(factors) != len(self.nodes):
-                raise ShapeError(f"{len(factors)} factors for {len(self.nodes)} nodes")
-            for i, op in enumerate(factors):
-                if op.cols != n:
-                    raise ShapeError(f"factor {i} must act on R^{n}, got {op.cols} columns")
-            object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "ambient_dim", n)
-        object.__setattr__(self, "operators", operators)
+        count = len(operators)
+        right = np.concatenate([np.zeros((0, n))] + [op.entries for op in operators])
+        self._hold(nodes, np.tile(np.eye(n), (count, 1)), right, np.ones(count * n), (n,) * count)
+
+    @classmethod
+    def from_rows(
+        cls, nodes: MeasureNodes, left, right, row_weights, row_counts
+    ) -> "ResolutionFamily":
+        """The family of stacked P = ``left``, T = ``right`` and row weights w.
+
+        Node i owns ``row_counts[i]`` consecutive rows of each.
+        """
+        family = cls.__new__(cls)
+        family._hold(nodes, left, right, row_weights, row_counts)
+        return family
+
+    def _hold(self, nodes, left, right, row_weights, row_counts) -> None:
+        fields = dict(
+            ambient_dim=left.shape[1], nodes=nodes, left=_freeze(left), right=_freeze(right),
+            row_weights=_freeze(np.asarray(row_weights, dtype=float)),
+            _bounds=np.concatenate(([0], np.cumsum(row_counts, dtype=int))).tolist(),
+        )
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _split(self, rows: np.ndarray) -> list[np.ndarray]:
+        return [rows[a:b] for a, b in zip(self._bounds[:-1], self._bounds[1:])]
+
+    @property
+    def operators(self) -> tuple[Operator, ...]:
+        """The W_i as N dense n x n operators, formed on each access."""
+        blocks = zip(*(self._split(rows) for rows in (self.left, self.row_weights, self.right)))
+        return tuple(Operator((p.T * w) @ t) for p, w, t in blocks)
+
+    @property
+    def factors(self) -> tuple[Operator, ...]:
+        """The per-node factors T_i, formed on each access."""
+        return tuple(map(Operator, self._split(self.right)))
 
     def weighted_sum(self) -> np.ndarray:
-        total = np.zeros((self.ambient_dim, self.ambient_dim))
-        for mass, op in zip(self.nodes.mu, self.operators):
-            total += float(mass) * op.entries
-        return total
+        """sum_i mu_i W_i = P^T diag(mu w) T, one product."""
+        mass = np.repeat(self.nodes.mu, np.diff(self._bounds))
+        return (self.left.T * (mass * self.row_weights)) @ self.right
 
 
 def canonical_resolution(system: GFusionSystem, tol: float = ORDER_TOL) -> ResolutionFamily:
     """The resolution induced by an invertible frame operator.
 
-    Factors are T_i = Lam_i S^-1 and the family is W_i = v_i^2 Lam_i^T T_i,
-    so the mass-weighted sum telescopes to S S^-1 = I.  Raises
-    :class:`SingularFrameOperatorError` when the system is not a frame.
+    Factors are T_i = Lam_i S^-1 and the family is W_i = v_i^2 Lam_i^T T_i
+    (P = L, T = L S^-1, w = v^2), so the mass-weighted sum telescopes to
+    S S^-1 = I.  Raises :class:`SingularFrameOperatorError` when the
+    system is not a frame.
     """
     require_frame(system, tol)
     s_inv = np.linalg.inv(assemble_frame_operator(system).entries)
-    factors = tuple(Operator(t_i) for t_i in system.split_rows(system.stacked @ s_inv))
-    operators = tuple(
-        Operator(float(weight) ** 2 * (lam.T @ t_i.entries))
-        for weight, lam, t_i in zip(system.weights, system.effective_maps, factors)
+    return ResolutionFamily.from_rows(
+        system.nodes, system.stacked, system.stacked @ s_inv, system.per_row(system.weights**2),
+        system.codomain_dims,
     )
-    return ResolutionFamily(system.ambient_dim, system.nodes, operators, factors)
 
 
 def verify_resolution(family: ResolutionFamily, tol: float = STRUCT_TOL) -> VerificationReport:
@@ -130,7 +159,7 @@ def canonical_resolution_report(
     identity_tol = max(tol, 1e-8)
     inner = verify_resolution(family, identity_tol)
     samples = draw_samples()
-    ratio = factor_energy(system, family.factors, samples) / np.sum(samples**2, axis=1)
+    ratio = factor_energy(system, family.right, samples) / np.sum(samples**2, axis=1)
     lower_violation = float(np.max(bounds.lower / bounds.upper**2 - ratio))
     upper_violation = float(np.max(ratio - bounds.upper / bounds.lower**2))
     return build_report(
@@ -146,30 +175,27 @@ def canonical_resolution_report(
     )
 
 
-def _factor_matrices(system: GFusionSystem, factors) -> list[np.ndarray]:
-    mats = []
-    for i, factor in enumerate(factors):
-        entries = factor.entries if isinstance(factor, Operator) else np.asarray(factor, float)
-        if entries.ndim != 2 or entries.shape[1] != system.ambient_dim:
-            raise ShapeError(
-                f"factor {i} must have {system.ambient_dim} columns, got {entries.shape}"
-            )
-        mats.append(entries)
-    if len(mats) != system.node_count:
-        raise ShapeError(f"{len(mats)} factors for {system.node_count} nodes")
-    return mats
-
-
 def _stacked_factors(system: GFusionSystem, factors) -> np.ndarray:
-    mats = _factor_matrices(system, factors)
-    rows = tuple(t_i.shape[0] for t_i in mats)
-    if rows != system.codomain_dims:
-        raise ShapeError(f"factor rows {rows} do not match node codomains {system.codomain_dims}")
-    return np.concatenate([np.zeros((0, system.ambient_dim)), *mats])
+    """The factors T_i, one m_i x n map per node, stacked; a 2-d array is taken as stacked."""
+    n = system.ambient_dim
+    if not (isinstance(factors, np.ndarray) and factors.ndim == 2):
+        mats = [t.entries if isinstance(t, Operator) else np.asarray(t, float) for t in factors]
+        if len(mats) != system.node_count:
+            raise ShapeError(f"{len(mats)} factors for {system.node_count} nodes")
+        for i, (t_i, m_i) in enumerate(zip(mats, system.codomain_dims)):
+            if t_i.shape != (m_i, n):
+                raise ShapeError(f"factor {i} must have shape {(m_i, n)}, got {t_i.shape}")
+        factors = np.concatenate([np.zeros((0, n)), *mats])
+    if factors.shape != (sum(system.codomain_dims), n):
+        raise ShapeError(f"stacked factors must have {n} columns and one row per codomain row")
+    return factors
 
 
 def factor_energy(system: GFusionSystem, factors, samples) -> np.ndarray:
-    """Energy sum_i mu_i v_i^2 ||T_i f||^2 of the factors T_i, for each row f of ``samples``."""
+    """Energy sum_i mu_i v_i^2 ||T_i f||^2 of the factors T_i, for each row f of ``samples``.
+
+    ``factors`` is one map per node or their stacked (sum m_i x n) matrix.
+    """
     measured = np.asarray(samples, dtype=float) @ _stacked_factors(system, factors).T
     return measured**2 @ system.per_row(system.nodes.mu * system.weights**2)
 
@@ -182,7 +208,8 @@ def energy_lower_check(
     Here g = sum_i mu_i v_i^2 Lam_i^T T_i f and D is the upper frame
     bound.  The inequality holds for arbitrary bounded factors, not only
     canonical ones, so a failure beyond ``tol`` indicates a broken
-    system rather than a poor choice of factors.
+    system rather than a poor choice of factors.  ``factors`` is one map
+    per node or their stacked (sum m_i x n) matrix.
     """
     stacked = _stacked_factors(system, factors)
     vec = np.asarray(f, dtype=float)
@@ -193,8 +220,7 @@ def energy_lower_check(
     energy_weights = system.per_row(system.nodes.mu * system.weights**2)
     g = system.stacked.T @ (energy_weights * tf)
     energy = float(energy_weights @ tf**2)
-    g_norm_sq = float(g @ g)
-    lhs = 0.0 if g_norm_sq == 0.0 else g_norm_sq / max(upper, 1e-300)
+    lhs = float(g @ g) / max(upper, 1e-300)
     return build_report(
         name="energy_lower_check",
         residuals={"lower_energy_violation": max(0.0, lhs - energy)},
@@ -202,6 +228,21 @@ def energy_lower_check(
         constants={"lhs": lhs, "rhs": energy, "upper_bound": upper},
         provenance=EXACT,
     )
+
+
+def energy_lower_violation(system: GFusionSystem, families, vectors) -> float:
+    """Largest :func:`energy_lower_check` violation over drawn factor families.
+
+    ``families[k]`` is one factor family (one map per node), checked on
+    each row of ``vectors[k]``; each family is stacked once.
+    """
+    worst = 0.0
+    for factors, rows in zip(families, vectors):
+        stacked = _stacked_factors(system, factors)
+        for f in rows:
+            report = energy_lower_check(system, stacked, f)
+            worst = max(worst, report.residuals["lower_energy_violation"])
+    return worst
 
 
 def bounded_resolution_check(
@@ -226,35 +267,25 @@ def bounded_resolution_check(
                 f"node {i} has codomain dimension {m_i}, but this check requires all "
                 f"local codomains to equal the ambient dimension {n}"
             )
-    mats = _factor_matrices(system, factors)
-    for i, t_i in enumerate(mats):
-        if t_i.shape != (n, n):
-            raise ShapeError(
-                f"factor {i} must be square {n}x{n}, got {t_i.shape}; rectangular "
-                "factors are unsupported by this check"
-            )
-    hypothesis = 0.0
-    for lam, t_i in zip(system.effective_maps, mats):
-        hypothesis = max(hypothesis, opnorm(t_i.T @ lam - t_i))
+    stacked = _stacked_factors(system, factors)
+    cube = stacked.reshape(-1, n, n)
+    defects = cube.transpose(0, 2, 1) @ system.stacked.reshape(-1, n, n) - cube
+    hypothesis = float(np.max(np.linalg.norm(defects, 2, axis=(1, 2)), initial=0.0))
     if hypothesis > tol:
         raise HypothesisNotMetError(
             "factor_fixed_by_measurement",
             f"||T_i^T Lam_i - T_i|| = {hypothesis:.3e} exceeds {tol:g}",
         )
-    family = ResolutionFamily(
-        n,
-        system.nodes,
-        tuple(
-            Operator(float(w) ** 2 * (lam.T @ t_i))
-            for w, lam, t_i in zip(system.weights, system.effective_maps, mats)
-        ),
+    family = ResolutionFamily.from_rows(
+        system.nodes, system.stacked, stacked, system.per_row(system.weights**2),
+        system.codomain_dims,
     )
     resolution = verify_resolution(family, tol)
     upper = frame_bounds(system).upper
-    largest = max((opnorm(t_i) ** 2 for t_i in mats), default=0.0)
+    largest = float(np.max(np.linalg.norm(cube, 2, axis=(1, 2)), initial=0.0)) ** 2
     samples = np.vstack([np.eye(n), np.random.default_rng(0).standard_normal((50, n))])
     norm_sq = np.einsum("ij,ij->i", samples, samples)
-    energy = factor_energy(system, mats, samples)
+    energy = factor_energy(system, stacked, samples)
     lower_violation = max(0.0, float(np.max(norm_sq / max(upper, 1e-300) - energy)))
     upper_violation = max(0.0, float(np.max(energy - upper * largest * norm_sq)))
     residuals = {

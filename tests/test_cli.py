@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from cgfusion import Operator, random_system, save_system, validate_nodes
+import cgfusion.pair
+from cgfusion import Operator, random_system, save_system, validate_nodes, weighted_gram
 from cgfusion.cli import main
 from cgfusion.measure import WeightProfile
 
@@ -178,6 +179,27 @@ class TestPair:
         path = tmp_path / "pair.json"
         save_system(make_e1(), path, secondary_weights=[0.8, 1.0])
         assert main(["pair", str(path), "--lam", "0.05", "--trials", "10"]) == 1
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_mixed_operator_built_once(self, tmp_path, e2_path, e1_path, monkeypatch, perturbed):
+        # One product for the mixed operator, shared by every check, and
+        # one for the swapped pair of the adjoint law; with e2 against e1
+        # both perturbation checks are skipped, with e1s both go ahead.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return weighted_gram(*args, **kwargs)
+
+        monkeypatch.setattr(cgfusion.pair, "weighted_gram", counted)
+        if perturbed:
+            path = tmp_path / "e1s.json"
+            save_system(make_e1(), path, secondary_weights=[0.8, 1.0])
+            argv = ["pair", str(path), "--lam", "0.3", "--trials", "10"]
+        else:
+            argv = ["pair", e2_path, "--xi", e1_path]
+        assert main(argv) == 0
+        assert len(calls) == 2
 
 
 class TestProducingCommands:

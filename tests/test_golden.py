@@ -74,9 +74,9 @@ GOLDEN = {
     "random": (["random", "--seed", "7"], 0,
         "f5e1de5facf6704b052cbc1207aee3f68b6c0ebb9ad1a0b1328e5a26bab7c6c5"),
     "selftest-30": (["selftest", "--seed", "0", "--trials", "30"], 0,
-        "8297ec880fe305cc0762197e875bdad0f01c10a5fdbd1d4d1efb2c9dbd1dfb6a"),
+        "7a91c1507699962b7b0f93b6e464ac1d817e32298c8b77fb5774bb696d8b9c2e"),
     "selftest": (["selftest", "--seed", "0"], 0,
-        "576e016d4148dc5c9d2542b2adb799df0ae0e89c24173f6caa868cb2ccb6ec59"),
+        "6bd8f8e69857f6e2575c2028c0818176c6c65274726eb2371a4ebae6cbe2cd13"),
 }
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from cgfusion import (
     canonical_resolution,
     canonical_resolution_report,
     energy_lower_check,
+    energy_lower_violation,
     factor_energy,
     frame_bounds,
     frame_from_resolution,
@@ -20,7 +23,7 @@ from cgfusion import (
 )
 
 import oracles
-from conftest import make_e2
+from conftest import make_e2, make_system
 
 
 def family_from(masses, *diagonals):
@@ -113,6 +116,101 @@ class TestCanonicalResolution:
                 assert lo * norm_sq - 1e-8 <= energy <= hi * norm_sq + 1e-8
 
 
+def oracle_args(system):
+    return (system.nodes.mu, system.weights, [sub.basis for sub in system.subspaces],
+            [loc.entries for loc in system.local_maps])
+
+
+def frame_with_empty_nodes(rng):
+    """A frame of R^4 with a zero-dimensional subspace and a zero-row codomain."""
+    full = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    plane = np.linalg.qr(rng.standard_normal((4, 2)))[0]
+    return make_system(
+        4,
+        [full, np.zeros((4, 0)), plane, plane],
+        [rng.uniform(0.5, 1.5, (4, 4)) + 2 * np.eye(4), np.zeros((2, 0)),
+         rng.uniform(0.5, 1.5, (3, 2)), np.zeros((0, 2))],
+        rng.uniform(0.5, 2.0, 4),
+        masses=rng.uniform(0.5, 2.0, 4),
+    )
+
+
+def oracle_frames():
+    rng = np.random.default_rng(31)
+    frames = [random_system(rng, int(rng.integers(2, 9)), int(rng.integers(2, 6)),
+                            ensure_frame=True) for _ in range(10)]
+    basis = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    frames.append(make_system(3, [basis], [rng.uniform(0.5, 1.5, (3, 3)) + 2 * np.eye(3)],
+                              [1.5], masses=[0.7]))
+    frames.append(frame_with_empty_nodes(rng))
+    return frames
+
+
+class TestStackedFamily:
+    @pytest.mark.parametrize("system", oracle_frames())
+    def test_canonical_family_matches_oracle(self, system):
+        family = canonical_resolution(system)
+        factors, summands = oracles.canonical_factors(*oracle_args(system))
+        assert len(family.operators) == len(family.factors) == system.node_count
+        for t, expected in zip(family.factors, factors):
+            assert t.entries.shape == expected.shape
+            np.testing.assert_allclose(t.entries, expected, rtol=0.0, atol=1e-12)
+        for op, expected in zip(family.operators, summands):
+            np.testing.assert_allclose(op.entries, expected, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(family.weighted_sum(), sum(
+            mu * w for mu, w in zip(system.nodes.mu, summands)), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("system", oracle_frames())
+    def test_operators_are_the_stacked_products(self, system):
+        family = canonical_resolution(system)
+        assert family.left is system.stacked
+        assert family.right.shape == system.stacked.shape
+        assert not family.right.flags.writeable and not family.row_weights.flags.writeable
+        np.testing.assert_array_equal(family.row_weights, system.per_row(system.weights**2))
+        for i, op in enumerate(family.operators):
+            p_i, t_i, w_i = (system.split_rows(rows)[i]
+                             for rows in (family.left, family.right, family.row_weights))
+            np.testing.assert_allclose(op.entries, p_i.T @ np.diag(w_i) @ t_i,
+                                       rtol=0.0, atol=1e-14)
+            np.testing.assert_array_equal(family.factors[i].entries, t_i)
+
+    def test_explicit_family_sum_as_before(self):
+        rng = np.random.default_rng(32)
+        masses = rng.uniform(0.5, 2.0, 7)
+        ops = [Operator(rng.standard_normal((5, 5))) for _ in masses]
+        nodes = MeasureNodes(tuple(f"n{i}" for i in range(7)), masses)
+        family = ResolutionFamily(5, nodes, ops)
+        expected = np.zeros((5, 5))
+        for mass, op in zip(masses, ops):
+            expected += mass * op.entries
+        np.testing.assert_allclose(family.weighted_sum(), expected, rtol=1e-14, atol=1e-15)
+        for op, factor, given in zip(family.operators, family.factors, ops):
+            np.testing.assert_array_equal(op.entries, given.entries)
+            np.testing.assert_array_equal(factor.entries, given.entries)
+
+    def test_explicit_empty_family_sums_to_zero(self):
+        family = ResolutionFamily(3, MeasureNodes((), np.zeros(0)), ())
+        np.testing.assert_array_equal(family.weighted_sum(), np.zeros((3, 3)))
+        assert len(family.operators) == 0 and family.ambient_dim == 3
+
+    def test_canonical_memory_stays_at_the_stacked_size(self):
+        # n = 48, N = 300, m_i = 2: N dense n x n operators take 5.5 MB,
+        # the stacked factors 230 kB each.
+        rng = np.random.default_rng(33)
+        n, count = 48, 300
+        bases = [np.linalg.qr(rng.standard_normal((n, 2)))[0] for _ in range(count)]
+        system = make_system(n, bases, [rng.uniform(0.5, 1.5, (2, 2)) for _ in range(count)],
+                             rng.uniform(0.5, 2.0, count))
+        tracemalloc.start()
+        try:
+            report = verify_resolution(canonical_resolution(system))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 4 * (2 * count) * n * 8
+
+
 class TestVerifyResolution:
     def test_exact_partition(self):
         report = verify_resolution(family_from([1.0, 1.0], [1.0, 0.0], [0.0, 1.0]))
@@ -177,6 +275,24 @@ class TestEnergyLowerCheck:
         np.testing.assert_allclose(
             factor_energy(system, factors, samples), expected, rtol=1e-12, atol=0.0
         )
+
+    def test_violation_over_families_matches_single_checks(self, e1):
+        # On the Parseval e1 the inequality can hold with equality, so
+        # roundoff gives nonzero violations that must match exactly.
+        rng = np.random.default_rng(25)
+        for system in (e1, make_e2(), random_system(rng, 5, 4)):
+            families = [[rng.standard_normal((m, system.ambient_dim))
+                         for m in system.codomain_dims] for _ in range(10)]
+            vectors = [rng.standard_normal((10, system.ambient_dim)) for _ in families]
+            expected = max(
+                energy_lower_check(system, factors, f).residuals["lower_energy_violation"]
+                for factors, rows in zip(families, vectors) for f in rows
+            )
+            assert energy_lower_violation(system, families, vectors) == expected
+
+    def test_violation_of_canonical_factors_is_roundoff(self, e2):
+        family = canonical_resolution(e2)
+        assert energy_lower_violation(e2, [family.right], [np.eye(2)]) <= 1e-15
 
     def test_holds_for_arbitrary_factors(self):
         rng = np.random.default_rng(23)
