@@ -9,9 +9,9 @@ serialize to identical bytes.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 
 def format_float(x: float) -> str:
@@ -34,7 +34,7 @@ def _write_json(value, out: list[str], indent: int, level: int) -> None:
         for i, key in enumerate(keys):
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys must be strings, got {key!r}")
-            out.append(pad_in + json.dumps(key) + ": ")
+            out.append(pad_in + encode_basestring_ascii(key) + ": ")
             _write_json(value[key], out, indent, level + 1)
             out.append(",\n" if i < len(keys) - 1 else "\n")
         out.append(pad + "}")
@@ -67,7 +67,7 @@ def _write_json(value, out: list[str], indent: int, level: int) -> None:
     elif isinstance(value, float):
         out.append(format_float(value))
     elif isinstance(value, str):
-        out.append(json.dumps(value))
+        out.append(encode_basestring_ascii(value))
     elif value is None:
         out.append("null")
     else:
@@ -89,6 +89,16 @@ def dumps_canonical(document, indent: int = 2) -> str:
 
 EXACT = "exact spectral"
 SAMPLED = "sampled"
+
+
+def _tolerance_for(name: str, tolerances: dict[str, float], key: str) -> float:
+    if key not in tolerances and "tol" not in tolerances:
+        raise KeyError(f"report {name}: no tolerance recorded for residual {key}")
+    return tolerances[key] if key in tolerances else tolerances["tol"]
+
+
+def _residuals_ok(name: str, residuals: dict[str, float], tolerances: dict[str, float]) -> bool:
+    return all(value <= _tolerance_for(name, tolerances, key) for key, value in residuals.items())
 
 
 @dataclass(frozen=True)
@@ -114,18 +124,11 @@ class VerificationReport:
             for key, value in group.items():
                 if not math.isfinite(value):
                     raise ValueError(f"report {self.name}: field {key} is not finite")
-        if self.passed and not self.residuals_ok():
+        if self.passed and not _residuals_ok(self.name, self.residuals, self.tolerances):
             raise ValueError(f"report {self.name}: passed despite residuals over tolerance")
 
     def tolerance_for(self, key: str) -> float:
-        if key in self.tolerances:
-            return self.tolerances[key]
-        if "tol" in self.tolerances:
-            return self.tolerances["tol"]
-        raise KeyError(f"report {self.name}: no tolerance recorded for residual {key}")
-
-    def residuals_ok(self) -> bool:
-        return all(value <= self.tolerance_for(key) for key, value in self.residuals.items())
+        return _tolerance_for(self.name, self.tolerances, key)
 
     def to_dict(self) -> dict:
         return {
@@ -149,13 +152,13 @@ def build_report(
     force_fail: bool = False,
 ) -> VerificationReport:
     """Assemble a report, deciding pass/fail from the residuals."""
-    report = VerificationReport(
+    residuals, tolerances = dict(residuals), dict(tolerances)
+    return VerificationReport(
         name=name,
-        passed=False,
-        residuals=dict(residuals),
-        tolerances=dict(tolerances),
+        passed=_residuals_ok(name, residuals, tolerances) and not force_fail,
+        residuals=residuals,
+        tolerances=tolerances,
         constants=dict(constants or {}),
         provenance=provenance,
         notes=tuple(notes),
     )
-    return replace(report, passed=report.residuals_ok() and not force_fail)

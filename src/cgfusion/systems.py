@@ -57,6 +57,9 @@ CLASSIFICATIONS = (
 #: closed form; keeps the constant inside :func:`kgf_check`'s boundary.
 KGF_SLACK = 0.5
 
+#: Floats drawn per batch by :func:`adjoint_consistency` (8 MB) unless n rows exceed it.
+_ADJOINT_BATCH_FLOATS = 2**20
+
 
 @dataclass(frozen=True, eq=False)
 class GFusionSystem:
@@ -101,15 +104,13 @@ class GFusionSystem:
                     f"subspace dimension is {sub.dim}"
                 )
             np.matmul(loc.entries, sub.basis.T, out=stacked[offsets[i] : offsets[i + 1]])
-        # Frozen before slicing, so every per-node view is read-only too.
-        stacked.setflags(write=False)
-        offsets.setflags(write=False)
-        weights.setflags(write=False)
         object.__setattr__(self, "subspaces", subspaces)
         object.__setattr__(self, "local_maps", local_maps)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_stacked", stacked)
-        object.__setattr__(self, "_offsets", offsets)
+        object.__setattr__(self, "weights", _freeze(weights))
+        # Frozen before slicing, so every per-node view is read-only too.
+        object.__setattr__(self, "_stacked", _freeze(stacked))
+        object.__setattr__(self, "_bounds", tuple(offsets.tolist()))
+        object.__setattr__(self, "_row_counts", _freeze(np.diff(offsets)))
         object.__setattr__(self, "_effective", self.split_rows(stacked))
 
     @property
@@ -132,12 +133,11 @@ class GFusionSystem:
 
     def per_row(self, node_values) -> np.ndarray:
         """Expand one value per node to one value per row of :attr:`stacked`."""
-        return np.repeat(np.asarray(node_values, dtype=float), np.diff(self._offsets))
+        return np.repeat(np.asarray(node_values, dtype=float), self._row_counts)
 
     def split_rows(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
         """Split an array indexed like the rows of :attr:`stacked` into per-node views."""
-        bounds = self._offsets.tolist()
-        return tuple(rows[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
+        return tuple(rows[a:b] for a, b in zip(self._bounds, self._bounds[1:]))
 
     @cached_property
     def _frame_operator(self) -> Operator:
@@ -364,15 +364,19 @@ def adjoint_consistency(
 
     For random f and phi, compares <synthesis(phi), f> in the ambient
     space with the mass-weighted <phi, analysis(f)>; reports the largest
-    scale-normalized mismatch.  Trials run in batches of n, which keeps
-    each batch of draws near the size of the stacked matrix.
+    scale-normalized mismatch.  A trial is one row of n + sum m_i draws,
+    and a batch holds max(n, B // (n + sum m_i)) rows, B =
+    :data:`_ADJOINT_BATCH_FLOATS`; the rows come from one seeded
+    row-major stream, so the draws do not depend on the batch height.
     """
     rng = np.random.default_rng(seed)
     n = system.ambient_dim
+    width = n + system.stacked.shape[0]
+    height = max(n, _ADJOINT_BATCH_FLOATS // width)
     total = max(int(trials), 1)
     worst = 0.0
-    for start in range(0, total, n):
-        draws = rng.standard_normal((min(n, total - start), n + system.stacked.shape[0]))
+    for start in range(0, total, height):
+        draws = rng.standard_normal((min(height, total - start), width))
         worst = max(worst, _adjoint_mismatch(system, draws))
     return build_report(
         name="adjoint_consistency",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,8 @@ from cgfusion import (
     symmetric_perturbation,
     synthesis,
 )
-from cgfusion.systems import KGF_SLACK, GFusionSystem, _frame_operator_power
+from cgfusion import systems
+from cgfusion.systems import KGF_SLACK, GFusionSystem, _adjoint_mismatch, _frame_operator_power
 
 import oracles
 from conftest import make_deficient_system, make_system
@@ -392,6 +395,68 @@ class TestStackedCore:
         assert report.passed
         assert report.constants["trials"] == float(trials)
         assert report.residuals["adjoint_mismatch"] <= 1e-13
+        # A small system draws every trial at once, from the same stream.
+        width = 3 + system.stacked.shape[0]
+        draws = np.random.default_rng(trials).standard_normal((max(trials, 1), width))
+        assert report.residuals["adjoint_mismatch"] == _adjoint_mismatch(system, draws)
+
+
+def tall_codomain_system(rng, n, rows_per_node, count):
+    """A frame whose nodes are full-dimensional with rows_per_node codomain rows."""
+    bases = [np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(count)]
+    locals_ = [rng.uniform(-1.0, 1.0, (rows_per_node, n)) for _ in range(count)]
+    return make_system(n, bases, locals_, rng.uniform(0.5, 2.0, count))
+
+
+class TestAdjointBatches:
+    """adjoint_consistency draws batches of max(n, budget // (n + sum m_i)) trials."""
+
+    @pytest.fixture
+    def batch_heights(self, monkeypatch):
+        heights = []
+
+        def counting(system, draws):
+            heights.append(draws.shape[0])
+            return _adjoint_mismatch(system, draws)
+
+        monkeypatch.setattr(systems, "_adjoint_mismatch", counting)
+        return heights
+
+    def test_small_system_draws_once(self, batch_heights):
+        _, system = random_raw_system(np.random.default_rng(2), 2, 4)
+        assert system.ambient_dim == 2
+        assert adjoint_consistency(system, trials=100, seed=0).passed
+        assert batch_heights == [100]
+
+    def test_over_budget_keeps_batches_of_n(self, batch_heights, monkeypatch):
+        _, system = random_raw_system(np.random.default_rng(3), 4, 6)
+        width = 4 + system.stacked.shape[0]
+        monkeypatch.setattr(systems, "_ADJOINT_BATCH_FLOATS", 4 * width - 1)
+        report = adjoint_consistency(system, trials=10, seed=0)
+        assert report.passed and report.residuals["adjoint_mismatch"] <= 1e-13
+        assert batch_heights == [4, 4, 2]
+
+    def test_budget_caps_the_batch_height(self, batch_heights, monkeypatch):
+        _, system = random_raw_system(np.random.default_rng(3), 4, 6)
+        width = 4 + system.stacked.shape[0]
+        monkeypatch.setattr(systems, "_ADJOINT_BATCH_FLOATS", 6 * width + 1)
+        assert adjoint_consistency(system, trials=20, seed=0).passed
+        assert batch_heights == [6, 6, 6, 2]
+
+    # n (n + sum m_i) is 1 052 672 floats at n = 64 and 131 136 at n = 8,
+    # above and below the 2^20 budget; 200 trials at once would draw 26 MB.
+    @pytest.mark.parametrize("n", [64, 8])
+    def test_memory_stays_within_the_batch_bound(self, n):
+        system = tall_codomain_system(np.random.default_rng(n), n, 4096, 4)
+        width = n + system.stacked.shape[0]
+        tracemalloc.start()
+        try:
+            report = adjoint_consistency(system, trials=200, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak <= 4 * 8 * max(n * width, systems._ADJOINT_BATCH_FLOATS)
 
 
 def relative_error(got, expected):
