@@ -35,7 +35,7 @@ from .errors import (
     SystemFileError,
 )
 from .measure import WeightProfile, validate_nodes
-from .operators import Operator, opnorm
+from .operators import ORDER_TOL, Operator, opnorm
 from .pair import (
     PairSystem,
     bounded_below_analysis,
@@ -44,39 +44,31 @@ from .pair import (
     perturbation_bound,
     symmetric_perturbation,
 )
-from .random_systems import (
-    random_operator,
-    random_pair,
-    random_positive_operator,
-    random_shared_weight_frames,
-    random_system,
-)
+from .random_systems import random_system
 from .report import SAMPLED, VerificationReport, build_report, dumps_canonical
 from .resolution import (
     canonical_resolution_report,
     energy_lower_violation,
     frame_from_resolution,
 )
+from .selftest import run_selftest
 from .systems import (
     adjoint_consistency,
-    analysis,
-    assemble_frame_operator,
     frame_bounds,
     kgf_check,
     kgf_lower_bound,
-    synthesis,
 )
 from .sysio import (
     SCHEMA_VERSION,
     has_secondary_weights,
     load_document,
     load_operator,
+    load_system,
     operators_from_document,
     system_from_document,
     system_to_document,
 )
 
-DEFAULT_TOL = 1e-9
 TOL_ENV_VAR = "CGFUSION_TOL"
 
 PASS, FAIL, USAGE = 0, 1, 2
@@ -101,7 +93,7 @@ def _checked(kind, least=None):
 _TOLERANCE = _checked(float, 0)
 _FLAGS = {
     "--tol": dict(type=_TOLERANCE, default=None,
-                  help=f"tolerance (default {DEFAULT_TOL:g}, or ${TOL_ENV_VAR})"),
+                  help=f"tolerance (default {ORDER_TOL:g}, or ${TOL_ENV_VAR})"),
     "--trials": dict(type=_checked(int, 1), default=100, help="sampling trials"),
     "--seed": dict(type=_checked(int, 0), default=0, help="random seed"),
 }
@@ -112,7 +104,7 @@ def _resolve_tol(args) -> float:
         return args.tol
     env = os.environ.get(TOL_ENV_VAR)
     if env is None:
-        return DEFAULT_TOL
+        return ORDER_TOL
     try:
         return _TOLERANCE(env)
     except argparse.ArgumentTypeError as err:
@@ -174,7 +166,7 @@ def _write_out(path: str, document: dict) -> None:
 
 def _cmd_check(args):
     tol = _resolve_tol(args)
-    system = system_from_document(load_document(args.system), args.system)
+    system = load_system(args.system)
     bounds = frame_bounds(system, tol)
     reports = [
         validate_nodes(system.nodes, WeightProfile(system.weights)),
@@ -233,7 +225,7 @@ def _cmd_kgf(args):
 
 def _cmd_resolve(args):
     tol = _resolve_tol(args)
-    system = system_from_document(load_document(args.system), args.system)
+    system = load_system(args.system)
     rng = np.random.default_rng(args.seed)
     reports = [canonical_resolution_report(
         system, lambda: rng.standard_normal((args.trials, system.ambient_dim)), tol
@@ -288,7 +280,7 @@ def _cmd_transform(args):
     doc_ops = operators_from_document(doc, args.system)
     l_op = _named_operator(args.L, doc_ops, "L", required=True)
     if args.xi:
-        xi = system_from_document(load_document(args.xi), args.xi)
+        xi = load_system(args.xi)
         g_op = _named_operator(args.G, doc_ops, "G", required=True)
         k_op = _named_operator(args.K, doc_ops, "K") or Operator.identity(system.ambient_dim)
         combined = transform_combined(system, xi, l_op, g_op, k_op, tol)
@@ -316,7 +308,7 @@ def _pair_from_args(args) -> PairSystem:
     doc = load_document(args.system)
     chi = system_from_document(doc, args.system)
     if args.xi:
-        xi = system_from_document(load_document(args.xi), args.xi)
+        xi = load_system(args.xi)
     elif has_secondary_weights(doc):
         xi = system_from_document(doc, args.system, use_secondary=True)
     else:
@@ -361,15 +353,15 @@ def _cmd_pair(args):
 
 def _cmd_dsum(args):
     tol = _resolve_tol(args)
-    chi = system_from_document(load_document(args.system), args.system)
-    xi = system_from_document(load_document(args.xi), args.xi)
+    chi = load_system(args.system)
+    xi = load_system(args.xi)
     ds, report = direct_sum_laws(chi, xi, tol)
     return [report], system_to_document(ds.system)
 
 
 def _cmd_parseval(args):
     tol = _resolve_tol(args)
-    system = system_from_document(load_document(args.system), args.system)
+    system = load_system(args.system)
     flat = parsevalize(system, tol)
     reports = [build_report(
         name="parseval_identity",
@@ -381,7 +373,7 @@ def _cmd_parseval(args):
 
 def _cmd_dual(args):
     tol = _resolve_tol(args)
-    system = system_from_document(load_document(args.system), args.system)
+    system = load_system(args.system)
     dual, report = canonical_dual(system, tol)
     return [report], system_to_document(dual)
 
@@ -397,225 +389,6 @@ def _cmd_selftest(args):
     reports = run_selftest(seed=args.seed, trials=args.trials, tol=tol)
     params = {"tol": tol, "trials": args.trials, "seed": args.seed}
     return reports, _report_document("selftest", params, reports)
-
-
-# --- selftest campaign --------------------------------------------------
-
-def _selftest_corpus(seed: int, trials: int):
-    rng = np.random.default_rng(seed)
-    dims = [int(rng.integers(2, 9)) for _ in range(20)]
-    systems = [random_system(rng, d, int(rng.integers(1, 6))) for d in dims]
-    frames = [random_system(rng, int(rng.integers(2, 7)), int(rng.integers(2, 6)),
-                            ensure_frame=True) for _ in range(10)]
-    pairs = [random_pair(rng, int(rng.integers(2, 6)), int(rng.integers(2, 5)),
-                         ensure_frames=True) for _ in range(12)]
-    sum_parts = [random_shared_weight_frames(rng, int(rng.integers(2, 5)),
-                                             int(rng.integers(2, 5)),
-                                             int(rng.integers(2, 5))) for _ in range(8)]
-    shifts = [(frames[i % len(frames)],
-               random_positive_operator(rng, frames[i % len(frames)].ambient_dim))
-              for i in range(10)]
-    atomic_rand = [(frames[i % len(frames)],
-                    random_operator(rng, frames[i % len(frames)].ambient_dim,
-                                    frames[i % len(frames)].ambient_dim))
-                   for i in range(10)]
-    sample_count = max(5, trials // 10)
-    vectors = {id(s): [rng.standard_normal(s.ambient_dim) for _ in range(sample_count)]
-               for s in systems + frames}
-    return systems, frames, pairs, sum_parts, shifts, atomic_rand, vectors
-
-
-def _check_composition(systems, vectors, tol):
-    worst_comp = 0.0
-    worst_sym = 0.0
-    for system in systems:
-        s = assemble_frame_operator(system).entries
-        worst_sym = max(worst_sym, float(np.abs(s - s.T).max()))
-        for f in vectors[id(system)]:
-            composed = synthesis(system, analysis(system, f))
-            scale = max(1.0, float(np.linalg.norm(f)))
-            worst_comp = max(worst_comp, float(np.linalg.norm(s @ f - composed)) / scale)
-    return build_report(
-        name="selftest_frame_operator_composition",
-        residuals={"composition_residual": worst_comp, "symmetry_residual": worst_sym},
-        tolerances={"tol": tol},
-        constants={"systems": float(len(systems))},
-        provenance=SAMPLED,
-    )
-
-
-def _check_bounds(systems, vectors, tol):
-    worst_attain = 0.0
-    worst_range = 0.0
-    for system in systems:
-        s = assemble_frame_operator(system).entries
-        bounds = frame_bounds(system)
-        values, basis = np.linalg.eigh(s)
-        for picked, target in ((basis[:, 0], bounds.lower), (basis[:, -1], bounds.upper)):
-            rayleigh = float(picked @ (s @ picked))
-            worst_attain = max(worst_attain, abs(rayleigh - target))
-        for f in vectors[id(system)]:
-            norm_sq = float(f @ f)
-            if norm_sq == 0.0:
-                continue
-            rayleigh = float(f @ (s @ f)) / norm_sq
-            worst_range = max(worst_range, bounds.lower - rayleigh, rayleigh - bounds.upper)
-    return build_report(
-        name="selftest_bound_attainment",
-        residuals={"attainment_residual": worst_attain,
-                   "rayleigh_range_violation": max(0.0, worst_range)},
-        tolerances={"tol": tol},
-        provenance=SAMPLED,
-    )
-
-
-def _check_scaling(systems, tol):
-    worst = 0.0
-    factor = 1.7
-    for system in systems:
-        scaled = system.with_weights(system.weights * factor)
-        s = assemble_frame_operator(system).entries
-        s_scaled = assemble_frame_operator(scaled).entries
-        scale = max(1.0, opnorm(s))
-        worst = max(worst, opnorm(s_scaled - factor**2 * s) / scale)
-    return build_report(
-        name="selftest_weight_scaling",
-        residuals={"scaling_residual": worst},
-        tolerances={"tol": tol},
-    )
-
-
-def _check_canonical(frames, vectors, tol):
-    worst_identity = 0.0
-    worst_energy = 0.0
-    for system in frames:
-        report = canonical_resolution_report(system, lambda: np.array(vectors[id(system)]))
-        worst_identity = max(worst_identity, report.residuals["identity_residual"])
-        worst_energy = max(worst_energy, report.residuals["energy_lower_violation"],
-                           report.residuals["energy_upper_violation"])
-    return build_report(
-        name="selftest_canonical_resolution",
-        residuals={"identity_residual": worst_identity,
-                   "energy_bound_violation": worst_energy},
-        tolerances={"tol": max(tol, 1e-8)},
-        provenance=SAMPLED,
-    )
-
-
-def _check_energy_lower(frames, vectors, seed, tol):
-    rng = np.random.default_rng(seed + 1)
-    worst = 0.0
-    for system in frames:
-        factors = [rng.standard_normal((m, system.ambient_dim))
-                   for m in system.codomain_dims]
-        worst = max(worst, energy_lower_violation(system, [factors], [vectors[id(system)]]))
-    return build_report(
-        name="selftest_energy_lower",
-        residuals={"lower_energy_violation": worst},
-        tolerances={"tol": tol},
-        provenance=SAMPLED,
-    )
-
-
-def _check_atomic(frames, atomic_rand, tol):
-    worst_recon = 0.0
-    worst_link = 0.0
-    mismatches = 0.0
-    for system, r_op in atomic_rand:
-        s = assemble_frame_operator(system)
-        k = Operator(s.entries @ r_op.entries)
-        rep = atomic_equiv_check(system, k, tol)
-        mismatches += rep.residuals["equivalence_mismatch"]
-        worst_link = max(worst_link, rep.residuals.get("quantitative_link_violation", 0.0))
-        worst_recon = max(worst_recon, rep.constants["worst_reconstruction"])
-    return build_report(
-        name="selftest_atomic_equivalence",
-        residuals={"equivalence_mismatch": mismatches,
-                   "quantitative_link_violation": worst_link,
-                   "worst_reconstruction": worst_recon},
-        tolerances={"tol": tol, "equivalence_mismatch": 0.0},
-        provenance=SAMPLED,
-    )
-
-
-def _check_shift(shifts, tol):
-    worst = 0.0
-    for system, l_op in shifts:
-        _, rep = transform_shift(system, l_op, max(tol, 1e-8))
-        worst = max(worst, rep.residuals["conjugation_residual"])
-    return build_report(
-        name="selftest_shift_transform",
-        residuals={"conjugation_residual": worst},
-        tolerances={"tol": max(tol, 1e-8)},
-    )
-
-
-def _check_pairs(pairs, tol):
-    worst_adjoint = 0.0
-    worst_norm = 0.0
-    worst_roundtrip = 0.0
-    for pair in pairs:
-        rep = pair_adjoint_and_norm(pair, tol)
-        worst_adjoint = max(worst_adjoint, rep.residuals["adjoint_mismatch"])
-        worst_norm = max(worst_norm, rep.residuals["norm_excess"])
-        analysis_rep = bounded_below_analysis(pair, 1e-6)
-        if "identity_residual" in analysis_rep.residuals:
-            worst_roundtrip = max(worst_roundtrip,
-                                  analysis_rep.residuals["identity_residual"],
-                                  analysis_rep.residuals["inverse_identity"],
-                                  analysis_rep.residuals["lower_bound_excess"])
-    return build_report(
-        name="selftest_pair_laws",
-        residuals={"adjoint_mismatch": worst_adjoint,
-                   "norm_excess": worst_norm,
-                   "roundtrip_residual": worst_roundtrip},
-        tolerances={"tol": max(tol, 1e-8)},
-    )
-
-
-def _check_direct_sums(sum_parts, tol):
-    worst_block = 0.0
-    worst_bounds = 0.0
-    worst_parseval = 0.0
-    worst_dual = 0.0
-    for chi, xi in sum_parts:
-        ds, laws = direct_sum_laws(chi, xi)
-        worst_block = max(worst_block, laws.residuals["blockdiag_residual"])
-        worst_bounds = max(worst_bounds, laws.residuals["lower_bound_mismatch"],
-                           laws.residuals["upper_bound_mismatch"])
-        worst_parseval = max(worst_parseval, parseval_residual(parsevalize(ds.system)))
-        _, dual_rep = canonical_dual(ds.system)
-        worst_dual = max(worst_dual, dual_rep.residuals["dual_operator_residual"])
-    return build_report(
-        name="selftest_direct_sum_parseval_dual",
-        residuals={"blockdiag_residual": worst_block,
-                   "bound_mismatch": worst_bounds,
-                   "parseval_residual": worst_parseval,
-                   "dual_residual": worst_dual},
-        tolerances={"tol": max(tol, 1e-8)},
-    )
-
-
-def run_selftest(seed: int = 0, trials: int = 100,
-                 tol: float = DEFAULT_TOL) -> list[VerificationReport]:
-    """Seeded property campaign across every subsystem.
-
-    The corpus is drawn up front from one generator, so the reports are
-    identical for identical seeds.
-    """
-    systems, frames, pairs, sum_parts, shifts, atomic_rand, vectors = \
-        _selftest_corpus(seed, trials)
-    return [
-        _check_composition(systems + frames, vectors, tol),
-        _check_bounds(systems + frames, vectors, tol),
-        _check_scaling(systems, tol),
-        _check_canonical(frames, vectors, tol),
-        _check_energy_lower(frames, vectors, seed, tol),
-        _check_atomic(frames, atomic_rand, tol),
-        _check_shift(shifts, tol),
-        _check_pairs(pairs, tol),
-        _check_direct_sums(sum_parts, tol),
-    ]
 
 
 # --- parser -------------------------------------------------------------

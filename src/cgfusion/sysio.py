@@ -36,12 +36,11 @@ import numpy as np
 
 from .errors import SystemFileError
 from .measure import MeasureNodes, WeightProfile, validate_nodes
-from .operators import Operator, Subspace
+from .operators import BASIS_TOL, Operator, Subspace
 from .report import dumps_canonical
 from .systems import GFusionSystem
 
 SCHEMA_VERSION = "1"
-STRICT_ORTHONORMALITY = 1e-10
 REPAIR_ORTHONORMALITY = 1e-6
 
 
@@ -88,7 +87,14 @@ def load_document(path: str | os.PathLike) -> dict:
     return doc
 
 
+def _is_number(value) -> bool:
+    # JSON true/false load as bool, a subclass of int: they are not numbers here.
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _subspace_from(value, where: str, ambient_dim: int) -> Subspace:
+    if not isinstance(value, list):
+        _fail(where, f"expected a list of basis rows, got {value!r}")
     rows = _matrix_from(value, where, cols=ambient_dim) if value else np.zeros((0, ambient_dim))
     basis = rows.T
     k = basis.shape[1]
@@ -97,7 +103,7 @@ def _subspace_from(value, where: str, ambient_dim: int) -> Subspace:
     defect = float(np.abs(basis.T @ basis - np.eye(k)).max())
     if defect > REPAIR_ORTHONORMALITY:
         _fail(where, f"basis orthonormality defect {defect:.3e} exceeds {REPAIR_ORTHONORMALITY:g}")
-    if defect > STRICT_ORTHONORMALITY:
+    if defect > BASIS_TOL:
         # QR with diag R > 0 is Gram-Schmidt in column order: the repaired
         # basis stays close to the file's, which the local operator uses.
         q, r = np.linalg.qr(basis)
@@ -115,7 +121,7 @@ def system_from_document(doc: dict, where: str = "document", use_secondary: bool
     of ``v`` (they must then be present on every node).
     """
     ambient_dim = doc.get("ambient_dim")
-    if not isinstance(ambient_dim, int) or ambient_dim < 1:
+    if not isinstance(ambient_dim, int) or isinstance(ambient_dim, bool) or ambient_dim < 1:
         _fail(where, f"ambient_dim must be a positive integer, got {ambient_dim!r}")
     raw_nodes = doc.get("nodes")
     if not isinstance(raw_nodes, list) or not raw_nodes:
@@ -133,15 +139,13 @@ def system_from_document(doc: dict, where: str = "document", use_secondary: bool
         if not isinstance(node_id, str) or not node_id:
             _fail(spot, "id must be a non-empty string")
         spot = f"{where}: node {node_id!r}"
-        mu = raw.get("mu")
-        if not isinstance(mu, (int, float)) or not mu > 0:
-            _fail(spot, f"mu must be > 0, got {mu!r}")
-        key = "s" if use_secondary else "v"
-        weight = raw.get(key)
-        if weight is None and use_secondary:
-            _fail(spot, "secondary weight 's' requested but absent")
-        if not isinstance(weight, (int, float)) or not weight > 0:
-            _fail(spot, f"{key} must be > 0, got {weight!r}")
+        for key in ("mu", "v", "s"):
+            value = raw.get(key)
+            if value is None and key == "s" and not use_secondary:
+                continue  # the secondary weight is optional
+            if not _is_number(value) or not value > 0:
+                _fail(spot, f"{key} must be a number > 0, got {value!r}")
+        mu, weight = raw["mu"], raw["s" if use_secondary else "v"]
         subspace = _subspace_from(raw.get("subspace", []), f"{spot}: subspace", ambient_dim)
         local = Operator(
             _matrix_from(raw.get("local_operator"), f"{spot}: local_operator", cols=subspace.dim)
@@ -164,7 +168,7 @@ def system_from_document(doc: dict, where: str = "document", use_secondary: bool
 def has_secondary_weights(doc: dict) -> bool:
     nodes = doc.get("nodes")
     return isinstance(nodes, list) and all(
-        isinstance(n, dict) and isinstance(n.get("s"), (int, float)) for n in nodes
+        isinstance(n, dict) and _is_number(n.get("s")) for n in nodes
     )
 
 

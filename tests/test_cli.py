@@ -57,6 +57,16 @@ class TestCheck:
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json")]) == 2
 
+    def test_boolean_weight_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({
+            "version": "1", "ambient_dim": 1,
+            "nodes": [{"id": "a", "mu": True, "v": True,
+                       "subspace": [[1.0]], "local_operator": [[1.0]]}],
+        }), encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        assert "node 'a': mu must be a number > 0, got True" in capsys.readouterr().err
+
     def test_malformed_file_is_usage_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{", encoding="utf-8")
@@ -250,6 +260,12 @@ class TestSelftest:
         assert main(["selftest", "--seed", "0", "--trials", "30", "--out", str(a)]) == 0
         assert main(["selftest", "--seed", "0", "--trials", "30", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_bounds_read_the_cached_spectrum(self, linalg_calls, capsys):
+        # One eigh of S per system, shared by frame_bounds and the attainment
+        # check; a second eigh of the same S per system made 116.
+        assert main(["selftest", "--seed", "0"]) == 0
+        assert linalg_calls["eigh"] == 86
 
 
 def exit_code(argv):

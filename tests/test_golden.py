@@ -6,6 +6,7 @@ refactor that keeps behaviour must keep every hash; a change that alters
 an output on purpose must update the pin and say why.
 """
 
+import argparse
 import hashlib
 import json
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from cgfusion import Operator, save_system
-from cgfusion.cli import main
+from cgfusion.cli import build_parser, main
 
 from conftest import (
     make_deficient_system,
@@ -115,3 +116,8 @@ def test_out_file_is_pinned(workdir, name, capsys):
     capsys.readouterr()
     written = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
     assert written == digest
+
+
+def test_every_subcommand_is_pinned():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) <= {argv[0] for argv, _, _ in GOLDEN.values()}

@@ -186,6 +186,51 @@ class TestSaveLoad:
         np.testing.assert_array_equal(xi.weights, [1.0, 1.0])
 
 
+#: A valid one-node file; each test below puts a non-number in one field.
+BOOL_DOC = {
+    "version": "1",
+    "ambient_dim": 1,
+    "nodes": [{"id": "a", "mu": 1.0, "v": 1.0, "s": 1.0,
+               "subspace": [[1.0]], "local_operator": [[1.0]]}],
+}
+
+
+class TestBooleansAreNotNumbers:
+    """JSON true is a Python int; the loader must not read it as 1."""
+
+    def test_ambient_dim(self):
+        doc = json.loads(json.dumps(BOOL_DOC))
+        doc["ambient_dim"] = True
+        with pytest.raises(SystemFileError, match="ambient_dim must be a positive integer"):
+            system_from_document(doc)
+
+    @pytest.mark.parametrize("field", ["mu", "v", "s"])
+    def test_node_weights(self, field):
+        doc = json.loads(json.dumps(BOOL_DOC))
+        doc["nodes"][0][field] = True
+        with pytest.raises(SystemFileError, match=f"node 'a': {field} must be a number > 0"):
+            system_from_document(doc)
+
+    def test_has_secondary_weights_agrees(self):
+        doc = json.loads(json.dumps(BOOL_DOC))
+        assert has_secondary_weights(doc)
+        doc["nodes"][0]["s"] = True
+        assert not has_secondary_weights(doc)
+
+    @pytest.mark.parametrize("value", [{}, None, "x"])
+    def test_subspace_must_be_a_list(self, value):
+        doc = json.loads(json.dumps(BOOL_DOC))
+        doc["nodes"][0]["subspace"] = value
+        with pytest.raises(SystemFileError, match="node 'a': subspace: expected a list"):
+            system_from_document(doc)
+
+    def test_absent_subspace_is_trivial(self):
+        doc = json.loads(json.dumps(BOOL_DOC))
+        del doc["nodes"][0]["subspace"]
+        doc["nodes"][0]["local_operator"] = []
+        assert system_from_document(doc).subspaces[0].dim == 0
+
+
 class TestOperators:
     def test_named_operator_table(self, tmp_path, e2):
         path = tmp_path / "with_ops.json"
