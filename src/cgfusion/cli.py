@@ -3,7 +3,8 @@
 Each subcommand is a thin shell over library functions that return
 reports, and takes only the flags it reads.  Exit codes: 0 when every
 requested check passes, 1 on a verification failure, 2 on usage or file
-errors, including a number out of range in a flag or in CGFUSION_TOL.
+errors, including a number out of range in a flag or in CGFUSION_TOL and
+input files whose shapes or nodes do not fit together.
 ``--out`` writes the machine-readable document: a report for verification
 subcommands, a loadable system file for producing subcommands (random,
 parseval, dual, dsum, transform).  Machine output is canonical JSON and
@@ -32,6 +33,7 @@ from .errors import (
     GFusionError,
     HypothesisNotMetError,
     ParameterError,
+    ShapeError,
     SystemFileError,
 )
 from .measure import WeightProfile, validate_nodes
@@ -475,10 +477,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         reports, document = args.handler(args)
-    except SystemFileError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE
-    except ParameterError as err:
+    except (SystemFileError, ParameterError, ShapeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE
     except GFusionError as err:

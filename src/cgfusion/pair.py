@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 from .operators import Operator, STRUCT_TOL, opnorm, symmetrize
 from .report import EXACT, SAMPLED, VerificationReport, build_report
-from .resolution import ResolutionFamily, verify_resolution
+from .resolution import _held, verify_resolution
 from .systems import GFusionSystem, assemble_frame_operator, frame_bounds, weighted_gram
 
 
@@ -108,13 +108,14 @@ def pair_adjoint_and_norm(pair: PairSystem, tol: float = STRUCT_TOL) -> Verifica
 def bounded_below_analysis(pair: PairSystem, tol: float = STRUCT_TOL) -> VerificationReport:
     """Decide bounded-belowness of the mixed operator and exploit it.
 
-    When the smallest singular value M exceeds ``tol`` the operator is
-    invertible and K = S^-1 turns the per-node summands into a
-    resolution of the identity; that resolution, the identity K S = I,
-    and the induced frame lower bound M^2 / D1 for the analysis side
-    (D1 = ``bessel_xi``, the synthesis side's upper bound) are all
-    verified.  Otherwise the pair is reported as not bounded below,
-    which is an analysis outcome, not a failure.
+    When the smallest singular value of the mixed operator M exceeds
+    ``tol``, the family W_i = v_i s_i Xi_i^T Lam_i M^-1 is the right-hand
+    resolution f = sum_i mu_i v_i s_i Xi_i^T Lam_i (M^-1 f), summing to the
+    cached M times M^-1.  Its ``identity_residual`` ||M M^-1 - I||, the
+    ``inverse_identity`` ||M^-1 M - I|| and the induced frame lower bound
+    sigma_min^2 / D1 for the analysis side (D1 = ``bessel_xi``, the
+    synthesis side's upper bound) are verified.  Otherwise the pair is
+    reported as not bounded below, an analysis outcome, not a failure.
     """
     mixed = pair_frame_operator(pair).entries
     n = pair.ambient_dim
@@ -132,11 +133,9 @@ def bounded_below_analysis(pair: PairSystem, tol: float = STRUCT_TOL) -> Verific
         )
     inverse = np.linalg.inv(mixed)
     chi, xi = pair.chi, pair.xi
-    # W_i = v_i s_i M^-1 Xi_i^T Lam_i: P = Xi M^-T, T = L_chi, w = v s.
-    family = ResolutionFamily.from_rows(
-        chi.nodes, xi.stacked @ inverse.T, chi.stacked, chi.per_row(chi.weights * xi.weights),
-        chi.codomain_dims,
-    )
+    # P = Xi, T = L_chi, w = v s, B = M^-1, and G is the cached M.
+    family = _held(chi.nodes, xi.stacked, chi.stacked, chi.per_row(chi.weights * xi.weights),
+                   chi._bounds, inverse, mixed)
     resolution = verify_resolution(family, tol)
     chi_lower = frame_bounds(pair.chi).lower
     certified = sigma_min**2 / d1

@@ -35,14 +35,15 @@ from .systems import (
 
 @dataclass(frozen=True, eq=False, init=False)
 class ResolutionFamily:
-    """Per-node operators W_i = P_i^T diag(w_i) T_i on the ambient space.
+    """Per-node operators W_i = P_i^T diag(w_i) T_i B on the ambient space.
 
-    The family is held as two stacked row blocks, ``left`` (P) and
-    ``right`` (T), each sum m_i x ambient with node i's rows in block i,
-    and one weight per row (``row_weights``): two sum m_i x n arrays in
-    place of N dense n x n operators.  It claims sum_i mu_i W_i = I;
-    :func:`verify_resolution` measures how true that is.  The row blocks
-    T_i are the family's factors.
+    P (``left``) and T (``right``) are stacked sum m_i x n row blocks with
+    node i's rows in block i, often a system's own read-only stacked
+    matrix; w (``row_weights``) is one weight per row and B (``shared``)
+    one n x n factor of every node.  The family claims sum_i mu_i W_i =
+    G B = I, with G = P^T diag(mu w) T held as one n x n matrix;
+    :func:`verify_resolution` measures how true that is.  The family's
+    factors are T_i B.
     """
 
     ambient_dim: int
@@ -50,9 +51,10 @@ class ResolutionFamily:
     left: np.ndarray
     right: np.ndarray
     row_weights: np.ndarray
+    shared: np.ndarray
 
     def __init__(self, ambient_dim: int, nodes: MeasureNodes, operators):
-        """The family of explicit n x n operators W_i: P_i = I, T_i = W_i, w_i = 1."""
+        """The family of explicit n x n operators W_i: P_i = I, T_i = W_i, w_i = 1, B = I."""
         n = int(ambient_dim)
         operators = tuple(operators)
         if len(operators) != len(nodes):
@@ -62,28 +64,8 @@ class ResolutionFamily:
                 raise ShapeError(f"operator {i} must be {n}x{n}, got {op.rows}x{op.cols}")
         count = len(operators)
         right = np.concatenate([np.zeros((0, n))] + [op.entries for op in operators])
-        self._hold(nodes, np.tile(np.eye(n), (count, 1)), right, np.ones(count * n), (n,) * count)
-
-    @classmethod
-    def from_rows(
-        cls, nodes: MeasureNodes, left, right, row_weights, row_counts
-    ) -> "ResolutionFamily":
-        """The family of stacked P = ``left``, T = ``right`` and row weights w.
-
-        Node i owns ``row_counts[i]`` consecutive rows of each.
-        """
-        family = cls.__new__(cls)
-        family._hold(nodes, left, right, row_weights, row_counts)
-        return family
-
-    def _hold(self, nodes, left, right, row_weights, row_counts) -> None:
-        fields = dict(
-            ambient_dim=left.shape[1], nodes=nodes, left=_freeze(left), right=_freeze(right),
-            row_weights=_freeze(np.asarray(row_weights, dtype=float)),
-            _bounds=np.concatenate(([0], np.cumsum(row_counts, dtype=int))).tolist(),
-        )
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+        _held(nodes, np.tile(np.eye(n), (count, 1)), right, np.ones(count * n),
+              np.arange(count + 1) * n, np.eye(n), family=self)
 
     def _split(self, rows: np.ndarray) -> list[np.ndarray]:
         return [rows[a:b] for a, b in zip(self._bounds[:-1], self._bounds[1:])]
@@ -91,34 +73,50 @@ class ResolutionFamily:
     @property
     def operators(self) -> tuple[Operator, ...]:
         """The W_i as N dense n x n operators, formed on each access."""
-        blocks = zip(*(self._split(rows) for rows in (self.left, self.row_weights, self.right)))
-        return tuple(Operator((p.T * w) @ t) for p, w, t in blocks)
+        blocks = zip(self._split(self.left), self._split(self.row_weights), self.factors)
+        return tuple(Operator((p.T * w) @ t.entries) for p, w, t in blocks)
 
     @property
     def factors(self) -> tuple[Operator, ...]:
-        """The per-node factors T_i, formed on each access."""
-        return tuple(map(Operator, self._split(self.right)))
+        """The per-node factors T_i B, formed on each access."""
+        return tuple(Operator(t @ self.shared) for t in self._split(self.right))
 
     def weighted_sum(self) -> np.ndarray:
-        """sum_i mu_i W_i = P^T diag(mu w) T, one product."""
-        mass = np.repeat(self.nodes.mu, np.diff(self._bounds))
-        return (self.left.T * (mass * self.row_weights)) @ self.right
+        """sum_i mu_i W_i = G B, one n x n product."""
+        return self._gram @ self.shared
+
+
+def _held(nodes, left, right, row_weights, bounds, shared, gram=None, family=None):
+    """Hold P = ``left``, T = ``right``, w, B = ``shared`` and G in ``family`` (default: a new one).
+
+    Node i owns rows bounds[i]:bounds[i + 1] of P, T and w.  Without
+    ``gram``, G is the general product P^T diag(mu w) T.
+    """
+    if gram is None:
+        gram = (left.T * (np.repeat(nodes.mu, np.diff(bounds)) * row_weights)) @ right
+    family = ResolutionFamily.__new__(ResolutionFamily) if family is None else family
+    fields = dict(
+        ambient_dim=left.shape[1], nodes=nodes, left=_freeze(left), right=_freeze(right),
+        row_weights=_freeze(row_weights), shared=_freeze(shared), _gram=_freeze(gram),
+        _bounds=bounds,
+    )
+    for name, value in fields.items():
+        object.__setattr__(family, name, value)
+    return family
 
 
 def canonical_resolution(system: GFusionSystem, tol: float = ORDER_TOL) -> ResolutionFamily:
     """The resolution induced by an invertible frame operator.
 
-    Factors are T_i = Lam_i S^-1 and the family is W_i = v_i^2 Lam_i^T T_i
-    (P = L, T = L S^-1, w = v^2), so the mass-weighted sum telescopes to
-    S S^-1 = I.  Raises :class:`SingularFrameOperatorError` when the
+    Factors are T_i = Lam_i S^-1 and the family is W_i = v_i^2 Lam_i^T T_i:
+    P = T = L, w = v^2, B = S^-1, so the mass-weighted sum is the cached S
+    times S^-1.  Raises :class:`SingularFrameOperatorError` when the
     system is not a frame.
     """
     require_frame(system, tol)
-    s_inv = np.linalg.inv(assemble_frame_operator(system).entries)
-    return ResolutionFamily.from_rows(
-        system.nodes, system.stacked, system.stacked @ s_inv, system.per_row(system.weights**2),
-        system.codomain_dims,
-    )
+    s = assemble_frame_operator(system).entries
+    return _held(system.nodes, system.stacked, system.stacked, system.per_row(system.weights**2),
+                 system._bounds, np.linalg.inv(s), s)
 
 
 def verify_resolution(family: ResolutionFamily, tol: float = STRUCT_TOL) -> VerificationReport:
@@ -159,7 +157,9 @@ def canonical_resolution_report(
     identity_tol = max(tol, 1e-8)
     inner = verify_resolution(family, identity_tol)
     samples = draw_samples()
-    ratio = factor_energy(system, family.right, samples) / np.sum(samples**2, axis=1)
+    # T_i f = Lam_i (S^-1 f): the stacked L applied to the rows of samples S^-T.
+    energy = factor_energy(system, family.right, samples @ family.shared.T)
+    ratio = energy / np.sum(samples**2, axis=1)
     lower_violation = float(np.max(bounds.lower / bounds.upper**2 - ratio))
     upper_violation = float(np.max(ratio - bounds.upper / bounds.lower**2))
     return build_report(
@@ -276,10 +276,8 @@ def bounded_resolution_check(
             "factor_fixed_by_measurement",
             f"||T_i^T Lam_i - T_i|| = {hypothesis:.3e} exceeds {tol:g}",
         )
-    family = ResolutionFamily.from_rows(
-        system.nodes, system.stacked, stacked, system.per_row(system.weights**2),
-        system.codomain_dims,
-    )
+    family = _held(system.nodes, system.stacked, stacked, system.per_row(system.weights**2),
+                   system._bounds, np.eye(n))
     resolution = verify_resolution(family, tol)
     upper = frame_bounds(system).upper
     largest = float(np.max(np.linalg.norm(cube, 2, axis=(1, 2)), initial=0.0)) ** 2

@@ -117,6 +117,27 @@ def canonical_factors(masses, weights, bases, local_maps):
     return factors, summands
 
 
+def pair_resolution_sum(masses, chi_weights, xi_weights, chi_args, xi_args):
+    """Sum of mu_i v_i s_i Xi_i^T Lam_i M^-1 over the nodes, one node at a time.
+
+    ``chi_args`` and ``xi_args`` are the (bases, local maps) of the
+    analysis side chi (maps Lam_i, weights v) and the synthesis side xi
+    (maps Xi_i, weights s); M is their mixed operator, summed node by
+    node too and inverted by solving against the identity.
+    """
+    pairs = [(effective_map(bc, xc), effective_map(bx, xx))
+             for bc, xc, bx, xx in zip(*chi_args, *xi_args)]
+    n = pairs[0][0].shape[1]
+    mixed = np.zeros((n, n))
+    for mu, v, s, (lam, xi) in zip(masses, chi_weights, xi_weights, pairs):
+        mixed += mu * v * s * (xi.T @ lam)
+    inverse = np.linalg.solve(mixed, np.eye(n))
+    total = np.zeros((n, n))
+    for mu, v, s, (lam, xi) in zip(masses, chi_weights, xi_weights, pairs):
+        total += mu * v * s * (xi.T @ (lam @ inverse))
+    return total
+
+
 def douglas_minimal_factor(l, t):
     """Minimal-norm S with L = T S and its norm (the optimal majorization)."""
     l = np.asarray(l, float)

@@ -8,7 +8,7 @@ from cgfusion import Operator, random_system, save_system, validate_nodes, weigh
 from cgfusion.cli import main
 from cgfusion.measure import WeightProfile
 
-from conftest import make_e1, make_e2, make_single_node
+from conftest import make_e1, make_e2, make_single_node, make_system
 
 
 @pytest.fixture
@@ -319,6 +319,24 @@ class TestFlags:
                  "k": write_matrix(tmp_path, "k.json", [[1.0, 0.0], [0.0, 1.0]])}
         assert exit_code([arg.format(**paths) for arg in argv]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["kgf", "{e2}", "--K", "{k3}"], "comparison operator must be 2x2, got 3x3"),
+        (["atomic", "{e2}", "--K", "{k3}"], "comparison operator must be 2x2, got 3x3"),
+        (["transform", "{e2}", "--L", "{k3}"], "L must be 2x2, got 3x3"),
+        (["pair", "{e2}", "--xi", "{r3}"], "ambient dimensions differ: 2 vs 3"),
+        (["pair", "{e2}", "--xi", "{nodes3}"], "systems must share their measure nodes"),
+        (["dsum", "{e2}", "--xi", "{r3}"], "systems must share their measure nodes"),
+        (["dsum", "{e2}", "--xi", "{nodes3}"], "systems must share their measure nodes"),
+    ])
+    def test_mismatched_files_exit_two(self, argv, message, e2_path, tmp_path, capsys):
+        paths = {"e2": e2_path, "k3": write_matrix(tmp_path, "k3.json", np.eye(3).tolist()),
+                 "r3": str(tmp_path / "r3.json"), "nodes3": str(tmp_path / "nodes3.json")}
+        save_system(random_system(np.random.default_rng(1), 3, 2), paths["r3"])
+        lines = [[[1.0], [0.0]], [[0.0], [1.0]], [[1.0], [0.0]]]
+        save_system(make_system(2, lines, [[[1.0]]] * 3, [1.0] * 3), paths["nodes3"])
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_random_accepts_zero_nodes(self, tmp_path):
         out = tmp_path / "empty.json"

@@ -75,9 +75,9 @@ GOLDEN = {
     "random": (["random", "--seed", "7"], 0,
         "f5e1de5facf6704b052cbc1207aee3f68b6c0ebb9ad1a0b1328e5a26bab7c6c5"),
     "selftest-30": (["selftest", "--seed", "0", "--trials", "30"], 0,
-        "7a91c1507699962b7b0f93b6e464ac1d817e32298c8b77fb5774bb696d8b9c2e"),
+        "902fd3e92f158c353fd8f802ea5aff1b8ce7ddfdb4a24aa8b13b5adf58130eda"),
     "selftest": (["selftest", "--seed", "0"], 0,
-        "6bd8f8e69857f6e2575c2028c0818176c6c65274726eb2371a4ebae6cbe2cd13"),
+        "09328468c4d23578a92914bcc5fc69dcaaca0dbcfdaf37f3b7ac7a33c273a803"),
 }
 
 

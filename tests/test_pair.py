@@ -15,6 +15,7 @@ from cgfusion import (
     symmetric_perturbation,
 )
 
+import oracles
 from conftest import make_e1, make_e2, make_system
 
 
@@ -128,7 +129,12 @@ class TestBoundedBelow:
                 continue
             seen_invertible += 1
             report = bounded_below_analysis(pair, 1e-6)
-            assert report.residuals["identity_residual"] <= 1e-8
+            assert report.residuals["identity_residual"] <= 1e-12
+            sides = [([sub.basis for sub in side.subspaces], [loc.entries for loc in side.local_maps])
+                     for side in (pair.chi, pair.xi)]
+            total = oracles.pair_resolution_sum(
+                pair.chi.nodes.mu, pair.chi.weights, pair.xi.weights, *sides)
+            np.testing.assert_allclose(total, np.eye(pair.ambient_dim), rtol=0.0, atol=1e-10)
             assert report.residuals["inverse_identity"] <= 1e-8
             assert (
                 report.constants["certified_chi_lower"]

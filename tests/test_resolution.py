@@ -7,9 +7,12 @@ from cgfusion import (
     HypothesisNotMetError,
     MeasureNodes,
     Operator,
+    PairSystem,
     ResolutionFamily,
     ShapeError,
     SingularFrameOperatorError,
+    assemble_frame_operator,
+    bounded_below_analysis,
     bounded_resolution_check,
     canonical_resolution,
     canonical_resolution_report,
@@ -18,6 +21,7 @@ from cgfusion import (
     factor_energy,
     frame_bounds,
     frame_from_resolution,
+    pair_frame_operator,
     random_system,
     verify_resolution,
 )
@@ -162,17 +166,19 @@ class TestStackedFamily:
 
     @pytest.mark.parametrize("system", oracle_frames())
     def test_operators_are_the_stacked_products(self, system):
+        # P = T = L, the system's own stacked matrix, w = v^2 and B = S^-1.
         family = canonical_resolution(system)
-        assert family.left is system.stacked
-        assert family.right.shape == system.stacked.shape
-        assert not family.right.flags.writeable and not family.row_weights.flags.writeable
+        assert family.left is system.stacked and family.right is system.stacked
+        np.testing.assert_array_equal(
+            family.shared, np.linalg.inv(assemble_frame_operator(system).entries))
+        assert not family.shared.flags.writeable and not family.row_weights.flags.writeable
         np.testing.assert_array_equal(family.row_weights, system.per_row(system.weights**2))
         for i, op in enumerate(family.operators):
             p_i, t_i, w_i = (system.split_rows(rows)[i]
                              for rows in (family.left, family.right, family.row_weights))
-            np.testing.assert_allclose(op.entries, p_i.T @ np.diag(w_i) @ t_i,
+            np.testing.assert_allclose(op.entries, p_i.T @ np.diag(w_i) @ t_i @ family.shared,
                                        rtol=0.0, atol=1e-14)
-            np.testing.assert_array_equal(family.factors[i].entries, t_i)
+            np.testing.assert_array_equal(family.factors[i].entries, t_i @ family.shared)
 
     def test_explicit_family_sum_as_before(self):
         rng = np.random.default_rng(32)
@@ -193,22 +199,46 @@ class TestStackedFamily:
         np.testing.assert_array_equal(family.weighted_sum(), np.zeros((3, 3)))
         assert len(family.operators) == 0 and family.ambient_dim == 3
 
-    def test_canonical_memory_stays_at_the_stacked_size(self):
-        # n = 48, N = 300, m_i = 2: N dense n x n operators take 5.5 MB,
-        # the stacked factors 230 kB each.
-        rng = np.random.default_rng(33)
-        n, count = 48, 300
-        bases = [np.linalg.qr(rng.standard_normal((n, 2)))[0] for _ in range(count)]
-        system = make_system(n, bases, [rng.uniform(0.5, 1.5, (2, 2)) for _ in range(count)],
-                             rng.uniform(0.5, 2.0, count))
+    @staticmethod
+    def traced_peak(check):
         tracemalloc.start()
         try:
-            report = verify_resolution(canonical_resolution(system))
+            report = check()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return report, peak
+
+    @staticmethod
+    def tall_system(rng, bases):
+        local_maps = [rng.uniform(0.5, 1.5, (2, 2)) for _ in bases]
+        return make_system(bases[0].shape[0], bases, local_maps, rng.uniform(0.5, 2.0, len(bases)))
+
+    def test_canonical_memory_stays_at_the_stacked_size(self):
+        # n = 48, N = 300, m_i = 2: N dense n x n operators take 5.5 MB,
+        # one stacked block 230 kB; with S and its eigenpairs cached the
+        # family allocates less than one block.
+        rng = np.random.default_rng(33)
+        n, count = 48, 300
+        bases = [np.linalg.qr(rng.standard_normal((n, 2)))[0] for _ in range(count)]
+        system = self.tall_system(rng, bases)
+        frame_bounds(system)
+        report, peak = self.traced_peak(lambda: verify_resolution(canonical_resolution(system)))
         assert report.passed
-        assert peak < 4 * (2 * count) * n * 8
+        assert peak < (2 * count) * n * 8
+
+    def test_pair_memory_stays_below_the_stacked_size(self):
+        # The same shape for the bounded-below family, with S of both
+        # sides, their eigenpairs and the mixed operator M cached.
+        rng = np.random.default_rng(34)
+        n, count = 48, 300
+        bases = [np.linalg.qr(rng.standard_normal((n, 2)))[0] for _ in range(count)]
+        pair = PairSystem(self.tall_system(rng, bases), self.tall_system(rng, bases))
+        pair.bessel_bounds()
+        pair_frame_operator(pair)
+        report, peak = self.traced_peak(lambda: bounded_below_analysis(pair))
+        assert report.passed and "identity_residual" in report.residuals
+        assert peak < (2 * count) * n * 8
 
 
 class TestVerifyResolution:
@@ -292,7 +322,7 @@ class TestEnergyLowerCheck:
 
     def test_violation_of_canonical_factors_is_roundoff(self, e2):
         family = canonical_resolution(e2)
-        assert energy_lower_violation(e2, [family.right], [np.eye(2)]) <= 1e-15
+        assert energy_lower_violation(e2, [family.factors], [np.eye(2)]) <= 1e-15
 
     def test_holds_for_arbitrary_factors(self):
         rng = np.random.default_rng(23)
