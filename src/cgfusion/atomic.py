@@ -225,9 +225,9 @@ def transform_combined(
 
     The systems must share nodes, subspaces, weights and codomains, the
     cross synthesis sum mu v^2 Lam^T Xi must vanish, M must be
-    invertible, and K must commute with M.  The result carries
-    subspaces M F_i and effective maps (Lam_i + Xi_i) M^T, re-expressed
-    in the transformed subspaces' coordinates.  Its lower bound with
+    invertible, and K must commute with M.  The local operators
+    (Lam_i + Xi_i) B_i on chi's bases B_i, pushed through M, give subspaces
+    M F_i and effective maps (Lam_i + Xi_i) M^T.  Its lower bound with
     respect to K is at least a_star(chi, K) * sigma_min(M)^2.
     """
     n = chi.ambient_dim
@@ -252,7 +252,9 @@ def transform_combined(
         raise HypothesisNotMetError(
             "commutation", f"K does not commute with L + G (norm {commutator:.3e})"
         )
-    return push_through(chi, chi.split_rows(chi.stacked + xi.stacked), m)
+    summed = chi.split_rows(chi.stacked + xi.stacked)
+    locals_ = tuple(Operator(rows @ sub.basis) for rows, sub in zip(summed, chi.subspaces))
+    return push_through(GFusionSystem(n, chi.nodes, chi.subspaces, locals_, chi.weights), m)
 
 
 def transform_shift(
@@ -260,9 +262,9 @@ def transform_shift(
 ) -> tuple[GFusionSystem, VerificationReport]:
     """Shift a system by M = I + L for positive semidefinite L.
 
-    Positivity of L makes M invertible without further assumptions.  The
-    returned report verifies that the transformed frame operator equals
-    M S M^T.
+    Positivity of L makes M invertible, so every subspace keeps its
+    dimension at any condition number of M.  The returned report verifies
+    that the transformed frame operator equals M S M^T.
     """
     n = system.ambient_dim
     if l.rows != n or l.cols != n:
@@ -274,7 +276,7 @@ def transform_shift(
     if smallest < -tol:
         raise NotPositiveError(f"L has negative eigenvalue {smallest:.3e}")
     m = np.eye(n) + entries
-    shifted = push_through(system, system.effective_maps, m)
+    shifted = push_through(system, m)
     s_old = assemble_frame_operator(system).entries
     s_new = assemble_frame_operator(shifted).entries
     residual = opnorm(s_new - m @ s_old @ m.T)

@@ -133,14 +133,14 @@ def direct_sum_laws(
 def parsevalize(system: GFusionSystem, tol: float = ORDER_TOL) -> GFusionSystem:
     """Canonical Parseval version of a frame.
 
-    Pushes the system through S^(-1/2): subspaces become S^(-1/2) F_i
-    and effective maps pick up S^(-1/2) on the right, re-expressed in the
-    new subspace coordinates.  The result's frame operator is the
+    Pushes the system through the invertible S^(-1/2) (``push_through``):
+    subspaces become S^(-1/2) F_i, of the same dimensions, and effective maps
+    pick up S^(-1/2) on the right.  The result's frame operator is the
     identity within roundoff.
     """
     require_frame(system, tol)
     # Uncut (rank_tol 0): every eigenvalue of a frame's S is positive, at any condition number.
-    return push_through(system, system.effective_maps, _frame_operator_power(system, -0.5, 0.0))
+    return push_through(system, _frame_operator_power(system, -0.5, 0.0))
 
 
 def parseval_residual(system: GFusionSystem) -> float:
@@ -153,14 +153,14 @@ def canonical_dual(
 ) -> tuple[GFusionSystem, VerificationReport]:
     """Canonical dual frame, with a verification of its frame operator.
 
-    The dual is the system pushed through S^-1; its frame operator must
-    equal S^-1, and its optimal bounds are the reciprocals [1/B, 1/A] of
-    the original ones, which the report checks to ``tol``.
+    The dual is the system pushed through the invertible S^-1, dimensions
+    kept; its frame operator must equal S^-1, and its optimal bounds are the
+    reciprocals [1/B, 1/A] of the original ones, which the report checks.
     """
     bounds = require_frame(system, tol)
     s = assemble_frame_operator(system).entries
     s_inv = np.linalg.inv(s)
-    dual = push_through(system, system.effective_maps, s_inv)
+    dual = push_through(system, s_inv)
     s_dual = assemble_frame_operator(dual).entries
     dual_bounds = frame_bounds(dual, tol)
     report = build_report(

@@ -150,8 +150,6 @@ class Subspace:
         return self.basis.shape[1]
 
     def projector(self) -> np.ndarray:
-        if self.dim == 0:
-            return np.zeros((self.ambient_dim, self.ambient_dim))
         return self.basis @ self.basis.T
 
     @classmethod
@@ -209,8 +207,6 @@ def project(subspace: Subspace, f) -> np.ndarray:
     """
     vec = _as_vector(f, subspace.ambient_dim)
     b = subspace.basis
-    if b.shape[1] == 0:
-        return np.zeros(subspace.ambient_dim)
     return b @ (b.T @ vec)
 
 
@@ -292,6 +288,13 @@ def positive_sqrt(s: Operator, invert: bool = False) -> Operator:
     mapped = w ** -0.5 if invert else np.sqrt(w)
     root = (q * mapped) @ q.T
     return Operator(symmetrize(root))
+
+
+def _positive_qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR m = Q R with diag R >= 0, i.e. Gram-Schmidt of the columns in order."""
+    q, r = np.linalg.qr(m)
+    signs = np.copysign(1.0, r.diagonal())
+    return q * signs, r * signs[:, None]
 
 
 def orthonormal_columns(m: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:

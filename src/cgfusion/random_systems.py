@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .measure import MeasureNodes
-from .operators import Operator, Subspace, orthonormal_columns, symmetrize
+from .operators import Operator, Subspace, _positive_qr, symmetrize
 from .pair import PairSystem
 from .systems import GFusionSystem, frame_bounds
 
@@ -29,13 +29,8 @@ def _rng(seed_or_rng) -> np.random.Generator:
 
 
 def random_orthonormal_basis(rng, n: int, k: int) -> np.ndarray:
-    """Orthonormalized Gaussian columns; redraws on (unlikely) rank loss."""
-    generator = _rng(rng)
-    for _ in range(32):
-        candidate = orthonormal_columns(generator.standard_normal((n, k)), 1e-10)
-        if candidate.shape[1] == k:
-            return candidate
-    raise RuntimeError("could not draw a full-rank Gaussian basis")
+    """Haar-distributed n x k orthonormal basis (k <= n): Q of a sign-fixed QR of Gaussians."""
+    return _positive_qr(_rng(rng).standard_normal((n, k)))[0]
 
 
 def random_operator(rng, rows: int, cols: int, scale: float = 1.0) -> Operator:

@@ -64,8 +64,9 @@ class ResolutionFamily:
                 raise ShapeError(f"operator {i} must be {n}x{n}, got {op.rows}x{op.cols}")
         count = len(operators)
         right = np.concatenate([np.zeros((0, n))] + [op.entries for op in operators])
+        gram = np.tensordot(nodes.mu, right.reshape(count, n, n), axes=1)  # sum_i mu_i W_i
         _held(nodes, np.tile(np.eye(n), (count, 1)), right, np.ones(count * n),
-              np.arange(count + 1) * n, np.eye(n), family=self)
+              np.arange(count + 1) * n, np.eye(n), gram, family=self)
 
     def _split(self, rows: np.ndarray) -> list[np.ndarray]:
         return [rows[a:b] for a, b in zip(self._bounds[:-1], self._bounds[1:])]

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import SystemFileError
 from .measure import MeasureNodes, WeightProfile, validate_nodes
-from .operators import BASIS_TOL, Operator, Subspace
+from .operators import BASIS_TOL, Operator, Subspace, _positive_qr
 from .report import dumps_canonical
 from .systems import GFusionSystem
 
@@ -106,11 +106,10 @@ def _subspace_from(value, where: str, ambient_dim: int) -> Subspace:
     if defect > BASIS_TOL:
         # QR with diag R > 0 is Gram-Schmidt in column order: the repaired
         # basis stays close to the file's, which the local operator uses.
-        q, r = np.linalg.qr(basis)
-        diag = np.diag(r)
-        if np.abs(diag).min() <= 1e-8 * np.linalg.norm(basis, axis=0).max():
+        q, r = _positive_qr(basis)
+        if np.diag(r).min() <= 1e-8 * np.linalg.norm(basis, axis=0).max():
             _fail(where, "basis vectors are numerically dependent")
-        basis = q * np.sign(diag)
+        basis = q
     return Subspace(ambient_dim, basis)
 
 

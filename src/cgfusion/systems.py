@@ -37,9 +37,9 @@ from .operators import (
     Subspace,
     _as_vector,
     _freeze,
+    _positive_qr,
     operator_leq,
     opnorm,
-    orthonormalize_image,
     symmetrize,
 )
 from .report import SAMPLED, VerificationReport, build_report
@@ -281,20 +281,19 @@ def require_frame(system: GFusionSystem, tol: float = ORDER_TOL) -> FrameBounds:
     return bounds
 
 
-def push_through(system: GFusionSystem, maps, transform: np.ndarray) -> GFusionSystem:
-    """The system with subspaces T F_i and effective maps M_i T^T, for T = ``transform``.
+def push_through(system: GFusionSystem, transform: np.ndarray) -> GFusionSystem:
+    """The system with subspaces T F_i and effective maps Lam_i T^T, for an invertible T.
 
-    ``maps`` holds one map M_i per node, shaped like the effective maps
-    of ``system``; each new local operator is M_i T^T expressed in the
-    coordinates of the image basis of T F_i.  Nodes and weights are kept.
+    With the sign-fixed QR T B_i = Q_i R_i of each image basis, the new basis
+    is Q_i and the new local operator local_i R_i^T, as Lam_i T^T = local_i
+    (T B_i)^T; every dimension is kept.  Nodes and weights are kept.
     """
-    op = Operator(transform)
-    subspaces = []
-    locals_ = []
-    for m_i, sub in zip(maps, system.subspaces):
-        image = orthonormalize_image(op, sub)
-        subspaces.append(image)
-        locals_.append(Operator(m_i @ transform.T @ image.basis))
+    t = Operator(transform).entries
+    subspaces, locals_ = [], []
+    for sub, loc in zip(system.subspaces, system.local_maps):
+        q, r = _positive_qr(t @ sub.basis)
+        subspaces.append(Subspace(system.ambient_dim, q))
+        locals_.append(Operator(loc.entries @ r.T))
     return GFusionSystem(
         system.ambient_dim, system.nodes, tuple(subspaces), tuple(locals_), system.weights
     )

@@ -223,17 +223,25 @@ class TestTransformCombined:
                               weights, masses)
             xi = make_system(n, bases, [[[0.0]], [[1.0]], [[0.0]], [[1.0]]],
                              weights, masses)
+            # xi on the same lines with bases -1 times chi's: its maps must be
+            # carried into chi's coordinates before the push-through
+            xi_flipped = make_system(n, [-b for b in bases],
+                                     [[[0.0]], [[1.0]], [[0.0]], [[1.0]]], weights, masses)
             a = rng.standard_normal((n, n))
             m = a @ a.T / n + 0.5 * np.eye(n)
             half = Operator(m / 2)
-            combined = transform_combined(chi, xi, half, half, Operator(m), 1e-9)
-            expected = m @ (
-                assemble_frame_operator(chi).entries + assemble_frame_operator(xi).entries
-            ) @ m.T
-            residual = np.linalg.norm(
-                assemble_frame_operator(combined).entries - expected, 2
-            )
-            assert residual <= 1e-12
+            for other in (xi, xi_flipped):
+                combined = transform_combined(chi, other, half, half, Operator(m), 1e-9)
+                expected = m @ (
+                    assemble_frame_operator(chi).entries + assemble_frame_operator(other).entries
+                ) @ m.T
+                residual = np.linalg.norm(
+                    assemble_frame_operator(combined).entries - expected, 2
+                )
+                assert residual <= 1e-12
+                np.testing.assert_allclose(
+                    combined.stacked, (chi.stacked + other.stacked) @ m.T, rtol=0.0, atol=1e-12
+                )
 
 
 class TestTransformShift:

@@ -53,10 +53,10 @@ GOLDEN = {
         "393762ae14f45a457e5a1b9a21647d1be3a94b4dadf00e4ad2e18e15c9fa7c92"),
     "atomic-single": (["atomic", "single.json"], 1, None),
     "transform-shift": (["transform", "e2.json", "--L", "l.json"], 0,
-        "40b560a5af465c33ea456bb77689b01814e4f15af5432917dbca4bae868b1a6d"),
+        "efecd4b443a0db700f8a15b20f85ffb4c7708a1719a18fa87276ce581215131b"),
     "transform-combined": (["transform", "chi.json", "--xi", "xi.json",
                             "--L", "half.json", "--G", "half.json"], 0,
-        "79ace364c9fb65869cf1b6d1419fcf14a08e8d5d5c2b69b0a2bc0559434d2d4c"),
+        "2746e811946fa29c5ff89405871e8945b7ca5d6b3bbd302f2ef855006a1b3f4c"),
     "pair-files": (["pair", "e2.json", "--xi", "e1.json"], 0,
         "026fe9e86aff0807575c03f048aa409ad5e9a4584618c32b0a188b24f22b14f1"),
     "pair-secondary": (["pair", "e1s.json", "--lam", "0.05", "--trials", "10"], 1,
@@ -64,20 +64,20 @@ GOLDEN = {
     "dsum": (["dsum", "e2.json", "--xi", "e1.json"], 0,
         "7a9fd372a9a9aee645acdf6d6900f98c883a7f548debc4bdc2351541c5597912"),
     "parseval": (["parseval", "e2.json"], 0,
-        "b515a50b2333291a7ca1ddede22ab5e71197c9795adad084d3f9630285ac0d1d"),
+        "944fb9e192cb401c7e2129b00aee201ef5533aff0c712395e3a737e9da4d454c"),
     "dual": (["dual", "e2.json"], 0,
-        "dc5c9fd55d79f1a363c4225f4c937b29be829b0bbe1bacdc56aacd86dc331a70"),
+        "4064b900a5f15507c71d17701fd76bb69c738b7d2c1ac63f51c2947e780e4a8a"),
     # n = 40: rows of up to 40 floats, five levels deep in the document.
     "parseval-wide": (["parseval", "wide.json"], 0,
-        "efc778e964a54775ab054e4d9404ed730ccaa1b17250eb2edc7201e8de8416a0"),
+        "432ea99b3008b2f9e706abb8ac53ea48cd46fcfb4dd557f89b976de8136fbaea"),
     "dual-wide": (["dual", "wide.json"], 0,
-        "b98a68d4fc953c1eaf4d7c914b5dc9413553b1a9465253ec02d5f5e4dbbffa3b"),
+        "41584c4f9a9f14d24a80aadeac7cf3234a609a884982dc2f417e77d5f47cb416"),
     "random": (["random", "--seed", "7"], 0,
-        "f5e1de5facf6704b052cbc1207aee3f68b6c0ebb9ad1a0b1328e5a26bab7c6c5"),
+        "a0c6645cd41002e610c5d5465d0bd7d9fe8fb7972b8a33541c4b22dea0718641"),
     "selftest-30": (["selftest", "--seed", "0", "--trials", "30"], 0,
-        "902fd3e92f158c353fd8f802ea5aff1b8ce7ddfdb4a24aa8b13b5adf58130eda"),
+        "e9f322d87171828f224039b55b8626d50a8ff73ef8750a891148f5928d3bf527"),
     "selftest": (["selftest", "--seed", "0"], 0,
-        "09328468c4d23578a92914bcc5fc69dcaaca0dbcfdaf37f3b7ac7a33c273a803"),
+        "2b8f7c2e92265d8e8d5530390590d0b2cc011861c05e238a099b240e21288240"),
 }
 
 

@@ -214,6 +214,18 @@ class TestStackedFamily:
         local_maps = [rng.uniform(0.5, 1.5, (2, 2)) for _ in bases]
         return make_system(bases[0].shape[0], bases, local_maps, rng.uniform(0.5, 2.0, len(bases)))
 
+    def test_explicit_family_memory_stays_near_the_operators(self):
+        # 200 operators of 40 x 40 take 2.56 MB; the family holds them and
+        # the tiled identity P, and G = sum_i mu_i W_i adds no third block.
+        rng = np.random.default_rng(36)
+        n, count = 40, 200
+        ops = [Operator(rng.standard_normal((n, n))) for _ in range(count)]
+        nodes = MeasureNodes(tuple(f"n{i}" for i in range(count)), rng.uniform(0.5, 2.0, count))
+        family, peak = self.traced_peak(lambda: ResolutionFamily(n, nodes, ops))
+        assert peak < 2.5 * count * n * n * 8
+        expected = sum(mass * op.entries for mass, op in zip(nodes.mu, ops))
+        np.testing.assert_allclose(family.weighted_sum(), expected, rtol=1e-13, atol=1e-13)
+
     def test_canonical_memory_stays_at_the_stacked_size(self):
         # n = 48, N = 300, m_i = 2: N dense n x n operators take 5.5 MB,
         # one stacked block 230 kB; with S and its eigenpairs cached the

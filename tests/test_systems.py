@@ -16,16 +16,20 @@ from cgfusion import (
     analysis,
     assemble_frame_operator,
     atomic_wrt_frame_operator,
+    canonical_dual,
     frame_bounds,
     kgf_check,
     kgf_lower_bound,
+    parseval_residual,
     parsevalize,
     pinv,
     positive_sqrt,
+    random_positive_operator,
     random_system,
     require_frame,
     symmetric_perturbation,
     synthesis,
+    transform_shift,
 )
 from cgfusion import systems
 from cgfusion.systems import KGF_SLACK, GFusionSystem, _adjoint_mismatch, _frame_operator_power
@@ -499,3 +503,33 @@ class TestOneFactorization:
                                    ensure_frame=True)
             expected = positive_sqrt(assemble_frame_operator(system), invert=True).entries
             assert relative_error(_frame_operator_power(system, -0.5, 0.0), expected) <= 1e-12
+
+
+class TestPushThrough:
+    """Every caller pushes through an invertible T, so no node may lose a dimension."""
+
+    def test_ill_conditioned_shift_keeps_every_dimension(self):
+        # M = I + diag(1e13, 0) = diag(1e13 + 1, 1): a rank cut at 1e-12 of
+        # the largest singular value would drop the second direction of R^2.
+        system = make_system(2, [np.eye(2), [[0.0], [1.0]], np.zeros((2, 0))],
+                             [np.eye(2), [[1.0]], np.zeros((1, 0))], [1.0, 1.0, 1.0])
+        shifted, report = transform_shift(system, Operator(np.diag([1e13, 0.0])))
+        assert [sub.dim for sub in shifted.subspaces] == [2, 1, 0]
+        assert report.passed
+
+    def test_empty_subspace_stays_empty(self):
+        rng = np.random.default_rng(37)
+        n = 3
+        full = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        system = make_system(n, [full, full[:, :1], np.zeros((n, 0))],
+                             [rng.standard_normal((n, n)), [[2.0]], np.zeros((2, 0))],
+                             rng.uniform(0.5, 2.0, 3), masses=rng.uniform(0.5, 2.0, 3))
+        parseval = parsevalize(system)
+        dual, dual_report = canonical_dual(system)
+        shifted, shift_report = transform_shift(system, random_positive_operator(rng, n))
+        for pushed in (parseval, dual, shifted):
+            assert [sub.dim for sub in pushed.subspaces] == [n, 1, 0]
+            assert pushed.codomain_dims == system.codomain_dims
+        assert parseval_residual(parseval) <= 1e-12
+        assert frame_bounds(parseval).classification == "parseval"
+        assert dual_report.passed and shift_report.passed
