@@ -47,7 +47,7 @@ from .pair import (
     symmetric_perturbation,
 )
 from .random_systems import random_system
-from .report import SAMPLED, VerificationReport, build_report, dumps_canonical
+from .report import SAMPLED, VerificationReport, _save_canonical, build_report
 from .resolution import (
     canonical_resolution_report,
     energy_lower_violation,
@@ -96,7 +96,8 @@ _TOLERANCE = _checked(float, 0)
 _FLAGS = {
     "--tol": dict(type=_TOLERANCE, default=None,
                   help=f"tolerance (default {ORDER_TOL:g}, or ${TOL_ENV_VAR})"),
-    "--trials": dict(type=_checked(int, 1), default=100, help="sampling trials"),
+    "--trials": dict(type=_checked(int, 1), default=100,
+                     help="sampling trials; for check, the (f, phi) pairs of the adjoint check"),
     "--seed": dict(type=_checked(int, 0), default=0, help="random seed"),
 }
 
@@ -156,12 +157,6 @@ def _print_reports(reports: list[VerificationReport]) -> None:
             print(f"    provenance: {rep.provenance}")
         for note in rep.notes:
             print(f"    note: {note}")
-
-
-def _write_out(path: str, document: dict) -> None:
-    text = dumps_canonical(document)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
 
 
 # --- subcommand handlers ------------------------------------------------
@@ -485,7 +480,7 @@ def main(argv=None) -> int:
         return FAIL
     _print_reports(reports)
     if args.out and document is not None:
-        _write_out(args.out, document)
+        _save_canonical(document, args.out)
         print(f"wrote {args.out}")
     return PASS if all(r.passed for r in reports) else FAIL
 

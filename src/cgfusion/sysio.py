@@ -37,7 +37,7 @@ import numpy as np
 from .errors import SystemFileError
 from .measure import MeasureNodes, WeightProfile, validate_nodes
 from .operators import BASIS_TOL, Operator, Subspace, _positive_qr
-from .report import dumps_canonical
+from .report import _save_canonical
 from .systems import GFusionSystem
 
 SCHEMA_VERSION = "1"
@@ -199,6 +199,11 @@ def load_operator(path: str | os.PathLike, name: str = "matrix") -> Operator:
     return Operator(_matrix_from(value, str(path)))
 
 
+def _plain(matrix: np.ndarray) -> list:
+    """Nested lists of the entries, with -0.0 written as 0.0: equal systems, equal bytes."""
+    return (matrix + 0.0).tolist()
+
+
 def system_to_document(
     system: GFusionSystem,
     secondary_weights=None,
@@ -211,8 +216,8 @@ def system_to_document(
             "id": system.nodes.ids[i],
             "mu": float(system.nodes.mu[i]),
             "v": float(system.weights[i]),
-            "subspace": system.subspaces[i].basis.T.tolist(),
-            "local_operator": system.local_maps[i].entries.tolist(),
+            "subspace": _plain(system.subspaces[i].basis.T),
+            "local_operator": _plain(system.local_maps[i].entries),
         }
         if secondary_weights is not None:
             node["s"] = float(secondary_weights[i])
@@ -223,7 +228,7 @@ def system_to_document(
         "nodes": nodes,
     }
     if operators:
-        doc["operators"] = {name: op.entries.tolist() for name, op in operators.items()}
+        doc["operators"] = {name: _plain(op.entries) for name, op in operators.items()}
     return doc
 
 
@@ -234,6 +239,4 @@ def save_system(
     operators: dict[str, Operator] | None = None,
 ) -> None:
     """Write a system file in canonical form."""
-    text = dumps_canonical(system_to_document(system, secondary_weights, operators))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    _save_canonical(system_to_document(system, secondary_weights, operators), path)

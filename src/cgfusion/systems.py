@@ -22,6 +22,7 @@ kgf constant, S^+ and S^(-1/2) are all read from that one S = Q diag(w) Q^T.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,7 +58,7 @@ CLASSIFICATIONS = (
 #: closed form; keeps the constant inside :func:`kgf_check`'s boundary.
 KGF_SLACK = 0.5
 
-#: Floats drawn per batch by :func:`adjoint_consistency` (8 MB) unless n rows exceed it.
+#: Floats per batch of fields drawn by :func:`adjoint_consistency` (8 MB) unless one row exceeds it.
 _ADJOINT_BATCH_FLOATS = 2**20
 
 
@@ -339,20 +340,20 @@ def kgf_lower_bound(system: GFusionSystem, k: Operator, tol: float = ORDER_TOL) 
     return a if a > tol else 0.0
 
 
-def _adjoint_mismatch(system: GFusionSystem, draws: np.ndarray) -> float:
-    """Largest scale-normalized mismatch over the trials in ``draws``.
+def _adjoint_mismatch(
+    system: GFusionSystem, f: np.ndarray, measured: np.ndarray, phi: np.ndarray
+) -> float:
+    """Largest scale-normalized mismatch over the cross pairs of ``phi`` and ``f``.
 
-    Row t holds trial t's vector f, then its field blocks in node order.
+    Row s of ``phi`` is a field phi_s in node order, row t of ``f`` a vector
+    f_t and row t of ``measured`` its analysis; entry (s, t) compares
+    <synthesis(phi_s), f_t> with the mass-weighted <phi_s, analysis(f_t)>.
     """
-    n = system.ambient_dim
-    f, phi = draws[:, :n], draws[:, n:]
-    mass = system.per_row(system.nodes.mu)
-    left = np.einsum("ij,ij->i", _synthesis_rows(system, phi), f)
-    measured = _analysis_rows(system, f)
-    measured *= mass
-    right = np.einsum("ij,ij->i", phi, measured)
-    field_norm = np.sqrt(np.maximum(np.einsum("ij,ij,j->i", phi, phi, mass), 0.0))
-    scale = np.maximum(1.0, field_norm * np.linalg.norm(f, axis=1))
+    left = _synthesis_rows(system, phi) @ f.T
+    weighted = phi * system.per_row(system.nodes.mu)
+    right = weighted @ measured.T
+    field_norm = np.sqrt(np.maximum(np.einsum("ij,ij->i", weighted, phi), 0.0))
+    scale = np.maximum(1.0, np.outer(field_norm, np.linalg.norm(f, axis=1)))
     return float(np.max(np.abs(left - right) / scale))
 
 
@@ -361,22 +362,29 @@ def adjoint_consistency(
 ) -> VerificationReport:
     """Sampled check that synthesis and analysis are mutually adjoint.
 
-    For random f and phi, compares <synthesis(phi), f> in the ambient
-    space with the mass-weighted <phi, analysis(f)>; reports the largest
-    scale-normalized mismatch.  A trial is one row of n + sum m_i draws,
-    and a batch holds max(n, B // (n + sum m_i)) rows, B =
-    :data:`_ADJOINT_BATCH_FLOATS`; the rows come from one seeded
-    row-major stream, so the draws do not depend on the batch height.
+    Draws r = ceil(sqrt(trials)) vectors f (r x n), then r fields phi
+    (r x sum m_i), from one seeded row-major stream, and compares
+    <synthesis(phi_s), f_t> in the ambient space with the mass-weighted
+    <phi_s, analysis(f_t)> on all r^2 >= trials pairs; reports the largest
+    scale-normalized mismatch.  Fields are drawn and checked in batches of
+    h = max(1, B // sum m_i) rows, B = :data:`_ADJOINT_BATCH_FLOATS`, against
+    the analysis of at most max(n, h) vectors at a time, which is kept for
+    every batch when all r fit; the draws do not depend on the batch height.
     """
     rng = np.random.default_rng(seed)
-    n = system.ambient_dim
-    width = n + system.stacked.shape[0]
-    height = max(n, _ADJOINT_BATCH_FLOATS // width)
-    total = max(int(trials), 1)
+    n, rows = system.ambient_dim, system.stacked.shape[0]
+    probes = math.isqrt(max(int(trials), 1) - 1) + 1
+    f = rng.standard_normal((probes, n))
+    height = max(1, _ADJOINT_BATCH_FLOATS // max(rows, 1))
+    step = max(n, height)
+    held = _analysis_rows(system, f) if probes <= step else None
     worst = 0.0
-    for start in range(0, total, height):
-        draws = rng.standard_normal((min(height, total - start), width))
-        worst = max(worst, _adjoint_mismatch(system, draws))
+    for start in range(0, probes, height):
+        phi = rng.standard_normal((min(height, probes - start), rows))
+        for a in range(0, probes, step):
+            block = f[a : a + step]
+            measured = _analysis_rows(system, block) if held is None else held
+            worst = max(worst, _adjoint_mismatch(system, block, measured, phi))
     return build_report(
         name="adjoint_consistency",
         residuals={"adjoint_mismatch": worst},

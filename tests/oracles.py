@@ -44,6 +44,39 @@ def weighted_field_norm(masses, blocks):
     )))
 
 
+def adjoint_probes(n, rows, trials, seed):
+    """r = ceil(sqrt(max(trials, 1))) vectors (r x n), then r fields (r x rows), from one stream."""
+    r = 1
+    while r * r < max(trials, 1):
+        r += 1
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((r, n)), rng.standard_normal((r, rows))
+
+
+def adjoint_cross_mismatch(masses, weights, bases, local_maps, trials, seed,
+                           synthesis_masses=None):
+    """Largest normalized |<Syn phi_s, f_t> - <phi_s, Ana f_t>_mu| over all r x r probe pairs.
+
+    Each pair is divided by max(1, ||phi_s||_mu ||f_t||).  ``synthesis_masses``
+    replaces the masses in the synthesis only, giving a known non-adjoint pair.
+    """
+    dims = [np.asarray(x, float).shape[0] for x in local_maps]
+    n = np.asarray(bases[0], float).shape[0]
+    f, phi = adjoint_probes(n, sum(dims), trials, seed)
+    syn_masses = masses if synthesis_masses is None else synthesis_masses
+    worst = 0.0
+    for field in phi:
+        blocks = np.split(field, np.cumsum(dims)[:-1])
+        synthesized = synthesis_vector(syn_masses, weights, bases, local_maps, blocks)
+        field_norm = weighted_field_norm(masses, blocks)
+        for vec in f:
+            measured = analysis_blocks(weights, bases, local_maps, vec)
+            right = sum(mu * float(p @ a) for mu, p, a in zip(masses, blocks, measured))
+            scale = max(1.0, field_norm * float(np.linalg.norm(vec)))
+            worst = max(worst, abs(float(synthesized @ vec) - right) / scale)
+    return worst
+
+
 def block_diagonal(a, b):
     """The matrix with diagonal blocks A and B and zeros elsewhere."""
     a, b = np.asarray(a, float), np.asarray(b, float)

@@ -53,10 +53,10 @@ GOLDEN = {
         "393762ae14f45a457e5a1b9a21647d1be3a94b4dadf00e4ad2e18e15c9fa7c92"),
     "atomic-single": (["atomic", "single.json"], 1, None),
     "transform-shift": (["transform", "e2.json", "--L", "l.json"], 0,
-        "efecd4b443a0db700f8a15b20f85ffb4c7708a1719a18fa87276ce581215131b"),
+        "40b560a5af465c33ea456bb77689b01814e4f15af5432917dbca4bae868b1a6d"),
     "transform-combined": (["transform", "chi.json", "--xi", "xi.json",
                             "--L", "half.json", "--G", "half.json"], 0,
-        "2746e811946fa29c5ff89405871e8945b7ca5d6b3bbd302f2ef855006a1b3f4c"),
+        "79ace364c9fb65869cf1b6d1419fcf14a08e8d5d5c2b69b0a2bc0559434d2d4c"),
     "pair-files": (["pair", "e2.json", "--xi", "e1.json"], 0,
         "026fe9e86aff0807575c03f048aa409ad5e9a4584618c32b0a188b24f22b14f1"),
     "pair-secondary": (["pair", "e1s.json", "--lam", "0.05", "--trials", "10"], 1,
@@ -64,9 +64,9 @@ GOLDEN = {
     "dsum": (["dsum", "e2.json", "--xi", "e1.json"], 0,
         "7a9fd372a9a9aee645acdf6d6900f98c883a7f548debc4bdc2351541c5597912"),
     "parseval": (["parseval", "e2.json"], 0,
-        "944fb9e192cb401c7e2129b00aee201ef5533aff0c712395e3a737e9da4d454c"),
+        "b515a50b2333291a7ca1ddede22ab5e71197c9795adad084d3f9630285ac0d1d"),
     "dual": (["dual", "e2.json"], 0,
-        "4064b900a5f15507c71d17701fd76bb69c738b7d2c1ac63f51c2947e780e4a8a"),
+        "dc5c9fd55d79f1a363c4225f4c937b29be829b0bbe1bacdc56aacd86dc331a70"),
     # n = 40: rows of up to 40 floats, five levels deep in the document.
     "parseval-wide": (["parseval", "wide.json"], 0,
         "432ea99b3008b2f9e706abb8ac53ea48cd46fcfb4dd557f89b976de8136fbaea"),

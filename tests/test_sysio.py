@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgfusion import Operator, SystemFileError, load_operator, load_system, save_system
-from cgfusion.report import dumps_canonical, format_float
+from cgfusion.report import _save_canonical, dump_canonical, dumps_canonical, format_float
 from cgfusion.sysio import (
     has_secondary_weights,
     load_document,
@@ -16,7 +18,7 @@ from cgfusion.sysio import (
 )
 
 import oracles
-from conftest import make_e2, make_wide_system
+from conftest import make_e2, make_system, make_wide_system
 
 #: Doubles at the edges of the 17-digit form: subnormals, signed zeros,
 #: the largest double, and the 1e16-1e17 band where %.17g switches form.
@@ -177,6 +179,23 @@ class TestSaveLoad:
             assert new["subspace"] == orig["subspace"]
             assert new["local_operator"] == orig["local_operator"]
 
+    def test_negative_zero_writes_as_zero(self, tmp_path):
+        paths = []
+        for zero in (0.0, -0.0):
+            system = make_system(2, [[[1.0], [zero]]], [[[1.0], [zero]]], [1.0])
+            paths.append(tmp_path / f"{zero}.json")
+            save_system(system, paths[-1], operators={"K": Operator([[zero, 1.0], [1.0, zero]])})
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert b"-0" not in paths[1].read_bytes()
+
+    def test_save_writes_through_a_symlink(self, tmp_path, e2):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("old", encoding="utf-8")
+        link.symlink_to(target)
+        save_system(e2, link)
+        assert link.is_symlink()
+        assert target.read_text(encoding="utf-8") == dumps_canonical(system_to_document(e2))
+
     def test_secondary_weights_round_trip(self, tmp_path, e2):
         path = tmp_path / "pair.json"
         save_system(e2, path, secondary_weights=[1.0, 1.0])
@@ -290,6 +309,41 @@ class TestCanonicalJson:
             operators={"K": Operator(np.random.default_rng(4).standard_normal((40, 40)))},
         )
         assert dumps_canonical(doc) == oracles.canonical_text(doc)
+
+    def test_dump_streams_the_same_text(self):
+        system = make_wide_system(np.random.default_rng(3))
+        doc = system_to_document(system)
+        pieces = []
+
+        class Recorder:
+            write = pieces.append
+
+        dump_canonical(doc, Recorder())
+        assert len(pieces) > 1
+        assert "".join(pieces) == dumps_canonical(doc) == oracles.canonical_text(doc)
+
+    def test_failed_write_keeps_the_existing_file(self, tmp_path):
+        # The error comes after several flushes of rows to the temporary file.
+        path = tmp_path / "out.json"
+        path.write_text("old", encoding="utf-8")
+        doc = {"rows": [[0.5, 1.5]] * 500 + [[float("nan")]]}
+        with pytest.raises(ValueError):
+            _save_canonical(doc, path)
+        assert path.read_text(encoding="utf-8") == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_pipe_is_written_in_place(self, tmp_path):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(pipe.read_text(encoding="utf-8")), daemon=True
+        )
+        reader.start()
+        _save_canonical({"a": [1.0, 2.0]}, pipe)
+        reader.join(timeout=10)
+        assert received == [dumps_canonical({"a": [1.0, 2.0]})]
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_in_long_row_named(self, bad):

@@ -392,17 +392,39 @@ class TestStackedCore:
         assert (second.lower, second.upper) == (first.lower, first.upper)
 
     @pytest.mark.parametrize("trials", [0, 1, 2, 3, 7, 100, 101])
-    def test_adjoint_trials_and_roundoff(self, trials):
-        rng = np.random.default_rng(trials)
-        _, system = random_raw_system(rng, 3, 5)
+    def test_adjoint_trials_and_roundoff(self, trials, monkeypatch):
+        args, system = random_raw_system(np.random.default_rng(trials), 3, 5)
         report = adjoint_consistency(system, trials=trials, seed=trials)
         assert report.passed
         assert report.constants["trials"] == float(trials)
         assert report.residuals["adjoint_mismatch"] <= 1e-13
-        # A small system draws every trial at once, from the same stream.
-        width = 3 + system.stacked.shape[0]
-        draws = np.random.default_rng(trials).standard_normal((max(trials, 1), width))
-        assert report.residuals["adjoint_mismatch"] == _adjoint_mismatch(system, draws)
+        assert oracles.adjoint_cross_mismatch(*args, trials, trials) <= 1e-13
+        # Off the roundoff floor, the largest mismatch pins the probes and the r^2 pairs.
+        expected = misweight_synthesis(monkeypatch, args)(trials, trials)
+        assert expected > 1e-3
+        got = adjoint_consistency(system, trials=trials, seed=trials).residuals
+        assert got["adjoint_mismatch"] == pytest.approx(expected, rel=1e-12)
+
+
+def misweight_synthesis(monkeypatch, args, factor=1.5):
+    """Scale one live node's mass in synthesis only, so it is no longer adjoint to analysis.
+
+    Returns the oracle mismatch of the broken pair as a function of (trials, seed).
+    """
+    masses, _, bases, locals_ = args
+    node = next(i for i, (b, x) in enumerate(zip(bases, locals_)) if b.shape[1] and x.shape[0])
+
+    def broken(system, phi):
+        scale = np.ones(system.node_count)
+        scale[node] = factor
+        return (phi * system.per_row(system.nodes.mu * system.weights * scale)) @ system.stacked
+
+    monkeypatch.setattr(systems, "_synthesis_rows", broken)
+    synthesis_masses = np.array(masses, dtype=float)
+    synthesis_masses[node] *= factor
+    return lambda trials, seed: oracles.adjoint_cross_mismatch(
+        *args, trials, seed, synthesis_masses=synthesis_masses
+    )
 
 
 def tall_codomain_system(rng, n, rows_per_node, count):
@@ -413,54 +435,75 @@ def tall_codomain_system(rng, n, rows_per_node, count):
 
 
 class TestAdjointBatches:
-    """adjoint_consistency draws batches of max(n, budget // (n + sum m_i)) trials."""
+    """adjoint_consistency checks r x r probe pairs, fields in batches of h = max(1, B // sum m_i)."""
 
     @pytest.fixture
-    def batch_heights(self, monkeypatch):
-        heights = []
+    def calls(self, monkeypatch):
+        shapes = []
 
-        def counting(system, draws):
-            heights.append(draws.shape[0])
-            return _adjoint_mismatch(system, draws)
+        def counting(system, f, measured, phi):
+            shapes.append((f.shape[0], phi.shape[0]))
+            return _adjoint_mismatch(system, f, measured, phi)
 
         monkeypatch.setattr(systems, "_adjoint_mismatch", counting)
-        return heights
+        return shapes
 
-    def test_small_system_draws_once(self, batch_heights):
+    def test_small_system_draws_once(self, calls):
         _, system = random_raw_system(np.random.default_rng(2), 2, 4)
         assert system.ambient_dim == 2
         assert adjoint_consistency(system, trials=100, seed=0).passed
-        assert batch_heights == [100]
+        assert calls == [(10, 10)]
 
-    def test_over_budget_keeps_batches_of_n(self, batch_heights, monkeypatch):
+    def test_over_budget_keeps_batches_of_n(self, calls, monkeypatch):
+        # h = 2 fields per batch, each checked against vectors in blocks of n = 4.
         _, system = random_raw_system(np.random.default_rng(3), 4, 6)
-        width = 4 + system.stacked.shape[0]
-        monkeypatch.setattr(systems, "_ADJOINT_BATCH_FLOATS", 4 * width - 1)
-        report = adjoint_consistency(system, trials=10, seed=0)
+        monkeypatch.setattr(systems, "_ADJOINT_BATCH_FLOATS", 3 * system.stacked.shape[0] - 1)
+        report = adjoint_consistency(system, trials=100, seed=0)
         assert report.passed and report.residuals["adjoint_mismatch"] <= 1e-13
-        assert batch_heights == [4, 4, 2]
+        assert calls == [(f, 2) for _ in range(5) for f in (4, 4, 2)]
 
-    def test_budget_caps_the_batch_height(self, batch_heights, monkeypatch):
+    def test_budget_caps_the_batch_height(self, calls, monkeypatch):
         _, system = random_raw_system(np.random.default_rng(3), 4, 6)
-        width = 4 + system.stacked.shape[0]
-        monkeypatch.setattr(systems, "_ADJOINT_BATCH_FLOATS", 6 * width + 1)
-        assert adjoint_consistency(system, trials=20, seed=0).passed
-        assert batch_heights == [6, 6, 6, 2]
+        monkeypatch.setattr(systems, "_ADJOINT_BATCH_FLOATS", 3 * system.stacked.shape[0] + 1)
+        assert adjoint_consistency(system, trials=16, seed=0).passed
+        assert calls == [(4, 3), (4, 1)]
+
+    @pytest.mark.parametrize("budget_rows", [1, 2, 3, 7])
+    def test_small_budget_keeps_the_probes(self, budget_rows, monkeypatch):
+        args, system = random_raw_system(np.random.default_rng(5), 4, 6)
+        monkeypatch.setattr(
+            systems, "_ADJOINT_BATCH_FLOATS", budget_rows * system.stacked.shape[0]
+        )
+        report = adjoint_consistency(system, trials=50, seed=9)
+        assert report.passed and report.residuals["adjoint_mismatch"] <= 1e-13
+        expected = misweight_synthesis(monkeypatch, args)(50, 9)
+        got = adjoint_consistency(system, trials=50, seed=9).residuals
+        assert got["adjoint_mismatch"] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("trials", [1, 100])
+    def test_misweighted_synthesis_fails(self, trials, monkeypatch):
+        args, system = random_raw_system(np.random.default_rng(7), 5, 6)
+        misweight_synthesis(monkeypatch, args)
+        report = adjoint_consistency(system, trials=trials, seed=0)
+        assert not report.passed
+        assert report.residuals["adjoint_mismatch"] > 1e-6
 
     # n (n + sum m_i) is 1 052 672 floats at n = 64 and 131 136 at n = 8,
-    # above and below the 2^20 budget; 200 trials at once would draw 26 MB.
+    # above and below the 2^20 budget.  10^4 trials are 100 x 100 probes,
+    # more than one block of vectors: 100 fields at once would draw 13 MB.
     @pytest.mark.parametrize("n", [64, 8])
     def test_memory_stays_within_the_batch_bound(self, n):
         system = tall_codomain_system(np.random.default_rng(n), n, 4096, 4)
         width = n + system.stacked.shape[0]
-        tracemalloc.start()
-        try:
-            report = adjoint_consistency(system, trials=200, seed=0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert report.passed
-        assert peak <= 4 * 8 * max(n * width, systems._ADJOINT_BATCH_FLOATS)
+        for trials in (200, 10**4):
+            tracemalloc.start()
+            try:
+                report = adjoint_consistency(system, trials=trials, seed=0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert report.passed
+            assert peak <= 4 * 8 * max(n * width, systems._ADJOINT_BATCH_FLOATS)
 
 
 def relative_error(got, expected):
