@@ -4,17 +4,12 @@ Reports are the uniform result type for every verification in the library:
 named residuals measured against named tolerances, plus certified constants
 and a provenance note saying whether the check was exact or sampled.  The
 JSON form is canonical (sorted keys, fixed float format), so identical runs
-serialize to identical bytes.  :func:`dump_canonical` streams that text
-to a handle a few dozen list items at a time, so a large document is never
-held as one string.
+serialize to identical bytes.
 """
 
 from __future__ import annotations
 
-import contextlib
-import io
 import math
-import os
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
@@ -27,11 +22,7 @@ def format_float(x: float) -> str:
     return format(v, ".17g")
 
 
-#: Pieces of text :func:`dump_canonical` gathers before writing them out.
-_FLUSH_PIECES = 64
-
-
-def _write_json(value, out: list[str], handle, indent: int, level: int) -> None:
+def _write_json(value, out: list[str], indent: int, level: int) -> None:
     pad = " " * (indent * level)
     pad_in = " " * (indent * (level + 1))
     if isinstance(value, dict):
@@ -44,7 +35,7 @@ def _write_json(value, out: list[str], handle, indent: int, level: int) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys must be strings, got {key!r}")
             out.append(pad_in + encode_basestring_ascii(key) + ": ")
-            _write_json(value[key], out, handle, indent, level + 1)
+            _write_json(value[key], out, indent, level + 1)
             out.append(",\n" if i < len(keys) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(value, (list, tuple)):
@@ -66,11 +57,8 @@ def _write_json(value, out: list[str], handle, indent: int, level: int) -> None:
         out.append("[\n")
         for i, item in enumerate(seq):
             out.append(pad_in)
-            _write_json(item, out, handle, indent, level + 1)
+            _write_json(item, out, indent, level + 1)
             out.append(",\n" if i < len(seq) - 1 else "\n")
-            if len(out) >= _FLUSH_PIECES:
-                handle.write("".join(out))
-                out.clear()
         out.append(pad + "]")
     elif isinstance(value, bool):
         out.append("true" if value else "false")
@@ -86,49 +74,28 @@ def _write_json(value, out: list[str], handle, indent: int, level: int) -> None:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def dump_canonical(document, handle, indent: int = 2) -> None:
-    """Write nested dict/list data to the text ``handle`` as deterministic JSON.
+def dumps_canonical(document, indent: int = 2) -> str:
+    """Serialize nested dict/list data to deterministic JSON text.
 
     Keys are emitted sorted and every float is written as
     :func:`format_float` writes it, so equal documents produce byte-equal
-    text.  A list of plain floats is formatted in one call, and the text
-    goes to ``handle`` every few dozen list items.
+    text.  A list of plain floats is formatted in one call.
     """
     out: list[str] = []
-    _write_json(document, out, handle, indent, 0)
+    _write_json(document, out, indent, 0)
     out.append("\n")
-    handle.write("".join(out))
-
-
-def dumps_canonical(document, indent: int = 2) -> str:
-    """The text :func:`dump_canonical` writes, as one string."""
-    buffer = io.StringIO()
-    dump_canonical(document, buffer, indent)
-    return buffer.getvalue()
+    return "".join(out)
 
 
 def _save_canonical(document, path) -> None:
     """Write ``document`` canonically to the file ``path``.
 
-    The text goes to a sibling temporary file that then replaces ``path``,
-    so a document that cannot be serialized leaves an existing file as it
-    was.  A path that is not a regular file (a pipe, a terminal) is
-    written directly.
+    The whole text is built before the file is opened, so a document that
+    cannot be serialized leaves an existing file as it was.
     """
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8") as handle:
-            dump_canonical(document, handle)
-        return
-    target = os.path.realpath(path)
-    temp = f"{target}.{os.getpid()}.tmp"
-    try:
-        with open(temp, "w", encoding="utf-8") as handle:
-            dump_canonical(document, handle)
-        os.replace(temp, target)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(temp)
-        raise
+    text = dumps_canonical(document)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
 
 
 EXACT = "exact spectral"
