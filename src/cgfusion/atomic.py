@@ -25,7 +25,6 @@ from .errors import (
 from .measure import CoefficientField
 from .operators import (
     ORDER_TOL,
-    RANK_TOL,
     STRUCT_TOL,
     SYM_TOL,
     Operator,
@@ -61,12 +60,10 @@ class AtomicCertificate:
     range_defect: float
 
 
-def _minimal_decomposition(
-    system: GFusionSystem, k: Operator, rank_tol: float = RANK_TOL
-) -> tuple[np.ndarray, float, np.ndarray]:
+def _minimal_decomposition(system: GFusionSystem, k: Operator) -> tuple[np.ndarray, float, np.ndarray]:
     """Core S^+ K of the decomposition map, its norm c, and S S^+ K - K.
 
-    S^+ comes from the cached eigenpairs of S, cut at ``rank_tol``.
+    S^+ comes from the cached eigenpairs of S, cut at ``RANK_TOL``.
     c^2 is the top eigenvalue of (S^+ K)^T S (S^+ K); column j of the
     residual is synthesis of the decomposition of e_j minus K e_j.
     """
@@ -74,14 +71,12 @@ def _minimal_decomposition(
     if k.rows != n or k.cols != n:
         raise ShapeError(f"operator must be {n}x{n}, got {k.rows}x{k.cols}")
     s = assemble_frame_operator(system).entries
-    core = _frame_operator_power(system, -1.0, rank_tol) @ k.entries
+    core = _frame_operator_power(system, -1.0) @ k.entries
     c = float(np.sqrt(opnorm(symmetrize(core.T @ s @ core))))
     return core, c, s @ core - k.entries
 
 
-def decomposition_operator(
-    system: GFusionSystem, k: Operator, rank_tol: float = RANK_TOL
-) -> AtomicCertificate:
+def decomposition_operator(system: GFusionSystem, k: Operator) -> AtomicCertificate:
     """Build the minimal-weighted-norm decomposition map for K.
 
     The map is analysis composed with S^+ K: block i of phi is
@@ -89,7 +84,7 @@ def decomposition_operator(
     projection of K f onto the frame operator's range, so the
     decomposition is exact precisely when K's range is included there.
     """
-    core, c, residual = _minimal_decomposition(system, k, rank_tol)
+    core, c, residual = _minimal_decomposition(system, k)
     rows = system.per_row(system.weights)[:, None] * (system.stacked @ core)
     blocks = tuple(Operator(block) for block in system.split_rows(rows))
     return AtomicCertificate(c=c, block_maps=blocks, range_defect=opnorm(residual))

@@ -52,10 +52,6 @@ class MeasureNodes:
     def __len__(self) -> int:
         return len(self.ids)
 
-    @classmethod
-    def uniform(cls, count: int, mass: float = 1.0) -> "MeasureNodes":
-        return cls(tuple(f"n{i}" for i in range(count)), np.full(count, float(mass)))
-
 
 @dataclass(frozen=True, eq=False)
 class WeightProfile:
@@ -100,10 +96,6 @@ class CoefficientField:
 
     def __len__(self) -> int:
         return len(self.blocks)
-
-    @classmethod
-    def zeros(cls, dims) -> "CoefficientField":
-        return cls(tuple(np.zeros(int(d)) for d in dims))
 
 
 def _check_field(field: CoefficientField, nodes: MeasureNodes, what: str) -> None:

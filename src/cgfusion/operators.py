@@ -89,10 +89,6 @@ class Operator:
     def cols(self) -> int:
         return self.entries.shape[1]
 
-    @property
-    def T(self) -> "Operator":
-        return Operator(self.entries.T)
-
     @classmethod
     def identity(cls, n: int) -> "Operator":
         return cls(np.eye(n))
@@ -111,9 +107,6 @@ class Operator:
     def apply(self, f) -> np.ndarray:
         vec = _as_vector(f, self.cols, "input vector")
         return self.entries @ vec
-
-    def norm(self) -> float:
-        return opnorm(self.entries)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -166,12 +159,6 @@ class Subspace:
         for j, i in enumerate(indices):
             cols[i, j] = 1.0
         return cls(n, cols)
-
-    @classmethod
-    def span(cls, vectors, rank_tol: float = RANK_TOL) -> "Subspace":
-        """Subspace spanned by the given vectors (columns), orthonormalized."""
-        mat = np.column_stack([np.asarray(v, dtype=float) for v in vectors])
-        return cls(mat.shape[0], orthonormal_columns(mat, rank_tol))
 
 
 @dataclass(frozen=True)
@@ -226,27 +213,22 @@ def operator_leq(t: Operator, s: Operator, tol: float = ORDER_TOL) -> OrderCerti
     return OrderCertificate(holds=gap >= -tol, gap=gap)
 
 
-def pinv(t: Operator, rank_tol: float = RANK_TOL) -> Operator:
+def pinv(t: Operator) -> Operator:
     """Moore-Penrose pseudoinverse via singular value decomposition.
 
-    Singular values below ``rank_tol`` times the largest one are treated
-    as exact zeros.
+    Singular values at or below ``RANK_TOL`` times the largest one are
+    treated as exact zeros.
     """
     a = t.entries
     if a.size == 0 or not a.any():
         return Operator(np.zeros((t.cols, t.rows)))
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    cutoff = rank_tol * s[0]
+    cutoff = RANK_TOL * s[0]
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
     return Operator((vt.T * inv) @ u.T)
 
 
-def douglas_factor(
-    l: Operator,
-    t: Operator,
-    tol: float = STRUCT_TOL,
-    rank_tol: float = RANK_TOL,
-) -> tuple[Operator, float]:
+def douglas_factor(l: Operator, t: Operator, tol: float = STRUCT_TOL) -> tuple[Operator, float]:
     """Factor L = T S and certify the majorization L L^T <= lam^2 T T^T.
 
     S is the minimal-norm solution pinv(T) L.  The factorization is
@@ -260,23 +242,37 @@ def douglas_factor(
     """
     if l.rows != t.rows:
         raise ShapeError(f"codomain mismatch: L has {l.rows} rows, T has {t.rows}")
-    s_factor = pinv(t, rank_tol) @ l
+    s_factor = pinv(t) @ l
     residual = opnorm(t.entries @ s_factor.entries - l.entries)
     if residual > tol:
         raise RangeInclusionError(
             f"range(L) is not contained in range(T): residual {residual:.3e} > {tol:g}",
             residual=residual,
         )
-    return s_factor, s_factor.norm()
+    return s_factor, opnorm(s_factor.entries)
+
+
+def _spectral_power(w: np.ndarray, q: np.ndarray, power: float, rank_tol: float) -> np.ndarray:
+    """Q diag(w^power) Q^T (symmetrized) for the eigenpairs (w, Q) of a symmetric matrix.
+
+    Eigenvalues with |w| <= rank_tol * max|w| map to 0, the cut of
+    :func:`pinv`; ``rank_tol`` = 0 maps only exact zeros to 0.
+    """
+    kept = np.abs(w) > rank_tol * np.abs(w).max(initial=0.0)
+    mapped = np.power(w, power, out=np.zeros_like(w), where=kept)
+    return symmetrize((q * mapped) @ q.T)
 
 
 def positive_sqrt(s: Operator, invert: bool = False) -> Operator:
     """Symmetric positive square root S^(1/2), or S^(-1/2) with ``invert``.
 
-    Eigendecomposes S = Q diag(w) Q^T and maps the eigenvalues.  Raises
-    :class:`NotPositiveError` when an eigenvalue sits below -1e-8 and
-    :class:`SingularError` when inversion is requested with the smallest
-    eigenvalue at or below 1e-12.
+    Eigendecomposes S = Q diag(w) Q^T, clips w at 0 and maps it through
+    :func:`_spectral_power`, the map of the cached S^p of a system.
+    Raises :class:`NotPositiveError` when an eigenvalue sits below
+    -``SYM_TOL`` and :class:`SingularError` when inversion is requested
+    with the smallest eigenvalue at or below ``SINGULAR_FLOOR``.  The map
+    is uncut (rank_tol 0): past these checks every eigenvalue it inverts
+    is positive, at any condition number.
     """
     a = _require_symmetric(s, "S")
     w, q = np.linalg.eigh(a)
@@ -284,10 +280,7 @@ def positive_sqrt(s: Operator, invert: bool = False) -> Operator:
         raise NotPositiveError(f"operator has negative eigenvalue {w[0]:.3e}")
     if invert and (w.size == 0 or w[0] <= SINGULAR_FLOOR):
         raise SingularError("cannot invert: smallest eigenvalue is not positive")
-    w = np.clip(w, 0.0, None)
-    mapped = w ** -0.5 if invert else np.sqrt(w)
-    root = (q * mapped) @ q.T
-    return Operator(symmetrize(root))
+    return Operator(_spectral_power(np.clip(w, 0.0, None), q, -0.5 if invert else 0.5, 0.0))
 
 
 def _positive_qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -297,11 +290,11 @@ def _positive_qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q * signs, r * signs[:, None]
 
 
-def orthonormal_columns(m: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+def orthonormal_columns(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column range of ``m``, from its SVD.
 
     Keeps the left singular vectors whose singular value exceeds
-    ``rank_tol`` times the largest one, so the number of columns is the
+    ``RANK_TOL`` times the largest one, so the number of columns is the
     numerical rank.  An empty or all-zero input gives an ``(n, 0)``
     basis.  The basis spans the same range as ``m`` but its columns are
     singular vectors, not orthonormalized input columns.
@@ -310,10 +303,10 @@ def orthonormal_columns(m: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray
     if m.size == 0 or not m.any():
         return np.zeros((m.shape[0], 0))
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    return u[:, s > rank_tol * s[0]]
+    return u[:, s > RANK_TOL * s[0]]
 
 
-def orthonormalize_image(t: Operator, v: Subspace, rank_tol: float = RANK_TOL) -> Subspace:
+def orthonormalize_image(t: Operator, v: Subspace) -> Subspace:
     """Orthonormal basis of T applied to the subspace.
 
     The basis is :func:`orthonormal_columns` of T B for the subspace
@@ -325,7 +318,7 @@ def orthonormalize_image(t: Operator, v: Subspace, rank_tol: float = RANK_TOL) -
             f"operator domain {t.cols} does not match ambient dim {v.ambient_dim}"
         )
     image = t.entries @ v.basis
-    return Subspace(t.rows, orthonormal_columns(image, rank_tol))
+    return Subspace(t.rows, orthonormal_columns(image))
 
 
 def projection_identity_check(

@@ -33,16 +33,16 @@ def random_orthonormal_basis(rng, n: int, k: int) -> np.ndarray:
     return _positive_qr(_rng(rng).standard_normal((n, k)))[0]
 
 
-def random_operator(rng, rows: int, cols: int, scale: float = 1.0) -> Operator:
-    """Dense operator with entries uniform in [-scale, scale]."""
+def random_operator(rng, rows: int, cols: int) -> Operator:
+    """Dense operator with entries uniform in [-1, 1]."""
     generator = _rng(rng)
-    return Operator(generator.uniform(-scale, scale, size=(rows, cols)))
+    return Operator(generator.uniform(-1.0, 1.0, size=(rows, cols)))
 
 
-def random_positive_operator(rng, n: int, scale: float = 1.0) -> Operator:
+def random_positive_operator(rng, n: int) -> Operator:
     """Random symmetric positive semidefinite operator."""
     generator = _rng(rng)
-    a = generator.standard_normal((n, n)) * scale
+    a = generator.standard_normal((n, n))
     return Operator(symmetrize(a @ a.T) / max(n, 1))
 
 

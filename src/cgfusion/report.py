@@ -22,9 +22,9 @@ def format_float(x: float) -> str:
     return format(v, ".17g")
 
 
-def _write_json(value, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _write_json(value, out: list[str], level: int) -> None:
+    pad = "  " * level
+    pad_in = pad + "  "
     if isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -35,7 +35,7 @@ def _write_json(value, out: list[str], indent: int, level: int) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys must be strings, got {key!r}")
             out.append(pad_in + encode_basestring_ascii(key) + ": ")
-            _write_json(value[key], out, indent, level + 1)
+            _write_json(value[key], out, level + 1)
             out.append(",\n" if i < len(keys) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(value, (list, tuple)):
@@ -57,7 +57,7 @@ def _write_json(value, out: list[str], indent: int, level: int) -> None:
         out.append("[\n")
         for i, item in enumerate(seq):
             out.append(pad_in)
-            _write_json(item, out, indent, level + 1)
+            _write_json(item, out, level + 1)
             out.append(",\n" if i < len(seq) - 1 else "\n")
         out.append(pad + "]")
     elif isinstance(value, bool):
@@ -74,15 +74,16 @@ def _write_json(value, out: list[str], indent: int, level: int) -> None:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def dumps_canonical(document, indent: int = 2) -> str:
+def dumps_canonical(document) -> str:
     """Serialize nested dict/list data to deterministic JSON text.
 
-    Keys are emitted sorted and every float is written as
-    :func:`format_float` writes it, so equal documents produce byte-equal
-    text.  A list of plain floats is formatted in one call.
+    Keys are emitted sorted, each level is indented by two spaces, and
+    every float is written as :func:`format_float` writes it, so equal
+    documents produce byte-equal text.  A list of plain floats is
+    formatted in one call.
     """
     out: list[str] = []
-    _write_json(document, out, indent, 0)
+    _write_json(document, out, 0)
     out.append("\n")
     return "".join(out)
 

@@ -35,7 +35,7 @@ import os
 import numpy as np
 
 from .errors import SystemFileError
-from .measure import MeasureNodes, WeightProfile, validate_nodes
+from .measure import MeasureNodes
 from .operators import BASIS_TOL, Operator, Subspace, _positive_qr
 from .report import _save_canonical
 from .systems import GFusionSystem
@@ -76,14 +76,17 @@ def _read_json(path: str | os.PathLike):
         raise SystemFileError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}")
 
 
+def _check_version(version, where: str) -> None:
+    if version != SCHEMA_VERSION:
+        _fail(where, f"unsupported schema version {version!r} (expected {SCHEMA_VERSION!r})")
+
+
 def load_document(path: str | os.PathLike) -> dict:
     """Parse a JSON document and check the schema version."""
     doc = _read_json(path)
     if not isinstance(doc, dict):
         _fail(str(path), "top level must be an object")
-    version = doc.get("version")
-    if version != SCHEMA_VERSION:
-        _fail(str(path), f"unsupported schema version {version!r} (expected {SCHEMA_VERSION!r})")
+    _check_version(doc.get("version"), str(path))
     return doc
 
 
@@ -155,12 +158,9 @@ def system_from_document(doc: dict, where: str = "document", use_secondary: bool
         subspaces.append(subspace)
         locals_.append(local)
     nodes = MeasureNodes(tuple(ids), np.array(masses))
-    node_report = validate_nodes(nodes, WeightProfile(np.array(weights)))
-    if not node_report.passed:
-        _fail(where, "; ".join(node_report.notes))
     try:
         return GFusionSystem(ambient_dim, nodes, tuple(subspaces), tuple(locals_), np.array(weights))
-    except (ValueError, SystemFileError) as err:
+    except ValueError as err:
         _fail(where, str(err))
 
 
@@ -182,18 +182,24 @@ def operators_from_document(doc: dict, where: str = "document") -> dict[str, Ope
     return out
 
 
-def load_system(path: str | os.PathLike, use_secondary: bool = False) -> GFusionSystem:
+def load_system(path: str | os.PathLike) -> GFusionSystem:
     """Load and validate a system file."""
-    return system_from_document(load_document(path), str(path), use_secondary)
+    return system_from_document(load_document(path), str(path))
 
 
-def load_operator(path: str | os.PathLike, name: str = "matrix") -> Operator:
-    """Load an operator file: either {"version","matrix"} or a bare row-list."""
+def load_operator(path: str | os.PathLike) -> Operator:
+    """Load an operator file: either {"version","matrix"} or a bare row-list.
+
+    The version of a wrapped file may be left out; if present it must be
+    the schema version.
+    """
     doc = _read_json(path)
     if isinstance(doc, dict):
-        value = doc.get(name, doc.get("matrix"))
+        if "version" in doc:
+            _check_version(doc["version"], str(path))
+        value = doc.get("matrix")
         if value is None:
-            _fail(str(path), f"no {name!r} or 'matrix' entry")
+            _fail(str(path), "no 'matrix' entry")
     else:
         value = doc
     return Operator(_matrix_from(value, str(path)))

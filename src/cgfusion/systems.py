@@ -39,6 +39,7 @@ from .operators import (
     _as_vector,
     _freeze,
     _positive_qr,
+    _spectral_power,
     operator_leq,
     opnorm,
     symmetrize,
@@ -195,15 +196,12 @@ def weighted_gram(
 def _frame_operator_power(
     system: GFusionSystem, power: float, rank_tol: float = RANK_TOL
 ) -> np.ndarray:
-    """S^power as Q diag(w^power) Q^T over the cached eigenpairs of S.
+    """S^power from the cached eigenpairs of S by :func:`~cgfusion.operators._spectral_power`.
 
-    Eigenvalues with |w| <= rank_tol * max|w| map to 0, the cut of
-    :func:`~cgfusion.operators.pinv`; with ``power`` = -1 this is S^+.
+    With ``power`` = -1 and the default cut (that of
+    :func:`~cgfusion.operators.pinv`) this is S^+.
     """
-    w, q = system._eigh
-    kept = np.abs(w) > rank_tol * np.abs(w).max()
-    mapped = np.power(w, power, out=np.zeros_like(w), where=kept)
-    return symmetrize((q * mapped) @ q.T)
+    return _spectral_power(*system._eigh, power, rank_tol)
 
 
 def assemble_frame_operator(system: GFusionSystem) -> Operator:

@@ -67,6 +67,14 @@ class TestCheck:
         assert main(["check", str(path)]) == 2
         assert "node 'a': mu must be a number > 0, got True" in capsys.readouterr().err
 
+    def test_duplicate_node_id_is_usage_error(self, tmp_path, capsys):
+        node = {"id": "a", "mu": 1.0, "v": 1.0, "subspace": [[1.0]], "local_operator": [[1.0]]}
+        path = tmp_path / "dupe.json"
+        path.write_text(json.dumps({"version": "1", "ambient_dim": 1, "nodes": [node, node]}),
+                        encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        assert "duplicate node id(s): a" in capsys.readouterr().err
+
     def test_malformed_file_is_usage_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{", encoding="utf-8")

@@ -200,6 +200,13 @@ class TestPositiveSqrt:
             positive_sqrt(diag(4, 1), invert=True).entries, np.diag([0.5, 1.0]), atol=1e-12
         )
 
+    def test_zero_eigenvalue_maps_to_zero(self):
+        # Within -SYM_TOL an eigenvalue is clipped to 0; the shared spectral map sends 0 to 0.
+        for values in ((0.0, 4.0), (-1e-10, 4.0)):
+            root = positive_sqrt(diag(*values)).entries
+            assert np.all(np.isfinite(root))
+            np.testing.assert_array_equal(root, np.diag([0.0, 2.0]))
+
     def test_rejects_negative(self):
         with pytest.raises(NotPositiveError):
             positive_sqrt(diag(-1, 1))

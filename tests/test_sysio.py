@@ -272,6 +272,26 @@ class TestOperators:
         op = load_operator(path)
         assert op.entries[0, 1] == 1.0
 
+    def test_wrapped_matrix_without_version(self, tmp_path):
+        path = write_doc(tmp_path, {"matrix": [[2.0]]}, "k.json")
+        np.testing.assert_array_equal(load_operator(path).entries, [[2.0]])
+
+    def test_wrapped_file_without_matrix(self, tmp_path):
+        path = write_doc(tmp_path, {"version": "1", "K": [[1.0]]}, "k.json")
+        with pytest.raises(SystemFileError) as caught:
+            load_operator(path)
+        assert str(caught.value) == f"{path}: no 'matrix' entry"
+
+    def test_wrapped_file_with_other_version(self, tmp_path):
+        path = write_doc(tmp_path, {"version": "7", "matrix": [[1.0]]}, "k.json")
+        with pytest.raises(SystemFileError) as caught:
+            load_operator(path)
+        assert str(caught.value) == f"{path}: unsupported schema version '7' (expected '1')"
+        system_path = write_doc(tmp_path, dict(E2_DOC, version="7"))
+        with pytest.raises(SystemFileError) as from_system:
+            load_system(system_path)
+        assert str(from_system.value) == str(caught.value).replace(str(path), str(system_path))
+
 
 class TestCanonicalJson:
     def test_seventeen_digit_floats_round_trip(self):
