@@ -16,6 +16,7 @@ makes the analysis operator the literal adjoint of synthesis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +44,7 @@ class MeasureNodes:
             raise ShapeError("node masses must form a 1-d array")
         if len(ids) != mu.shape[0]:
             raise ShapeError(f"{len(ids)} ids but {mu.shape[0]} masses")
-        if mu.size and not np.all(np.isfinite(mu)):
+        if mu.size and not np.isfinite(mu).all():
             raise ValueError("node masses must be finite")
         mu.setflags(write=False)
         object.__setattr__(self, "ids", ids)
@@ -51,6 +52,11 @@ class MeasureNodes:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    @cached_property
+    def _validation(self) -> VerificationReport:
+        # validate_nodes of these immutable nodes, once for every system built on them.
+        return validate_nodes(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +69,7 @@ class WeightProfile:
         values = np.array(self.values, dtype=float)
         if values.ndim != 1:
             raise ShapeError("weights must form a 1-d array")
-        if values.size and not np.all(np.isfinite(values)):
+        if values.size and not np.isfinite(values).all():
             raise ValueError("weights must be finite")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -84,7 +90,7 @@ class CoefficientField:
             arr = np.array(block, dtype=float)
             if arr.ndim != 1:
                 raise ShapeError(f"block {i} must be 1-d, got ndim={arr.ndim}")
-            if arr.size and not np.all(np.isfinite(arr)):
+            if arr.size and not np.isfinite(arr).all():
                 raise ValueError(f"block {i} has non-finite entries")
             arr.setflags(write=False)
             frozen.append(arr)
@@ -127,7 +133,7 @@ def validate_nodes(nodes: MeasureNodes, weights: WeightProfile | None = None) ->
     node ids in the notes.
     """
     notes: list[str] = []
-    bad_mass = [nodes.ids[i] for i in range(len(nodes)) if not nodes.mu[i] > 0.0]
+    bad_mass = [nodes.ids[i] for i in np.flatnonzero(~(nodes.mu > 0.0))]
     if bad_mass:
         notes.append("nonpositive mass at node(s): " + ", ".join(bad_mass))
     seen: set[str] = set()
@@ -148,9 +154,7 @@ def validate_nodes(nodes: MeasureNodes, weights: WeightProfile | None = None) ->
             notes.append(f"{len(weights)} weights for {len(nodes)} nodes")
         else:
             residuals["weight_length_mismatch"] = 0.0
-            bad_weight = [
-                nodes.ids[i] for i in range(len(nodes)) if not weights.values[i] > 0.0
-            ]
+            bad_weight = [nodes.ids[i] for i in np.flatnonzero(~(weights.values > 0.0))]
             residuals["nonpositive_weight_count"] = float(len(bad_weight))
             if bad_weight:
                 notes.append("nonpositive weight at node(s): " + ", ".join(bad_weight))

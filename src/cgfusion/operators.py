@@ -49,7 +49,7 @@ def _as_matrix(entries, what: str = "matrix") -> np.ndarray:
     arr = np.array(entries, dtype=float)
     if arr.ndim != 2:
         raise ShapeError(f"{what} must be 2-d, got ndim={arr.ndim}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise ValueError(f"{what} entries must be finite")
     return _freeze(arr)
 
@@ -62,10 +62,19 @@ def _as_vector(f, dim: int, what: str = "vector") -> np.ndarray:
 
 
 def opnorm(a: np.ndarray) -> float:
-    """Spectral norm; zero for empty matrices."""
+    """Spectral norm of a 2-d array, its largest singular value by one LAPACK SVD; zero if empty."""
+    if a.ndim != 2:
+        raise ShapeError(f"opnorm needs a 2-d array, got ndim={a.ndim}")
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def _basis_defect(basis: np.ndarray) -> float:
+    """Orthonormality defect max|B^T B - I| of the columns of ``basis``; zero if there are none."""
+    gram = basis.T @ basis
+    gram.flat[:: gram.shape[0] + 1] -= 1.0
+    return float(np.abs(gram).max(initial=0.0))
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -129,13 +138,9 @@ class Subspace:
             raise ShapeError(
                 f"basis has {basis.shape[0]} rows, expected ambient_dim={self.ambient_dim}"
             )
-        k = basis.shape[1]
-        if k:
-            gram_defect = np.abs(basis.T @ basis - np.eye(k)).max()
-            if gram_defect > BASIS_TOL:
-                raise ValueError(
-                    f"basis columns are not orthonormal (defect {gram_defect:.3e})"
-                )
+        gram_defect = _basis_defect(basis)
+        if gram_defect > BASIS_TOL:
+            raise ValueError(f"basis columns are not orthonormal (defect {gram_defect:.3e})")
         object.__setattr__(self, "basis", basis)
 
     @property

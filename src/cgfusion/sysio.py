@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import SystemFileError
 from .measure import MeasureNodes
-from .operators import BASIS_TOL, Operator, Subspace, _positive_qr
+from .operators import BASIS_TOL, Operator, Subspace, _basis_defect, _positive_qr
 from .report import _save_canonical
 from .systems import GFusionSystem
 
@@ -57,7 +57,7 @@ def _matrix_from(value, where: str, rows: int | None = None, cols: int | None = 
         arr = arr.reshape(0, 0 if cols is None else cols)
     if arr.ndim != 2:
         _fail(where, f"expected a 2-d array, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         _fail(where, "entries must be finite")
     if rows is not None and arr.shape[0] != rows:
         _fail(where, f"expected {rows} rows, got {arr.shape[0]}")
@@ -100,10 +100,7 @@ def _subspace_from(value, where: str, ambient_dim: int) -> Subspace:
         _fail(where, f"expected a list of basis rows, got {value!r}")
     rows = _matrix_from(value, where, cols=ambient_dim) if value else np.zeros((0, ambient_dim))
     basis = rows.T
-    k = basis.shape[1]
-    if k == 0:
-        return Subspace(ambient_dim, basis)
-    defect = float(np.abs(basis.T @ basis - np.eye(k)).max())
+    defect = _basis_defect(basis)
     if defect > REPAIR_ORTHONORMALITY:
         _fail(where, f"basis orthonormality defect {defect:.3e} exceeds {REPAIR_ORTHONORMALITY:g}")
     if defect > BASIS_TOL:

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateKError, ShapeError, SingularFrameOperatorError
-from .measure import CoefficientField, MeasureNodes, validate_nodes
+from .measure import CoefficientField, MeasureNodes
 from .operators import (
     ORDER_TOL,
     RANK_TOL,
@@ -78,7 +78,7 @@ class GFusionSystem:
         if n < 1:
             raise ShapeError("ambient_dim must be >= 1")
         object.__setattr__(self, "ambient_dim", n)
-        node_report = validate_nodes(self.nodes)
+        node_report = self.nodes._validation
         if not node_report.passed:
             raise ValueError("invalid nodes: " + "; ".join(node_report.notes))
         count = len(self.nodes)
@@ -87,7 +87,7 @@ class GFusionSystem:
         weights = np.array(self.weights, dtype=float)
         if weights.ndim != 1 or weights.shape[0] != count:
             raise ShapeError(f"expected {count} weights, got shape {weights.shape}")
-        if weights.size and (not np.all(np.isfinite(weights)) or not np.all(weights > 0)):
+        if weights.size and (not np.isfinite(weights).all() or not (weights > 0).all()):
             raise ValueError("weights must be finite and positive")
         if len(subspaces) != count or len(local_maps) != count:
             raise ShapeError(

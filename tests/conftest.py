@@ -102,13 +102,28 @@ def lift_codomains(system):
     )
 
 
+def diagonal_defect_basis(d):
+    """Three orthogonal columns in R^4, the first of norm sqrt(1 + d): B^T B - I is diagonal."""
+    basis = np.eye(4)[:, :3]
+    basis[0, 0] = np.sqrt(1.0 + d)
+    return basis
+
+
+def off_diagonal_defect_basis(d):
+    """Three unit columns in R^4, the first two at inner product d: B^T B - I is off-diagonal."""
+    basis = np.eye(4)[:, :3]
+    basis[:2, 1] = d, np.sqrt(1.0 - d * d)
+    return basis
+
+
 @pytest.fixture
 def linalg_calls(monkeypatch):
     """A Counter of the numpy.linalg eigvalsh, eigh, svd and inv calls made in the test.
 
     Counts calls through the ``numpy.linalg`` module attributes, as the
-    library makes them; numpy's own internal calls (the SVD behind
-    ``norm(a, 2)``) are not counted.  ``clear()`` it to count a later step.
+    library makes them, so every ``opnorm`` counts as one ``svd``; numpy's
+    own internal calls (the SVD behind ``norm(a, 2)``) are not counted.
+    ``clear()`` it to count a later step.
     """
     calls = Counter()
 

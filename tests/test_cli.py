@@ -120,10 +120,11 @@ class TestResolve:
 
     def test_spectrum_solved_once(self, e2_path, linalg_calls):
         # One eigh of S (cached), one eigvalsh of the unweighted energy
-        # operator (cached, read by the CLI and frame_from_resolution) and
-        # the LU inverse of S for the canonical resolution.
+        # operator (cached, read by the CLI and frame_from_resolution), the
+        # LU inverse of S for the canonical resolution and two opnorm SVDs:
+        # its identity residual and frame_from_resolution's resolution residual.
         assert main(["resolve", e2_path]) == 0
-        assert linalg_calls == {"eigh": 1, "eigvalsh": 1, "inv": 1}
+        assert linalg_calls == {"eigh": 1, "eigvalsh": 1, "inv": 1, "svd": 2}
 
 
 class TestAtomic:
@@ -141,9 +142,10 @@ class TestAtomic:
         assert main(["atomic", str(path)]) == 1
 
     def test_one_eigendecomposition(self, e2_path, linalg_calls):
-        # Bounds, a_star and S^+ all read the one cached eigh of S.
+        # Bounds, a_star and S^+ all read the one cached eigh of S; the two
+        # SVDs are opnorm's, of the constant c and of the range defect.
         assert main(["atomic", e2_path]) == 0
-        assert linalg_calls == {"eigh": 1}
+        assert linalg_calls == {"eigh": 1, "svd": 2}
 
 
 class TestTransform:

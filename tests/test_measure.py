@@ -82,6 +82,25 @@ class TestValidateNodes:
         assert not report.passed
         assert report.residuals["nonpositive_weight_count"] == 1.0
 
+    def test_bad_masses_and_weights_named_in_node_order(self):
+        nodes = MeasureNodes(("d", "c", "b", "a"), np.array([1.0, 0.0, -2.0, 3.0]))
+        report = validate_nodes(nodes, WeightProfile([1.0, -1.0, 0.0, 2.0]))
+        assert report.residuals == {
+            "nonpositive_mass_count": 2.0,
+            "duplicate_id_count": 0.0,
+            "weight_length_mismatch": 0.0,
+            "nonpositive_weight_count": 2.0,
+        }
+        assert report.notes == (
+            "nonpositive mass at node(s): c, b",
+            "nonpositive weight at node(s): c, b",
+        )
+
+    def test_duplicate_ids_named_once_each(self):
+        report = validate_nodes(MeasureNodes(("z", "y", "z", "y", "z", "x"), np.ones(6)))
+        assert report.residuals == {"nonpositive_mass_count": 0.0, "duplicate_id_count": 3.0}
+        assert report.notes == ("duplicate node id(s): y, z",)
+
 
 @st.composite
 def paired_fields(draw):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -23,7 +25,10 @@ from cgfusion import (
     projection_identity_check,
 )
 
+from cgfusion.operators import BASIS_TOL, _basis_defect
+
 import oracles
+from conftest import diagonal_defect_basis, off_diagonal_defect_basis
 
 
 def diag(*values):
@@ -328,3 +333,82 @@ class TestValueTypes:
         sub = Subspace.empty(3)
         assert sub.dim == 0
         np.testing.assert_allclose(sub.projector(), np.zeros((3, 3)))
+
+
+class TestOpnorm:
+    """opnorm is numpy's norm(a, 2) bit for bit, from one SVD of a 2-d array."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (6, 6), (8, 3)])
+    def test_equals_numpy_two_norm(self, shape):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            a = rng.standard_normal(shape)
+            assert opnorm(a) == np.linalg.norm(a, 2)
+
+    def test_rank_deficient(self):
+        rng = np.random.default_rng(43)
+        for rank in (1, 2, 3):
+            a = rng.standard_normal((6, rank)) @ rng.standard_normal((rank, 5))
+            assert np.linalg.matrix_rank(a) == rank
+            assert opnorm(a) == np.linalg.norm(a, 2)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (6, 6), (8, 3)])
+    def test_zero_matrix(self, shape):
+        a = np.zeros(shape)
+        assert opnorm(a) == np.linalg.norm(a, 2) == 0.0
+
+    def test_integer_array(self):
+        a = np.arange(12).reshape(3, 4) - 5
+        assert type(opnorm(a)) is float
+        assert opnorm(a) == np.linalg.norm(a, 2)
+
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0)])
+    def test_empty_is_zero(self, shape):
+        assert opnorm(np.zeros(shape)) == 0.0
+
+    @pytest.mark.parametrize("shape", [(4,), (0,), (2, 3, 3)])
+    def test_other_ndim_rejected(self, shape):
+        with pytest.raises(ShapeError, match=f"ndim={len(shape)}"):
+            opnorm(np.ones(shape))
+
+
+def identity_defect(basis):
+    """max|B^T B - I| formed with an explicit identity."""
+    return np.abs(basis.T @ basis - np.eye(basis.shape[1])).max()
+
+
+DEFECT_BASES = [diagonal_defect_basis, off_diagonal_defect_basis]
+
+
+class TestBasisDefect:
+    """Subspace's orthonormality defect, on the diagonal and off it."""
+
+    def test_builders_isolate_one_side(self):
+        gram = diagonal_defect_basis(2e-10).T @ diagonal_defect_basis(2e-10)
+        assert not (gram - np.diag(gram.diagonal())).any()
+        gram = off_diagonal_defect_basis(2e-10).T @ off_diagonal_defect_basis(2e-10)
+        assert np.abs(gram.diagonal() - 1.0).max() <= 1e-15
+
+    @pytest.mark.parametrize("make", DEFECT_BASES)
+    def test_defect_over_tolerance_rejected(self, make):
+        basis = make(2e-10)
+        assert identity_defect(basis) > BASIS_TOL
+        message = f"not orthonormal (defect {identity_defect(basis):.3e})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Subspace(4, basis)
+
+    @pytest.mark.parametrize("make", DEFECT_BASES)
+    def test_defect_within_tolerance_accepted(self, make):
+        basis = make(5e-11)
+        np.testing.assert_array_equal(Subspace(4, basis).basis, basis)
+
+    def test_equals_the_identity_difference(self):
+        rng = np.random.default_rng(47)
+        bases = [make(d) for make in DEFECT_BASES for d in (2e-10, 5e-11)]
+        for shape in [(1, 1), (5, 1), (5, 3), (6, 6)]:
+            draw = rng.standard_normal(shape)
+            bases += [draw, np.linalg.qr(draw)[0]]
+        for basis in bases:
+            assert _basis_defect(basis) == identity_defect(basis)
+        assert _basis_defect(np.zeros((3, 0))) == 0.0
+

@@ -16,7 +16,13 @@ from cgfusion.sysio import (
 )
 
 import oracles
-from conftest import make_e2, make_system, make_wide_system
+from conftest import (
+    diagonal_defect_basis,
+    make_e2,
+    make_system,
+    make_wide_system,
+    off_diagonal_defect_basis,
+)
 
 #: Doubles at the edges of the 17-digit form: subnormals, signed zeros,
 #: the largest double, and the 1e16-1e17 band where %.17g switches form.
@@ -96,6 +102,19 @@ class TestLoadSystem:
         basis = system.subspaces[0].basis
         np.testing.assert_allclose(basis.T @ basis, np.eye(2), atol=1e-14)
         assert np.abs(basis - np.array(rows).T).max() <= 1e-6
+
+    @pytest.mark.parametrize("make", [diagonal_defect_basis, off_diagonal_defect_basis])
+    def test_defect_past_the_strict_tolerance_repaired(self, make):
+        # 2e-10 on the diagonal or off it is repaired; 5e-11 loads unchanged.
+        for d, repaired in ((2e-10, True), (5e-11, False)):
+            basis = make(d)
+            doc = {"version": "1", "ambient_dim": 4, "nodes": [
+                {"id": "n0", "mu": 1.0, "v": 1.0, "subspace": basis.T.tolist(),
+                 "local_operator": np.eye(3).tolist()},
+            ]}
+            loaded = system_from_document(doc).subspaces[0].basis
+            assert (loaded != basis).any() == repaired
+            assert np.abs(loaded.T @ loaded - np.eye(3)).max() <= (1e-15 if repaired else 1e-10)
 
     def test_missing_version_rejected(self, tmp_path):
         doc = {"ambient_dim": 2, "nodes": E2_DOC["nodes"]}

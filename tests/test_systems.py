@@ -30,8 +30,9 @@ from cgfusion import (
     symmetric_perturbation,
     synthesis,
     transform_shift,
+    validate_nodes,
 )
-from cgfusion import systems
+from cgfusion import measure, systems
 from cgfusion.systems import KGF_SLACK, GFusionSystem, _adjoint_mismatch, _frame_operator_power
 
 import oracles
@@ -309,6 +310,33 @@ class TestSystemValidation:
         with pytest.raises(ValueError):
             GFusionSystem(2, nodes, (Subspace.full(2),), (Operator.identity(2),), np.array([1.0]))
 
+    def test_invalid_nodes_raise_at_every_construction(self):
+        nodes = MeasureNodes(("a", "b", "a"), np.array([1.0, 0.0, 1.0]))
+        subspaces, locals_ = (Subspace.full(2),) * 3, (Operator.identity(2),) * 3
+        for _ in range(3):
+            with pytest.raises(ValueError) as err:
+                GFusionSystem(2, nodes, subspaces, locals_, np.ones(3))
+            assert str(err.value) == (
+                "invalid nodes: nonpositive mass at node(s): b; duplicate node id(s): a"
+            )
+
+    def test_nodes_validated_once_per_node_set(self, monkeypatch):
+        built = random_system(np.random.default_rng(53), 4, 5, ensure_frame=True)
+        calls = []
+
+        def counted(nodes, weights=None):
+            calls.append(nodes)
+            return validate_nodes(nodes, weights)
+
+        monkeypatch.setattr(measure, "validate_nodes", counted)
+        nodes = MeasureNodes(built.nodes.ids, built.nodes.mu)
+        system = GFusionSystem(4, nodes, built.subspaces, built.local_maps, built.weights)
+        derived = [parsevalize(system), canonical_dual(system)[0],
+                   transform_shift(system, Operator(0.5 * np.eye(4)))[0],
+                   system.with_weights(2.0 * system.weights)]
+        assert all(other.nodes is nodes for other in derived)
+        assert len(calls) == 1 and calls[0] is nodes
+
     def test_effective_maps_factor_through_projection(self):
         rng = np.random.default_rng(16)
         for _ in range(10):
@@ -520,14 +548,19 @@ class TestOneFactorization:
         k = Operator(rng.standard_normal((5, 5)))
         frame_bounds(chi), frame_bounds(xi)
         linalg_calls.clear()
+        # Every SVD counted is one opnorm: one in kgf_lower_bound, two in
+        # atomic_wrt_frame_operator and one in symmetric_perturbation.
         kgf_lower_bound(chi, k)
         assert linalg_calls["eigh"] == linalg_calls["eigvalsh"] == 0
+        assert linalg_calls["svd"] == 1
         report = atomic_wrt_frame_operator(chi)
         assert report.passed
-        assert linalg_calls["eigh"] == linalg_calls["eigvalsh"] == linalg_calls["svd"] == 0
+        assert linalg_calls["eigh"] == linalg_calls["eigvalsh"] == 0
+        assert linalg_calls["svd"] == 3
         report = symmetric_perturbation(PairSystem(chi, xi), 0.5)
         assert "spectral_xi_lower" in report.constants
         assert linalg_calls["eigh"] == linalg_calls["eigvalsh"] == 0
+        assert linalg_calls["svd"] == 4
 
     def test_pseudoinverse_matches_pinv(self):
         rng = np.random.default_rng(29)
