@@ -47,12 +47,8 @@ from .pair import (
     symmetric_perturbation,
 )
 from .random_systems import random_system
-from .report import SAMPLED, VerificationReport, _save_canonical, build_report
-from .resolution import (
-    canonical_resolution_report,
-    energy_lower_violation,
-    frame_from_resolution,
-)
+from .report import VerificationReport, _save_canonical, build_report
+from .resolution import canonical_resolution_report, frame_from_resolution
 from .selftest import run_selftest
 from .systems import (
     adjoint_consistency,
@@ -223,22 +219,7 @@ def _cmd_kgf(args):
 def _cmd_resolve(args):
     tol = _resolve_tol(args)
     system = load_system(args.system)
-    rng = np.random.default_rng(args.seed)
-    reports = [canonical_resolution_report(
-        system, lambda: rng.standard_normal((args.trials, system.ambient_dim)), tol
-    )]
-    families, vectors = [], []
-    for _ in range(max(1, args.trials // 10)):
-        families.append([rng.standard_normal((m, system.ambient_dim))
-                         for m in system.codomain_dims])
-        vectors.append(rng.standard_normal((10, system.ambient_dim)))
-    reports.append(build_report(
-        name="energy_lower_random_families",
-        residuals={"lower_energy_violation": energy_lower_violation(system, families, vectors)},
-        tolerances={"tol": max(tol, 1e-9)},
-        constants={"families": float(len(families))},
-        provenance=SAMPLED,
-    ))
+    reports = [canonical_resolution_report(system, tol)]
     top = system._energy_top
     constants, notes = {}, ("skipped: zero energy operator",)
     if top > 0:
@@ -253,7 +234,7 @@ def _cmd_resolve(args):
         name="frame_from_resolution", residuals={}, tolerances={"tol": tol},
         constants=constants, notes=notes,
     ))
-    params = {"tol": tol, "trials": args.trials, "seed": args.seed, "system": args.system}
+    params = {"tol": tol, "system": args.system}
     return reports, _report_document("resolve", params, reports)
 
 
@@ -315,6 +296,15 @@ def _pair_from_args(args) -> PairSystem:
     return PairSystem(chi, xi)
 
 
+def _naming_flags(flags: dict, check, *args):
+    """``check(*args)``; its :class:`ParameterError` names the ``flags`` the user gave."""
+    try:
+        return check(*args)
+    except ParameterError as err:
+        given = ", ".join(flag for flag, value in flags.items() if value is not None)
+        raise ParameterError(f"{given}: {err}") from err
+
+
 def _cmd_pair(args):
     tol = _resolve_tol(args)
     pair = _pair_from_args(args)
@@ -324,23 +314,28 @@ def _cmd_pair(args):
     ]
     mixed = pair_frame_operator(pair).entries
     deviation = opnorm(np.eye(pair.ambient_dim) - mixed)
-    lam1 = args.lambda1 if args.lambda1 is not None else deviation
-    lam2 = args.lambda2 if args.lambda2 is not None else 0.0
-    if lam1 < 1.0 and lam2 > -1.0:
-        reports.append(perturbation_bound(pair, lam1, lam2, args.trials, args.seed, tol))
-    else:
+    # Only a default derived from the deviation skips a check; a value the
+    # user gave goes to the library, and one out of range is a usage error.
+    if args.lambda1 is None and not deviation < 1.0:
         reports.append(build_report(
             name="perturbation_bound", residuals={}, tolerances={"tol": tol},
             notes=(f"skipped: deviation {deviation:.3g} leaves no admissible lambda1 < 1",),
         ))
-    lam = args.lam if args.lam is not None else deviation
-    if 0.0 <= lam < 1.0:
-        reports.append(symmetric_perturbation(pair, lam, args.trials, args.seed, tol))
     else:
+        lam1 = deviation if args.lambda1 is None else args.lambda1
+        lam2 = 0.0 if args.lambda2 is None else args.lambda2
+        reports.append(_naming_flags(
+            {"--lambda1": args.lambda1, "--lambda2": args.lambda2},
+            perturbation_bound, pair, lam1, lam2, args.trials, args.seed, tol,
+        ))
+    if args.lam is None and not deviation < 1.0:
         reports.append(build_report(
             name="symmetric_perturbation", residuals={}, tolerances={"tol": tol},
             notes=(f"skipped: ||I - S|| = {deviation:.3g} is not below 1",),
         ))
+    else:
+        lam = deviation if args.lam is None else args.lam
+        reports.append(_naming_flags({"--lam": args.lam}, symmetric_perturbation, pair, lam, tol))
     params = {
         "tol": tol, "trials": args.trials, "seed": args.seed,
         "system": args.system, "xi": args.xi or "secondary-weights",
@@ -411,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resolve", help="resolution-of-identity suite")
     p.add_argument("system")
-    _add_flags(p, "--tol", "--trials", "--seed")
+    _add_flags(p, "--tol")
     p.set_defaults(handler=_cmd_resolve)
 
     p = sub.add_parser("atomic", help="atomic decomposition checks")

@@ -20,8 +20,8 @@ from .errors import (
     SingularFrameOperatorError,
 )
 from .measure import MeasureNodes
-from .operators import ORDER_TOL, STRUCT_TOL, Operator, _freeze, opnorm
-from .report import EXACT, SAMPLED, VerificationReport, build_report
+from .operators import ORDER_TOL, STRUCT_TOL, Operator, _freeze, opnorm, symmetrize
+from .report import EXACT, VerificationReport, build_report
 from .systems import (
     FrameBounds,
     GFusionSystem,
@@ -87,14 +87,12 @@ class ResolutionFamily:
         return self._gram @ self.shared
 
 
-def _held(nodes, left, right, row_weights, bounds, shared, gram=None, family=None):
+def _held(nodes, left, right, row_weights, bounds, shared, gram, family=None):
     """Hold P = ``left``, T = ``right``, w, B = ``shared`` and G in ``family`` (default: a new one).
 
-    Node i owns rows bounds[i]:bounds[i + 1] of P, T and w.  Without
-    ``gram``, G is the general product P^T diag(mu w) T.
+    Node i owns rows bounds[i]:bounds[i + 1] of P, T and w; ``gram`` is
+    G = P^T diag(mu w) T, formed by the caller.
     """
-    if gram is None:
-        gram = (left.T * (np.repeat(nodes.mu, np.diff(bounds)) * row_weights)) @ right
     family = ResolutionFamily.__new__(ResolutionFamily) if family is None else family
     fields = dict(
         ambient_dim=left.shape[1], nodes=nodes, left=_freeze(left), right=_freeze(right),
@@ -133,16 +131,16 @@ def verify_resolution(family: ResolutionFamily, tol: float = STRUCT_TOL) -> Veri
 
 
 def canonical_resolution_report(
-    system: GFusionSystem, draw_samples, tol: float = ORDER_TOL
+    system: GFusionSystem, tol: float = ORDER_TOL
 ) -> VerificationReport:
     """Check the canonical resolution of a frame with bounds A <= B.
 
-    Measures its identity residual (to max(tol, 1e-8)) and, on the rows f
-    of ``draw_samples()``, the energy bounds
-    (A/B^2) ||f||^2 <= sum_i mu_i v_i^2 ||T_i f||^2 <= (B/A^2) ||f||^2.
-    A system that is not a frame gets a failed report with a note;
-    ``draw_samples`` is then never called, so a caller's seeded stream
-    is left as it was.
+    Measures its identity residual (to max(tol, 1e-8)) and the energy
+    bounds (A/B^2) ||f||^2 <= sum_i mu_i v_i^2 ||T_i f||^2 <= (B/A^2) ||f||^2.
+    With T_i = Lam_i S^-1 the energy is f^T S^-1 f, whose extremes over
+    unit f are 1/B and 1/A, so both bounds are checked exactly against
+    the cached eigenvalues.  A system that is not a frame gets a failed
+    report with a note.
     """
     try:
         bounds = require_frame(system, tol)
@@ -154,25 +152,19 @@ def canonical_resolution_report(
             notes=("not a frame; the canonical resolution is undefined",),
             force_fail=True,
         )
-    family = canonical_resolution(system, tol)
     identity_tol = max(tol, 1e-8)
-    inner = verify_resolution(family, identity_tol)
-    samples = draw_samples()
-    # T_i f = Lam_i (S^-1 f): the stacked L applied to the rows of samples S^-T.
-    energy = factor_energy(system, family.right, samples @ family.shared.T)
-    ratio = energy / np.sum(samples**2, axis=1)
-    lower_violation = float(np.max(bounds.lower / bounds.upper**2 - ratio))
-    upper_violation = float(np.max(ratio - bounds.upper / bounds.lower**2))
+    inner = verify_resolution(canonical_resolution(system, tol), identity_tol)
+    lower, upper = bounds.lower, bounds.upper
     return build_report(
         name="canonical_resolution",
         residuals={
             "identity_residual": inner.residuals["identity_residual"],
-            "energy_lower_violation": max(0.0, lower_violation),
-            "energy_upper_violation": max(0.0, upper_violation),
+            "energy_lower_violation": max(0.0, lower / upper**2 - 1.0 / upper),
+            "energy_upper_violation": max(0.0, 1.0 / lower - upper / lower**2),
         },
         tolerances={"tol": identity_tol},
-        constants={"lower": bounds.lower, "upper": bounds.upper},
-        provenance=SAMPLED,
+        constants={"lower": lower, "upper": upper},
+        provenance=EXACT,
     )
 
 
@@ -190,15 +182,6 @@ def _stacked_factors(system: GFusionSystem, factors) -> np.ndarray:
     if factors.shape != (sum(system.codomain_dims), n):
         raise ShapeError(f"stacked factors must have {n} columns and one row per codomain row")
     return factors
-
-
-def factor_energy(system: GFusionSystem, factors, samples) -> np.ndarray:
-    """Energy sum_i mu_i v_i^2 ||T_i f||^2 of the factors T_i, for each row f of ``samples``.
-
-    ``factors`` is one map per node or their stacked (sum m_i x n) matrix.
-    """
-    measured = np.asarray(samples, dtype=float) @ _stacked_factors(system, factors).T
-    return measured**2 @ system.per_row(system.nodes.mu * system.weights**2)
 
 
 def energy_lower_check(
@@ -231,21 +214,6 @@ def energy_lower_check(
     )
 
 
-def energy_lower_violation(system: GFusionSystem, families, vectors) -> float:
-    """Largest :func:`energy_lower_check` violation over drawn factor families.
-
-    ``families[k]`` is one factor family (one map per node), checked on
-    each row of ``vectors[k]``; each family is stacked once.
-    """
-    worst = 0.0
-    for factors, rows in zip(families, vectors):
-        stacked = _stacked_factors(system, factors)
-        for f in rows:
-            report = energy_lower_check(system, stacked, f)
-            worst = max(worst, report.residuals["lower_energy_violation"])
-    return worst
-
-
 def bounded_resolution_check(
     system: GFusionSystem, factors, tol: float = STRUCT_TOL
 ) -> VerificationReport:
@@ -258,8 +226,10 @@ def bounded_resolution_check(
     hypothesis fails, :class:`HypothesisNotMetError` names it.  The
     family v_i^2 Lam_i^T T_i must resolve the identity; that residual is
     carried in the report, not raised.  On success the bounds
-    (1/D) ||f||^2 <= sum mu v^2 ||T_i f||^2 <= D E ||f||^2 are verified
-    on a deterministic sample, with E the largest squared factor norm.
+    (1/D) ||f||^2 <= sum mu v^2 ||T_i f||^2 <= D c ||f||^2 are checked
+    exactly, with c the largest squared factor norm: the energy is
+    f^T E f with E = T^T diag(mu v^2) T, so its extremes over unit f are
+    the extreme eigenvalues of E, from one ``eigvalsh``.
     """
     n = system.ambient_dim
     for i, m_i in enumerate(system.codomain_dims):
@@ -277,28 +247,28 @@ def bounded_resolution_check(
             "factor_fixed_by_measurement",
             f"||T_i^T Lam_i - T_i|| = {hypothesis:.3e} exceeds {tol:g}",
         )
+    # diag(mu v^2) T gives both G = L^T diag(mu v^2) T and E = T^T diag(mu v^2) T.
+    weighted = stacked * system.per_row(system.nodes.mu * system.weights**2)[:, None]
     family = _held(system.nodes, system.stacked, stacked, system.per_row(system.weights**2),
-                   system._bounds, np.eye(n))
+                   system._bounds, np.eye(n), system.stacked.T @ weighted)
     resolution = verify_resolution(family, tol)
     upper = frame_bounds(system).upper
     largest = float(np.max(np.linalg.norm(cube, 2, axis=(1, 2)), initial=0.0)) ** 2
-    samples = np.vstack([np.eye(n), np.random.default_rng(0).standard_normal((50, n))])
-    norm_sq = np.einsum("ij,ij->i", samples, samples)
-    energy = factor_energy(system, stacked, samples)
-    lower_violation = max(0.0, float(np.max(norm_sq / max(upper, 1e-300) - energy)))
-    upper_violation = max(0.0, float(np.max(energy - upper * largest * norm_sq)))
+    energies = np.linalg.eigvalsh(symmetrize(stacked.T @ weighted))
+    least, most = float(energies[0]), float(energies[-1])
     residuals = {
         "identity_residual": resolution.residuals["identity_residual"],
-        "lower_energy_violation": lower_violation,
-        "upper_energy_violation": upper_violation,
+        "lower_energy_violation": max(0.0, 1.0 / max(upper, 1e-300) - least),
+        "upper_energy_violation": max(0.0, most - upper * largest),
         "hypothesis_residual": hypothesis,
     }
     return build_report(
         name="bounded_resolution_check",
         residuals=residuals,
         tolerances={"tol": tol},
-        constants={"factor_norm_sup_sq": largest, "upper_bound": upper},
-        provenance=SAMPLED,
+        constants={"factor_norm_sup_sq": largest, "upper_bound": upper,
+                   "energy_min": least, "energy_max": most},
+        provenance=EXACT,
     )
 
 

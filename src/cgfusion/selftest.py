@@ -22,8 +22,8 @@ from .random_systems import (
     random_system,
 )
 from .report import SAMPLED, VerificationReport, build_report
-from .resolution import canonical_resolution_report, energy_lower_violation
-from .systems import analysis, assemble_frame_operator, frame_bounds, synthesis
+from .resolution import canonical_resolution_report
+from .systems import assemble_frame_operator, frame_bounds
 
 
 def _worst(name: str, rows, tolerances: dict, summed=(), **fields) -> VerificationReport:
@@ -64,18 +64,6 @@ def _corpus(seed: int, trials: int):
     return systems, frames, pairs, sum_parts, shifts, atomic_rand, vectors
 
 
-def _composition_row(system, vectors):
-    s = assemble_frame_operator(system).entries
-    return {
-        "symmetry_residual": float(np.abs(s - s.T).max()),
-        "composition_residual": max(
-            float(np.linalg.norm(s @ f - synthesis(system, analysis(system, f))))
-            / max(1.0, float(np.linalg.norm(f)))
-            for f in vectors
-        ),
-    }
-
-
 def _bounds_row(system, vectors):
     s = assemble_frame_operator(system).entries
     bounds = frame_bounds(system)
@@ -97,16 +85,11 @@ def _scaling_row(system, factor=1.7):
     return {"scaling_residual": opnorm(s_scaled - factor**2 * s) / max(1.0, opnorm(s))}
 
 
-def _canonical_row(system, vectors):
-    r = canonical_resolution_report(system, lambda: np.array(vectors)).residuals
+def _canonical_row(system):
+    r = canonical_resolution_report(system).residuals
     return {"identity_residual": r["identity_residual"],
             "energy_bound_violation": max(r["energy_lower_violation"],
                                           r["energy_upper_violation"])}
-
-
-def _energy_row(system, vectors, rng):
-    factors = [rng.standard_normal((m, system.ambient_dim)) for m in system.codomain_dims]
-    return {"lower_energy_violation": energy_lower_violation(system, [factors], [vectors])}
 
 
 def _atomic_row(system, r_op, tol):
@@ -122,8 +105,7 @@ def _pair_row(pair, tol):
     r = bounded_below_analysis(pair, 1e-6).residuals
     roundtrip = (max(r["identity_residual"], r["inverse_identity"], r["lower_bound_excess"])
                  if "identity_residual" in r else 0.0)
-    return {"adjoint_mismatch": laws["adjoint_mismatch"], "norm_excess": laws["norm_excess"],
-            "roundtrip_residual": roundtrip}
+    return {"norm_excess": laws["norm_excess"], "roundtrip_residual": roundtrip}
 
 
 def _direct_sum_row(chi, xi):
@@ -144,22 +126,12 @@ def run_selftest(seed: int = 0, trials: int = 100,
     """
     systems, frames, pairs, sum_parts, shifts, atomic_rand, vectors = _corpus(seed, trials)
     loose = {"tol": max(tol, 1e-8)}
-    energy_rng = np.random.default_rng(seed + 1)
     return [
-        _worst("selftest_frame_operator_composition",
-               (_composition_row(s, vectors[id(s)]) for s in systems + frames),
-               {"tol": tol}, constants={"systems": float(len(systems + frames))},
-               provenance=SAMPLED),
         _worst("selftest_bound_attainment",
                (_bounds_row(s, vectors[id(s)]) for s in systems + frames),
                {"tol": tol}, provenance=SAMPLED),
         _worst("selftest_weight_scaling", map(_scaling_row, systems), {"tol": tol}),
-        _worst("selftest_canonical_resolution",
-               (_canonical_row(s, vectors[id(s)]) for s in frames), loose,
-               provenance=SAMPLED),
-        _worst("selftest_energy_lower",
-               (_energy_row(s, vectors[id(s)], energy_rng) for s in frames),
-               {"tol": tol}, provenance=SAMPLED),
+        _worst("selftest_canonical_resolution", map(_canonical_row, frames), loose),
         _worst("selftest_atomic_equivalence",
                (_atomic_row(s, r_op, tol) for s, r_op in atomic_rand),
                {"tol": tol, "equivalence_mismatch": 0.0},

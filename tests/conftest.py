@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from cgfusion import GFusionSystem, MeasureNodes, Operator, Subspace
+from cgfusion import GFusionSystem, MeasureNodes, Operator, PairSystem, Subspace
+from cgfusion import pair_frame_operator
+
+import oracles
 
 settings.register_profile(
     "ci",
@@ -33,6 +36,27 @@ def make_system(ambient_dim, bases, local_maps, weights, masses=None, ids=None):
     subspaces = tuple(Subspace(ambient_dim, np.asarray(b, dtype=float)) for b in bases)
     locals_ = tuple(Operator(np.asarray(x, dtype=float)) for x in local_maps)
     return GFusionSystem(ambient_dim, nodes, subspaces, locals_, np.asarray(weights, dtype=float))
+
+
+def system_args(system):
+    """The oracle arguments (masses, weights, bases, local maps) of a built system."""
+    return (system.nodes.mu, system.weights, [sub.basis for sub in system.subspaces],
+            [loc.entries for loc in system.local_maps])
+
+
+def transpose_law_residual(pair):
+    """Gap of M^T to the swapped pair's mixed operator and to the oracle's swapped sum.
+
+    M is the pair's mixed operator; the larger spectral-norm gap is
+    returned relative to the norm of the oracle's sum.
+    """
+    transposed = pair_frame_operator(pair).entries.T
+    swapped = pair_frame_operator(PairSystem(pair.xi, pair.chi)).entries
+    mu, v, chi_bases, chi_locals = system_args(pair.chi)
+    _, s, xi_bases, xi_locals = system_args(pair.xi)
+    oracle = oracles.mixed_operator(mu, s, v, (xi_bases, xi_locals), (chi_bases, chi_locals))
+    gap = max(np.linalg.norm(transposed - swapped, 2), np.linalg.norm(transposed - oracle, 2))
+    return gap / max(np.linalg.norm(oracle, 2), np.finfo(float).tiny)
 
 
 def make_deficient_system(rng, n):

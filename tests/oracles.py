@@ -150,24 +150,42 @@ def canonical_factors(masses, weights, bases, local_maps):
     return factors, summands
 
 
-def pair_resolution_sum(masses, chi_weights, xi_weights, chi_args, xi_args):
-    """Sum of mu_i v_i s_i Xi_i^T Lam_i M^-1 over the nodes, one node at a time.
+def energy_operator(masses, weights, factors):
+    """E = sum_i mu_i v_i^2 T_i^T T_i, one node at a time: f^T E f is the factor energy."""
+    n = np.asarray(factors[0], float).shape[1]
+    total = np.zeros((n, n))
+    for mu, v, t in zip(masses, weights, factors):
+        t = np.asarray(t, float)
+        total += mu * v**2 * (t.T @ t)
+    return total
+
+
+def mixed_operator(masses, chi_weights, xi_weights, chi_args, xi_args):
+    """Sum of mu_i v_i s_i Xi_i^T Lam_i over the nodes, one node at a time.
 
     ``chi_args`` and ``xi_args`` are the (bases, local maps) of the
     analysis side chi (maps Lam_i, weights v) and the synthesis side xi
-    (maps Xi_i, weights s); M is their mixed operator, summed node by
-    node too and inverted by solving against the identity.
+    (maps Xi_i, weights s).
     """
-    pairs = [(effective_map(bc, xc), effective_map(bx, xx))
-             for bc, xc, bx, xx in zip(*chi_args, *xi_args)]
-    n = pairs[0][0].shape[1]
+    n = np.asarray(chi_args[0][0], float).shape[0]
     mixed = np.zeros((n, n))
-    for mu, v, s, (lam, xi) in zip(masses, chi_weights, xi_weights, pairs):
-        mixed += mu * v * s * (xi.T @ lam)
+    for mu, v, s, bc, xc, bx, xx in zip(masses, chi_weights, xi_weights, *chi_args, *xi_args):
+        mixed += mu * v * s * (effective_map(bx, xx).T @ effective_map(bc, xc))
+    return mixed
+
+
+def pair_resolution_sum(masses, chi_weights, xi_weights, chi_args, xi_args):
+    """Sum of mu_i v_i s_i Xi_i^T Lam_i M^-1 over the nodes, one node at a time.
+
+    The arguments are those of :func:`mixed_operator`, which gives M; its
+    inverse comes from solving against the identity.
+    """
+    mixed = mixed_operator(masses, chi_weights, xi_weights, chi_args, xi_args)
+    n = mixed.shape[0]
     inverse = np.linalg.solve(mixed, np.eye(n))
     total = np.zeros((n, n))
-    for mu, v, s, (lam, xi) in zip(masses, chi_weights, xi_weights, pairs):
-        total += mu * v * s * (xi.T @ (lam @ inverse))
+    for mu, v, s, bc, xc, bx, xx in zip(masses, chi_weights, xi_weights, *chi_args, *xi_args):
+        total += mu * v * s * (effective_map(bx, xx).T @ (effective_map(bc, xc) @ inverse))
     return total
 
 

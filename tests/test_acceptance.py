@@ -53,7 +53,14 @@ from cgfusion import (
 from cgfusion.pair import PairSystem
 
 import oracles
-from conftest import make_deficient_system, make_e1, make_e2, make_single_node, make_system
+from conftest import (
+    make_deficient_system,
+    make_e1,
+    make_e2,
+    make_single_node,
+    make_system,
+    transpose_law_residual,
+)
 
 
 def _verdict(number, description, ok):
@@ -207,13 +214,14 @@ def test_criterion_07_pair_laws():
     for _ in range(50):
         pair = random_pair(rng, int(rng.integers(2, 8)), int(rng.integers(1, 6)))
         report = pair_adjoint_and_norm(pair)
-        ok &= report.residuals["adjoint_mismatch"] <= 1e-10
+        ok &= transpose_law_residual(pair) <= 1e-12
         ok &= report.residuals["norm_excess"] <= 1e-9
     tight = pair_adjoint_and_norm(PairSystem(make_e2(), make_e1()))
     bound = np.sqrt(tight.constants["bessel_chi"] * tight.constants["bessel_xi"])
     ok &= abs(tight.constants["operator_norm"] - bound) <= 1e-9
-    _verdict(7, "mixed-operator adjoint and norm laws on 50 random pairs; the "
-                "hand pair attains the norm bound within 1e-9", ok)
+    _verdict(7, "mixed-operator adjoint law (against the oracle, 1e-12 relative) and "
+                "norm law on 50 random pairs; the hand pair attains the norm bound "
+                "within 1e-9", ok)
 
 
 def test_criterion_08_bounded_below_roundtrip():

@@ -107,16 +107,16 @@ class TestKgf:
 
 class TestResolve:
     def test_frame_suite_passes(self, e2_path):
-        assert main(["resolve", e2_path, "--trials", "30"]) == 0
+        assert main(["resolve", e2_path]) == 0
 
     def test_parseval_system_certifies(self, e1_path, capsys):
-        assert main(["resolve", e1_path, "--trials", "30"]) == 0
+        assert main(["resolve", e1_path]) == 0
         assert "certified_lower = 1" in capsys.readouterr().out
 
     def test_non_frame_fails(self, tmp_path):
         path = tmp_path / "single.json"
         save_system(make_single_node(), path)
-        assert main(["resolve", str(path), "--trials", "10"]) == 1
+        assert main(["resolve", str(path)]) == 1
 
     def test_spectrum_solved_once(self, e2_path, linalg_calls):
         # One eigh of S (cached), one eigvalsh of the unweighted energy
@@ -202,9 +202,9 @@ class TestPair:
 
     @pytest.mark.parametrize("perturbed", [False, True])
     def test_mixed_operator_built_once(self, tmp_path, e2_path, e1_path, monkeypatch, perturbed):
-        # One product for the mixed operator, shared by every check, and
-        # one for the swapped pair of the adjoint law; with e2 against e1
-        # both perturbation checks are skipped, with e1s both go ahead.
+        # One product for the mixed operator, shared by every check; with
+        # e2 against e1 both perturbation checks are skipped, with e1s both
+        # go ahead.
         calls = []
 
         def counted(*args, **kwargs):
@@ -219,7 +219,7 @@ class TestPair:
         else:
             argv = ["pair", e2_path, "--xi", e1_path]
         assert main(argv) == 0
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 class TestProducingCommands:
@@ -319,14 +319,20 @@ class TestFlags:
         (["pair", "{e2}", "--xi", "{e1}", "--lambda1", "nan"], {}, "--lambda1"),
         (["pair", "{e2}", "--xi", "{e1}", "--lambda2", "inf"], {}, "--lambda2"),
         (["pair", "{e2}", "--xi", "{e1}", "--lam", "nan"], {}, "--lam"),
+        # e1s has deviation 0.2, so every derived lambda is admissible and
+        # only the value given is out of range.
+        (["pair", "{e1s}", "--lambda1", "1.5"], {}, "--lambda1"),
+        (["pair", "{e1s}", "--lambda2", "-2"], {}, "--lambda2"),
+        (["pair", "{e1s}", "--lam", "1.5"], {}, "--lam"),
     ])
     def test_invalid_number_exits_two(self, argv, env, named, e1_path, e2_path, tmp_path,
                                       monkeypatch, capsys):
         monkeypatch.delenv("CGFUSION_TOL", raising=False)
         for key, value in env.items():
             monkeypatch.setenv(key, value)
-        paths = {"e1": e1_path, "e2": e2_path,
+        paths = {"e1": e1_path, "e2": e2_path, "e1s": str(tmp_path / "e1s.json"),
                  "k": write_matrix(tmp_path, "k.json", [[1.0, 0.0], [0.0, 1.0]])}
+        save_system(make_e1(), paths["e1s"], secondary_weights=[0.8, 1.0])
         assert exit_code([arg.format(**paths) for arg in argv]) == 2
         assert named in capsys.readouterr().err
 
@@ -356,6 +362,8 @@ class TestFlags:
     @pytest.mark.parametrize("argv", [
         ["kgf", "{e2}", "--seed", "1"],
         ["atomic", "{e2}", "--trials", "5"],
+        ["resolve", "{e2}", "--trials", "5"],
+        ["resolve", "{e2}", "--seed", "1"],
         ["parseval", "{e2}", "--seed", "1"],
         ["random", "--tol", "1e-6"],
         ["selftest", "--parallel"],

@@ -40,13 +40,13 @@ GOLDEN = {
     "kgf-file-operator": (["kgf", "e2k.json", "--A", "2"], 1,
         "8d7922d55931895af32e0e5387b478556772833b4ef53aeaf08cdfaa5c9bb8ac"),
     "resolve-e1": (["resolve", "e1.json"], 0,
-        "b3e983f54aa2ddcb9545c0df8c980790a6f1c4979de906cfa8c5ee022df617eb"),
-    "resolve-e2": (["resolve", "e2.json", "--seed", "3", "--trials", "30"], 0,
-        "5da8122e1c2fa5a838235e8858f123e800445eeffdd1696d7aa503f826457957"),
+        "eb43de8a4acefb01b513785836a83a4ab4f1bb692b8a429059eae369bc2c1c72"),
+    "resolve-e2": (["resolve", "e2.json"], 0,
+        "c02c080c3d4e13b3e8198656f676302a1f0f06b4e70d1a32473029fadd13165e"),
     "resolve-single": (["resolve", "single.json"], 1,
-        "53323a6387567c903299f4ff06df4704bcc6d0b6c77625bd331810aded591567"),
-    "resolve-deficient": (["resolve", "deficient.json", "--seed", "2"], 1,
-        "612da2b94d637a8aa4047ea348886ace151c56e7036d5b14a7165d6336b64951"),
+        "28184dd19c818eef5b40c2a5e2bb7ee64970d79fd25f53fa0357feaffa208cb9"),
+    "resolve-deficient": (["resolve", "deficient.json"], 1,
+        "78dae6def98e2fd18f07738b781ffccca7b7fb7506dae610c3a550dea3b2eede"),
     "atomic-e1": (["atomic", "e1.json"], 0,
         "0f11cc5e375520bd21ff1454d1e2ed891090e5f5a338d5eec1a7193b9afc3cb2"),
     "atomic-e2-K": (["atomic", "e2.json", "--K", "k.json"], 0,
@@ -58,9 +58,9 @@ GOLDEN = {
                             "--L", "half.json", "--G", "half.json"], 0,
         "79ace364c9fb65869cf1b6d1419fcf14a08e8d5d5c2b69b0a2bc0559434d2d4c"),
     "pair-files": (["pair", "e2.json", "--xi", "e1.json"], 0,
-        "026fe9e86aff0807575c03f048aa409ad5e9a4584618c32b0a188b24f22b14f1"),
+        "a35ce0f811863753a50338b82367941bf52c0357e13339d9b0e043bd6dad245c"),
     "pair-secondary": (["pair", "e1s.json", "--lam", "0.05", "--trials", "10"], 1,
-        "76fa1d8f2b14f51ed2e56cd4d359eb95c19b44bd1a7f2ee2bce3417943bd4a7b"),
+        "6d539d891a8cc27ed90818497b02e735809766724678a0007850b4ef519f310a"),
     "dsum": (["dsum", "e2.json", "--xi", "e1.json"], 0,
         "7a9fd372a9a9aee645acdf6d6900f98c883a7f548debc4bdc2351541c5597912"),
     "parseval": (["parseval", "e2.json"], 0,
@@ -75,9 +75,9 @@ GOLDEN = {
     "random": (["random", "--seed", "7"], 0,
         "a0c6645cd41002e610c5d5465d0bd7d9fe8fb7972b8a33541c4b22dea0718641"),
     "selftest-30": (["selftest", "--seed", "0", "--trials", "30"], 0,
-        "e9f322d87171828f224039b55b8626d50a8ff73ef8750a891148f5928d3bf527"),
+        "d275183335533964762ecffae5db6a1a1f2aa3c1431665b7de28c76a7f40cea2"),
     "selftest": (["selftest", "--seed", "0"], 0,
-        "2b8f7c2e92265d8e8d5530390590d0b2cc011861c05e238a099b240e21288240"),
+        "6cc85f080c79167517e724897415e4d095a6eef6818a37565828104534a7f7d0"),
 }
 
 

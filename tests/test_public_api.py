@@ -12,9 +12,9 @@ import cgfusion
 from cgfusion.cli import build_parser
 
 #: Defaulted parameters over the callables of ``cgfusion.__all__`` and their public methods.
-DEFAULTED_PARAMETERS = 52
+DEFAULTED_PARAMETERS = 50
 #: Optional actions of every subcommand, ``--help`` aside.
-CLI_FLAGS = 44
+CLI_FLAGS = 42
 
 
 def _defaulted(fn) -> int:

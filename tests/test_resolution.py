@@ -17,17 +17,19 @@ from cgfusion import (
     canonical_resolution,
     canonical_resolution_report,
     energy_lower_check,
-    energy_lower_violation,
-    factor_energy,
     frame_bounds,
     frame_from_resolution,
     pair_frame_operator,
     random_system,
+    save_system,
+    symmetric_perturbation,
     verify_resolution,
 )
+from cgfusion.cli import main
+from cgfusion.report import EXACT
 
 import oracles
-from conftest import make_e2, make_system
+from conftest import make_e2, make_system, system_args
 
 
 def family_from(masses, *diagonals):
@@ -74,17 +76,15 @@ class TestCanonicalResolution:
             canonical_resolution(single_node)
 
     def test_report_fails_on_non_frame_without_sampling(self, single_node):
-        def draw_samples():
-            raise AssertionError("a non-frame must not draw samples")
-
-        report = canonical_resolution_report(single_node, draw_samples)
+        report = canonical_resolution_report(single_node)
         assert not report.passed
         assert report.residuals == {}
         assert report.notes == ("not a frame; the canonical resolution is undefined",)
 
     def test_report_on_e2(self, e2):
-        report = canonical_resolution_report(e2, lambda: np.eye(2))
+        report = canonical_resolution_report(e2)
         assert report.passed
+        assert report.provenance == EXACT
         assert report.constants == {"lower": pytest.approx(1.0), "upper": pytest.approx(4.0)}
         assert report.residuals["identity_residual"] <= 1e-14
         assert report.residuals["energy_lower_violation"] == 0.0
@@ -100,6 +100,30 @@ class TestCanonicalResolution:
             for _ in range(10):
                 f = rng.standard_normal(system.ambient_dim)
                 assert np.linalg.norm(total @ f - f) <= 1e-8 * max(1.0, np.linalg.norm(f))
+
+    def test_energy_is_the_inverse_quadratic_form(self):
+        # sum_i mu_i v_i^2 ||T_i f||^2 = f^T S^-1 f for the canonical factors,
+        # so the energy extremes over unit f are 1/B and 1/A.
+        rng = np.random.default_rng(26)
+        for _ in range(10):
+            system = random_system(rng, int(rng.integers(2, 9)), int(rng.integers(2, 6)),
+                                   ensure_frame=True)
+            args = system_args(system)
+            factors, _ = oracles.canonical_factors(*args)
+            energy = oracles.energy_operator(args[0], args[1], factors)
+            library = oracles.energy_operator(
+                args[0], args[1], [t.entries for t in canonical_resolution(system).factors])
+            inverse = np.linalg.inv(oracles.frame_operator(*args))
+            scale = 1e-12 * np.linalg.norm(inverse, 2)
+            np.testing.assert_allclose(energy, inverse, rtol=0.0, atol=scale)
+            np.testing.assert_allclose(library, inverse, rtol=0.0, atol=scale)
+            report = canonical_resolution_report(system)
+            extremes = np.linalg.eigvalsh(energy)[[0, -1]]
+            np.testing.assert_allclose(
+                extremes, [1.0 / report.constants["upper"], 1.0 / report.constants["lower"]],
+                rtol=1e-12, atol=0.0)
+            assert report.residuals["energy_lower_violation"] <= 1e-15 * extremes[1]
+            assert report.residuals["energy_upper_violation"] <= 1e-15 * extremes[1]
 
     def test_energy_bounds_on_random_frames(self):
         rng = np.random.default_rng(22)
@@ -304,37 +328,11 @@ class TestEnergyLowerCheck:
         with pytest.raises(ShapeError):
             energy_lower_check(e2, [np.zeros((2, 2)), np.zeros((1, 2))], np.zeros(2))
 
-    def test_factor_energy_matches_per_node_sum(self):
-        rng = np.random.default_rng(24)
-        system = random_system(rng, 4, 5)
-        factors = [rng.standard_normal((m, 4)) for m in system.codomain_dims]
-        samples = rng.standard_normal((6, 4))
-        expected = [
-            sum(mu * v**2 * float(np.sum((t @ f) ** 2))
-                for mu, v, t in zip(system.nodes.mu, system.weights, factors))
-            for f in samples
-        ]
-        np.testing.assert_allclose(
-            factor_energy(system, factors, samples), expected, rtol=1e-12, atol=0.0
-        )
-
-    def test_violation_over_families_matches_single_checks(self, e1):
-        # On the Parseval e1 the inequality can hold with equality, so
-        # roundoff gives nonzero violations that must match exactly.
-        rng = np.random.default_rng(25)
-        for system in (e1, make_e2(), random_system(rng, 5, 4)):
-            families = [[rng.standard_normal((m, system.ambient_dim))
-                         for m in system.codomain_dims] for _ in range(10)]
-            vectors = [rng.standard_normal((10, system.ambient_dim)) for _ in families]
-            expected = max(
-                energy_lower_check(system, factors, f).residuals["lower_energy_violation"]
-                for factors, rows in zip(families, vectors) for f in rows
-            )
-            assert energy_lower_violation(system, families, vectors) == expected
-
     def test_violation_of_canonical_factors_is_roundoff(self, e2):
         family = canonical_resolution(e2)
-        assert energy_lower_violation(e2, [family.factors], [np.eye(2)]) <= 1e-15
+        for f in np.eye(2):
+            report = energy_lower_check(e2, family.factors, f)
+            assert report.residuals["lower_energy_violation"] <= 1e-15
 
     def test_holds_for_arbitrary_factors(self):
         rng = np.random.default_rng(23)
@@ -349,6 +347,31 @@ class TestEnergyLowerCheck:
 
 
 class TestBoundedResolutionCheck:
+    def test_energies_match_the_oracle(self):
+        # Nodes measure R^n through orthogonal projections P_i, and
+        # T_i = P_i C_i P_i with C_i symmetric meets T_i^T P_i = T_i; the
+        # energies are the extreme eigenvalues of E = sum_i mu_i v_i^2 T_i^T T_i.
+        rng = np.random.default_rng(27)
+        for _ in range(10):
+            n, count = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+            projections, factors = [], []
+            for _ in range(count):
+                q = np.linalg.qr(rng.standard_normal((n, n)))[0][:, : int(rng.integers(1, n + 1))]
+                c = rng.standard_normal((n, n))
+                projections.append(q @ q.T)
+                factors.append(projections[-1] @ (c + c.T) @ projections[-1])
+            system = make_system(n, [np.eye(n)] * count, projections,
+                                 rng.uniform(0.5, 2.0, count), masses=rng.uniform(0.5, 2.0, count))
+            report = bounded_resolution_check(system, factors)
+            energy = oracles.energy_operator(system.nodes.mu, system.weights, factors)
+            expected = np.linalg.eigvalsh(energy)[[0, -1]]
+            got = [report.constants["energy_min"], report.constants["energy_max"]]
+            np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12 * expected[1])
+            upper = report.constants["upper_bound"]
+            assert report.residuals["lower_energy_violation"] == max(0.0, 1.0 / upper - got[0])
+            assert report.residuals["upper_energy_violation"] == max(
+                0.0, got[1] - upper * report.constants["factor_norm_sup_sq"])
+
     def test_lifted_coordinate_partition(self, e1_lifted):
         factors = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
         report = bounded_resolution_check(e1_lifted, factors)
@@ -419,3 +442,30 @@ class TestFrameFromResolution:
         spectral = frame_bounds(scaled)
         assert bounds.lower <= spectral.lower + 1e-12
         assert spectral.upper <= bounds.upper + 1e-12
+
+
+class TestExactPathsDrawNothing:
+    """The resolution checks and the symmetric perturbation bound draw no samples."""
+
+    @pytest.fixture(autouse=True)
+    def no_generator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an exact check drew from a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+
+    def test_resolve_command(self, tmp_path, capsys):
+        path = tmp_path / "e2.json"
+        save_system(make_e2(), path)
+        assert main(["resolve", str(path)]) == 0
+        assert "sampled" not in capsys.readouterr().out
+
+    def test_library_reports(self, e1, e2, e1_lifted):
+        reports = [
+            canonical_resolution_report(e2),
+            bounded_resolution_check(e1_lifted, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]),
+            symmetric_perturbation(PairSystem(e1, e1.with_weights(np.array([0.8, 1.0]))), 0.5),
+        ]
+        for report in reports:
+            assert report.passed, report.name
+            assert report.provenance == EXACT
