@@ -50,12 +50,7 @@ from .random_systems import random_system
 from .report import VerificationReport, _save_canonical, build_report
 from .resolution import canonical_resolution_report, frame_from_resolution
 from .selftest import run_selftest
-from .systems import (
-    adjoint_consistency,
-    frame_bounds,
-    kgf_check,
-    kgf_lower_bound,
-)
+from .systems import frame_bounds, kgf_check, kgf_lower_bound
 from .sysio import (
     SCHEMA_VERSION,
     has_secondary_weights,
@@ -93,7 +88,7 @@ _FLAGS = {
     "--tol": dict(type=_TOLERANCE, default=None,
                   help=f"tolerance (default {ORDER_TOL:g}, or ${TOL_ENV_VAR})"),
     "--trials": dict(type=_checked(int, 1), default=100,
-                     help="sampling trials; for check, the (f, phi) pairs of the adjoint check"),
+                     help="random directions of the perturbation_bound hypothesis check"),
     "--seed": dict(type=_checked(int, 0), default=0, help="random seed"),
 }
 
@@ -171,9 +166,8 @@ def _cmd_check(args):
             notes=(f"classification: {bounds.classification}",),
             force_fail=bounds.classification not in _FRAME_LABELS,
         ),
-        adjoint_consistency(system, args.trials, args.seed),
     ]
-    params = {"tol": tol, "trials": args.trials, "seed": args.seed, "system": args.system}
+    params = {"tol": tol, "system": args.system}
     return reports, _report_document("check", params, reports)
 
 
@@ -315,15 +309,16 @@ def _cmd_pair(args):
     mixed = pair_frame_operator(pair).entries
     deviation = opnorm(np.eye(pair.ambient_dim) - mixed)
     # Only a default derived from the deviation skips a check; a value the
-    # user gave goes to the library, and one out of range is a usage error.
-    if args.lambda1 is None and not deviation < 1.0:
+    # user gave goes to the library, and one out of range is a usage error,
+    # even a lambda2 given beside a derived lambda1 that would skip.
+    lam2 = 0.0 if args.lambda2 is None else args.lambda2
+    if args.lambda1 is None and not deviation < 1.0 and lam2 > -1.0:
         reports.append(build_report(
             name="perturbation_bound", residuals={}, tolerances={"tol": tol},
             notes=(f"skipped: deviation {deviation:.3g} leaves no admissible lambda1 < 1",),
         ))
     else:
         lam1 = deviation if args.lambda1 is None else args.lambda1
-        lam2 = 0.0 if args.lambda2 is None else args.lambda2
         reports.append(_naming_flags(
             {"--lambda1": args.lambda1, "--lambda2": args.lambda2},
             perturbation_bound, pair, lam1, lam2, args.trials, args.seed, tol,
@@ -347,8 +342,8 @@ def _cmd_dsum(args):
     tol = _resolve_tol(args)
     chi = load_system(args.system)
     xi = load_system(args.xi)
-    ds, report = direct_sum_laws(chi, xi, tol)
-    return [report], system_to_document(ds.system)
+    system, report = direct_sum_laws(chi, xi, tol)
+    return [report], system_to_document(system)
 
 
 def _cmd_parseval(args):
@@ -378,8 +373,8 @@ def _cmd_random(args):
 
 def _cmd_selftest(args):
     tol = _resolve_tol(args)
-    reports = run_selftest(seed=args.seed, trials=args.trials, tol=tol)
-    params = {"tol": tol, "trials": args.trials, "seed": args.seed}
+    reports = run_selftest(seed=args.seed, tol=tol)
+    params = {"tol": tol, "seed": args.seed}
     return reports, _report_document("selftest", params, reports)
 
 
@@ -394,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="frame bounds and classification")
     p.add_argument("system")
-    _add_flags(p, "--tol", "--trials", "--seed")
+    _add_flags(p, "--tol")
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("kgf", help="lower-bound certificate against an operator")
@@ -456,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_random)
 
     p = sub.add_parser("selftest", help="full seeded property campaign")
-    _add_flags(p, "--tol", "--trials", "--seed")
+    _add_flags(p, "--tol", "--seed")
     p.set_defaults(handler=_cmd_selftest)
 
     return parser

@@ -11,8 +11,6 @@ construction uses the block structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ShapeError
@@ -28,41 +26,10 @@ from .systems import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class DirectSumSystem:
-    """A block-structured system on the orthogonal sum of two spaces.
+def direct_sum_system(chi: GFusionSystem, xi: GFusionSystem) -> GFusionSystem:
+    """Stack two systems sharing nodes into one block system on R^(n + x).
 
-    Wraps the combined system together with the dimension split; the
-    block structure is exact (off-diagonal blocks of every effective map
-    are identically zero).
-    """
-
-    system: GFusionSystem
-    left_dim: int
-    right_dim: int
-    left_codims: tuple[int, ...]
-    right_codims: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.left_dim + self.right_dim != self.system.ambient_dim:
-            raise ShapeError("dimension split does not match the ambient dimension")
-        expected = tuple(
-            a + b for a, b in zip(self.left_codims, self.right_codims)
-        )
-        if expected != self.system.codomain_dims:
-            raise ShapeError("codomain split does not match the node codomains")
-        for i, lam in enumerate(self.system.effective_maps):
-            m_left = self.left_codims[i]
-            upper_right = lam[:m_left, self.left_dim:]
-            lower_left = lam[m_left:, : self.left_dim]
-            if (upper_right.size and np.abs(upper_right).max() != 0.0) or (
-                lower_left.size and np.abs(lower_left).max() != 0.0
-            ):
-                raise ShapeError(f"node {i}: effective map is not block diagonal")
-
-
-def direct_sum_system(chi: GFusionSystem, xi: GFusionSystem) -> DirectSumSystem:
-    """Stack two systems sharing nodes into one block system.
+    Each node's basis and local map are block diagonal, chi's block first.
 
     The combined system carries the left system's weights.  When the
     right system's weights differ per node, the ratio is folded into its
@@ -89,34 +56,25 @@ def direct_sum_system(chi: GFusionSystem, xi: GFusionSystem) -> DirectSumSystem:
         ratio = 1.0 if s == v else float(s) / float(v)
         local[loc_a.rows :, loc_a.cols :] = ratio * loc_b.entries
         locals_.append(Operator(local))
-    combined = GFusionSystem(
-        n + x, chi.nodes, tuple(subspaces), tuple(locals_), chi.weights
-    )
-    return DirectSumSystem(
-        system=combined,
-        left_dim=n,
-        right_dim=x,
-        left_codims=chi.codomain_dims,
-        right_codims=xi.codomain_dims,
-    )
+    return GFusionSystem(n + x, chi.nodes, tuple(subspaces), tuple(locals_), chi.weights)
 
 
 def direct_sum_laws(
     chi: GFusionSystem, xi: GFusionSystem, tol: float = ORDER_TOL
-) -> tuple[DirectSumSystem, VerificationReport]:
+) -> tuple[GFusionSystem, VerificationReport]:
     """The direct sum of two systems, with a report on its two laws.
 
     The combined frame operator must equal blockdiag(S_chi, S_xi), and
     the combined bounds must be the min of the lower and the max of the
     upper component bounds.
     """
-    ds = direct_sum_system(chi, xi)
-    s_sum = assemble_frame_operator(ds.system).entries
+    system = direct_sum_system(chi, xi)
+    s_sum = assemble_frame_operator(system).entries
     block = np.zeros_like(s_sum)
     block[: chi.ambient_dim, : chi.ambient_dim] = assemble_frame_operator(chi).entries
     block[chi.ambient_dim :, chi.ambient_dim :] = assemble_frame_operator(xi).entries
     b_chi, b_xi = frame_bounds(chi, tol), frame_bounds(xi, tol)
-    b_sum = frame_bounds(ds.system, tol)
+    b_sum = frame_bounds(system, tol)
     report = build_report(
         name="direct_sum_laws",
         residuals={
@@ -127,7 +85,7 @@ def direct_sum_laws(
         tolerances={"tol": tol},
         constants={"lower": b_sum.lower, "upper": b_sum.upper},
     )
-    return ds, report
+    return system, report
 
 
 def parsevalize(system: GFusionSystem, tol: float = ORDER_TOL) -> GFusionSystem:

@@ -171,13 +171,11 @@ class OrderCertificate:
     """Outcome of a semidefinite-order comparison T <= S.
 
     ``gap`` is the minimum eigenvalue of S - T; the order holds when the
-    gap is at least -tol.  ``lam`` carries a majorization constant when
-    one was computed.
+    gap is at least -tol.
     """
 
     holds: bool
     gap: float
-    lam: float | None = None
 
 
 def _require_symmetric(op: Operator, label: str) -> np.ndarray:

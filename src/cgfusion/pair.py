@@ -189,10 +189,10 @@ def perturbation_bound(
     ((1 - lambda1) / (1 + lambda2))^2 / D1, cross-checked against its
     spectral lower bound.
     """
-    if not lambda1 < 1.0:
-        raise ParameterError(f"lambda1 must be < 1, got {lambda1}")
     if not lambda2 > -1.0:
         raise ParameterError(f"lambda2 must be > -1, got {lambda2}")
+    if not lambda1 < 1.0:
+        raise ParameterError(f"lambda1 must be < 1, got {lambda1}")
     mixed = pair_frame_operator(pair).entries
     directions = _unit_directions(mixed, trials, seed)
     images = directions @ mixed.T

@@ -40,7 +40,7 @@ def _worst(name: str, rows, tolerances: dict, summed=(), **fields) -> Verificati
     return build_report(name=name, residuals=residuals, tolerances=tolerances, **fields)
 
 
-def _corpus(seed: int, trials: int):
+def _corpus(seed: int):
     rng = np.random.default_rng(seed)
     dims = [int(rng.integers(2, 9)) for _ in range(20)]
     systems = [random_system(rng, d, int(rng.integers(1, 6))) for d in dims]
@@ -58,25 +58,20 @@ def _corpus(seed: int, trials: int):
                     random_operator(rng, frames[i % len(frames)].ambient_dim,
                                     frames[i % len(frames)].ambient_dim))
                    for i in range(10)]
-    sample_count = max(5, trials // 10)
-    vectors = {id(s): [rng.standard_normal(s.ambient_dim) for _ in range(sample_count)]
-               for s in systems + frames}
-    return systems, frames, pairs, sum_parts, shifts, atomic_rand, vectors
+    return systems, frames, pairs, sum_parts, shifts, atomic_rand
 
 
-def _bounds_row(system, vectors):
+def _bounds_row(system):
+    """How far the extreme eigenvectors' Rayleigh quotients are from the bounds.
+
+    Every other quotient lies between them by Courant-Fischer, so none is sampled.
+    """
     s = assemble_frame_operator(system).entries
     bounds = frame_bounds(system)
     _, basis = system._eigh
     attain = max(abs(float(basis[:, j] @ (s @ basis[:, j])) - target)
                  for j, target in ((0, bounds.lower), (-1, bounds.upper)))
-    outside = 0.0
-    for f in vectors:
-        norm_sq = float(f @ f)
-        if norm_sq != 0.0:
-            rayleigh = float(f @ (s @ f)) / norm_sq
-            outside = max(outside, bounds.lower - rayleigh, rayleigh - bounds.upper)
-    return {"attainment_residual": attain, "rayleigh_range_violation": outside}
+    return {"attainment_residual": attain}
 
 
 def _scaling_row(system, factor=1.7):
@@ -109,27 +104,24 @@ def _pair_row(pair, tol):
 
 
 def _direct_sum_row(chi, xi):
-    ds, laws = direct_sum_laws(chi, xi)
+    system, laws = direct_sum_laws(chi, xi)
     r = laws.residuals
     return {"blockdiag_residual": r["blockdiag_residual"],
             "bound_mismatch": max(r["lower_bound_mismatch"], r["upper_bound_mismatch"]),
-            "parseval_residual": parseval_residual(parsevalize(ds.system)),
-            "dual_residual": canonical_dual(ds.system)[1].residuals["dual_operator_residual"]}
+            "parseval_residual": parseval_residual(parsevalize(system)),
+            "dual_residual": canonical_dual(system)[1].residuals["dual_operator_residual"]}
 
 
-def run_selftest(seed: int = 0, trials: int = 100,
-                 tol: float = ORDER_TOL) -> list[VerificationReport]:
+def run_selftest(seed: int = 0, tol: float = ORDER_TOL) -> list[VerificationReport]:
     """Seeded property campaign across every subsystem.
 
     The corpus is drawn up front from one generator, so the reports are
     identical for identical seeds.
     """
-    systems, frames, pairs, sum_parts, shifts, atomic_rand, vectors = _corpus(seed, trials)
+    systems, frames, pairs, sum_parts, shifts, atomic_rand = _corpus(seed)
     loose = {"tol": max(tol, 1e-8)}
     return [
-        _worst("selftest_bound_attainment",
-               (_bounds_row(s, vectors[id(s)]) for s in systems + frames),
-               {"tol": tol}, provenance=SAMPLED),
+        _worst("selftest_bound_attainment", map(_bounds_row, systems + frames), {"tol": tol}),
         _worst("selftest_weight_scaling", map(_scaling_row, systems), {"tol": tol}),
         _worst("selftest_canonical_resolution", map(_canonical_row, frames), loose),
         _worst("selftest_atomic_equivalence",

@@ -256,15 +256,15 @@ def test_criterion_09_direct_sum_suite():
             rng, int(rng.integers(2, 6)), int(rng.integers(2, 6)), int(rng.integers(2, 6))
         )
         ds = direct_sum_system(chi, xi)
-        s = assemble_frame_operator(ds.system).entries
+        s = assemble_frame_operator(ds).entries
         block = np.zeros_like(s)
         block[: chi.ambient_dim, : chi.ambient_dim] = assemble_frame_operator(chi).entries
         block[chi.ambient_dim :, chi.ambient_dim :] = assemble_frame_operator(xi).entries
         ok &= opnorm(s - block) <= 1e-10
-        flat = parsevalize(ds.system)
+        flat = parsevalize(ds)
         ok &= opnorm(assemble_frame_operator(flat).entries
                      - np.eye(flat.ambient_dim)) <= 1e-8
-        dual, report = canonical_dual(ds.system)
+        dual, report = canonical_dual(ds)
         ok &= report.residuals["dual_operator_residual"] <= 1e-8
     elapsed = time.perf_counter() - start
     ok &= elapsed < 10.0
@@ -435,12 +435,12 @@ def _fixture_checks():
 
     # direct sums, parseval, dual
     ds = direct_sum_system(e2, make_e1())
-    add("dsum_operator", assemble_frame_operator(ds.system).entries,
+    add("dsum_operator", assemble_frame_operator(ds).entries,
         np.diag([4.0, 1.0, 1.0, 1.0]))
-    b_sum = frame_bounds(ds.system)
+    b_sum = frame_bounds(ds)
     add("dsum_bounds", [b_sum.lower, b_sum.upper], [1.0, 4.0])
     ds22 = direct_sum_system(e2, make_e2())
-    add("dsum_operator_e2e2", assemble_frame_operator(ds22.system).entries,
+    add("dsum_operator_e2e2", assemble_frame_operator(ds22).entries,
         np.diag([4.0, 1.0, 4.0, 1.0]))
     flat = parsevalize(e2)
     add("parseval_operator", assemble_frame_operator(flat).entries, np.eye(2))
@@ -449,7 +449,7 @@ def _fixture_checks():
     dual, _ = canonical_dual(e2)
     add("dual_operator", assemble_frame_operator(dual).entries, np.diag([0.25, 1.0]),
         np.linalg.inv(oracles.frame_operator(*oracles.system_args(oracles.E2))))
-    dual_sum, _ = canonical_dual(ds.system)
+    dual_sum, _ = canonical_dual(ds)
     add("dual_sum_operator", assemble_frame_operator(dual_sum).entries,
         np.diag([0.25, 1.0, 1.0, 1.0]))
 

@@ -267,8 +267,8 @@ class TestProducingCommands:
 class TestSelftest:
     def test_deterministic_and_green(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["selftest", "--seed", "0", "--trials", "30", "--out", str(a)]) == 0
-        assert main(["selftest", "--seed", "0", "--trials", "30", "--out", str(b)]) == 0
+        assert main(["selftest", "--seed", "0", "--out", str(a)]) == 0
+        assert main(["selftest", "--seed", "0", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_bounds_read_the_cached_spectrum(self, linalg_calls, capsys):
@@ -309,8 +309,8 @@ class TestFlags:
         (["check", "{e2}", "--tol", "-1"], {}, "--tol"),
         (["check", "{e2}"], {"CGFUSION_TOL": "nan"}, "CGFUSION_TOL"),
         (["check", "{e2}"], {"CGFUSION_TOL": "-1"}, "CGFUSION_TOL"),
-        (["check", "{e2}", "--trials", "-3"], {}, "--trials"),
-        (["check", "{e2}", "--trials", "0"], {}, "--trials"),
+        (["pair", "{e2}", "--xi", "{e1}", "--trials", "-3"], {}, "--trials"),
+        (["pair", "{e2}", "--xi", "{e1}", "--trials", "0"], {}, "--trials"),
         (["random", "--dim", "0"], {}, "--dim"),
         (["random", "--dim", "-2"], {}, "--dim"),
         (["random", "--nodes", "-1"], {}, "--nodes"),
@@ -324,6 +324,9 @@ class TestFlags:
         (["pair", "{e1s}", "--lambda1", "1.5"], {}, "--lambda1"),
         (["pair", "{e1s}", "--lambda2", "-2"], {}, "--lambda2"),
         (["pair", "{e1s}", "--lam", "1.5"], {}, "--lam"),
+        # e2 against e1 has deviation 1, so the derived lambda1 is not
+        # admissible either; the lambda2 given is still a usage error.
+        (["pair", "{e2}", "--xi", "{e1}", "--lambda2", "-2"], {}, "--lambda2"),
     ])
     def test_invalid_number_exits_two(self, argv, env, named, e1_path, e2_path, tmp_path,
                                       monkeypatch, capsys):
@@ -367,6 +370,9 @@ class TestFlags:
         ["parseval", "{e2}", "--seed", "1"],
         ["random", "--tol", "1e-6"],
         ["selftest", "--parallel"],
+        ["check", "{e2}", "--trials", "5"],
+        ["check", "{e2}", "--seed", "1"],
+        ["selftest", "--trials", "5"],
     ])
     def test_unread_flag_exits_two(self, argv, e2_path, capsys):
         assert exit_code([arg.format(e2=e2_path) for arg in argv]) == 2

@@ -13,8 +13,9 @@ import json
 import numpy as np
 import pytest
 
-from cgfusion import Operator, save_system
+from cgfusion import Operator, cli, save_system
 from cgfusion.cli import build_parser, main
+from cgfusion.report import SAMPLED
 
 from conftest import (
     make_deficient_system,
@@ -28,11 +29,11 @@ from conftest import (
 GOLDEN = {
     # name: (argv, exit code, sha256 of the --out file, or None when none is written)
     "check-e1": (["check", "e1.json"], 0,
-        "24f43cd0cd5fda5970b041f1238d7f06fc3e55b48358512235311a0d256b1975"),
+        "319df5de7cc8caa23bdde7a31033893187a747dd6784a45375f8fa7adbdfb95c"),
     "check-e2": (["check", "e2.json"], 0,
-        "61d1da43128b9a303a425ec2cb548d7cd2fb45e9e36232e5ab934f7124067f2a"),
+        "048d11d012382a1e8fc607af44ccd9a09ac37de9edfb1c35e34df109f8869734"),
     "check-single": (["check", "single.json"], 1,
-        "d44591e02523209482f627569768943565c092eeb0eb006de11839179b53bfc3"),
+        "92858c24b8b2c9b6cf6df562abd3ede8806d562be0c91251ed3a4789b9129b3a"),
     "kgf-lower-bound": (["kgf", "e2.json", "--K", "k.json"], 0,
         "8897190cd398577cf483518fd39807968586e763d3e3e5226296a07c5913e154"),
     "kgf-certify": (["kgf", "e2.json", "--K", "k.json", "--A", "1"], 0,
@@ -74,10 +75,8 @@ GOLDEN = {
         "41584c4f9a9f14d24a80aadeac7cf3234a609a884982dc2f417e77d5f47cb416"),
     "random": (["random", "--seed", "7"], 0,
         "a0c6645cd41002e610c5d5465d0bd7d9fe8fb7972b8a33541c4b22dea0718641"),
-    "selftest-30": (["selftest", "--seed", "0", "--trials", "30"], 0,
-        "d275183335533964762ecffae5db6a1a1f2aa3c1431665b7de28c76a7f40cea2"),
     "selftest": (["selftest", "--seed", "0"], 0,
-        "6cc85f080c79167517e724897415e4d095a6eef6818a37565828104534a7f7d0"),
+        "3918bbc360d79c5a2bec05461eb9c59089bd9e841b4d106c86a24526d972bb3a"),
 }
 
 
@@ -116,6 +115,16 @@ def test_out_file_is_pinned(workdir, name, capsys):
     capsys.readouterr()
     written = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
     assert written == digest
+
+
+def test_only_the_necessary_reports_are_sampled(workdir, monkeypatch):
+    """Only a mixed-norm hypothesis and a law run on random operators draw samples."""
+    printed = []
+    monkeypatch.setattr(cli, "_print_reports", printed.extend)
+    for argv, code, _ in GOLDEN.values():
+        assert main(argv) == code
+    sampled = {r.name for r in printed if r.provenance == SAMPLED}
+    assert sampled == {"perturbation_bound", "selftest_atomic_equivalence"}
 
 
 def test_every_subcommand_is_pinned():

@@ -7,14 +7,18 @@ purpose and not by drift.
 
 import argparse
 import inspect
+import re
+from pathlib import Path
 
 import cgfusion
-from cgfusion.cli import build_parser
+from cgfusion.cli import _FLAGS, build_parser
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 #: Defaulted parameters over the callables of ``cgfusion.__all__`` and their public methods.
-DEFAULTED_PARAMETERS = 50
+DEFAULTED_PARAMETERS = 49
 #: Optional actions of every subcommand, ``--help`` aside.
-CLI_FLAGS = 42
+CLI_FLAGS = 39
 
 
 def _defaulted(fn) -> int:
@@ -49,13 +53,37 @@ def test_defaulted_parameter_count():
     assert sum(map(_defaulted, _public_callables())) == DEFAULTED_PARAMETERS
 
 
-def test_cli_flag_count():
+def _subcommands() -> dict:
     parser = build_parser()
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_cli_flag_count():
     flags = [
         action
-        for sub in subparsers.choices.values()
+        for sub in _subcommands().values()
         for action in sub._actions
         if action.option_strings and not isinstance(action, argparse._HelpAction)
     ]
     assert len(flags) == CLI_FLAGS
+
+
+def _readme_shared_flags() -> dict:
+    """The README's "flags besides its own" table, as {subcommand: set of flags}."""
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("| subcommand | flags besides its own |"):].split("\n\n", 1)[0]
+    shared = {}
+    for row in table.splitlines()[2:]:
+        commands, flags = row.strip("|").split("|")
+        for command in re.findall(r"`([^`]+)`", commands):
+            shared[command] = set(re.findall(r"`([^`]+)`", flags))
+    return shared
+
+
+def test_readme_flag_table_matches_the_parser():
+    common = set(_FLAGS) | {"--out"}
+    parsed = {
+        name: {flag for action in sub._actions for flag in action.option_strings} & common
+        for name, sub in _subcommands().items()
+    }
+    assert _readme_shared_flags() == parsed

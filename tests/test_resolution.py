@@ -454,10 +454,11 @@ class TestExactPathsDrawNothing:
 
         monkeypatch.setattr(np.random, "default_rng", refuse)
 
-    def test_resolve_command(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["resolve", "check"])
+    def test_command(self, command, tmp_path, capsys):
         path = tmp_path / "e2.json"
         save_system(make_e2(), path)
-        assert main(["resolve", str(path)]) == 0
+        assert main([command, str(path)]) == 0
         assert "sampled" not in capsys.readouterr().out
 
     def test_library_reports(self, e1, e2, e1_lifted):
