@@ -62,10 +62,18 @@ KGF_SLACK = 0.5
 #: Floats per batch of fields drawn by :func:`adjoint_consistency` (8 MB) unless one row exceeds it.
 _ADJOINT_BATCH_FLOATS = 2**20
 
+#: Floats per row block of the weighted stacked matrix in :func:`weighted_gram` (1 MB).
+_GRAM_BLOCK_FLOATS = 2**17
+
 
 @dataclass(frozen=True, eq=False)
 class GFusionSystem:
-    """A family over measure nodes of (subspace, local operator, weight)."""
+    """A family over measure nodes of (subspace, local operator, weight).
+
+    A system made by :func:`push_through` is built without ``__post_init__``
+    from its stacked matrix; its ``subspaces`` and ``local_maps`` are formed
+    on first read (:meth:`__getattr__`) and then kept.
+    """
 
     ambient_dim: int
     nodes: MeasureNodes
@@ -115,13 +123,30 @@ class GFusionSystem:
         object.__setattr__(self, "_row_counts", _freeze(np.diff(offsets)))
         object.__setattr__(self, "_effective", self.split_rows(stacked))
 
+    def __getattr__(self, name):
+        # Reached only when ``name`` is not set: on a pushed system, its
+        # geometry before the first read.
+        push = self.__dict__.get("_push")
+        if push is None or name not in ("subspaces", "local_maps"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        source, t = push
+        subspaces, local_maps = [], []
+        for sub, loc in zip(source.subspaces, source.local_maps):
+            q, r = _positive_qr(t @ sub.basis)
+            subspaces.append(Subspace(self.ambient_dim, q))
+            local_maps.append(Operator(loc.entries @ r.T))
+        object.__setattr__(self, "subspaces", tuple(subspaces))
+        object.__setattr__(self, "local_maps", tuple(local_maps))
+        self.__dict__.pop("_push", None)
+        return self.__dict__[name]
+
     @property
     def node_count(self) -> int:
         return len(self.nodes)
 
     @property
     def codomain_dims(self) -> tuple[int, ...]:
-        return tuple(op.rows for op in self.local_maps)
+        return tuple(self._row_counts.tolist())
 
     @property
     def stacked(self) -> np.ndarray:
@@ -181,16 +206,25 @@ class FrameBounds:
 def weighted_gram(
     system: GFusionSystem, node_weights, other: GFusionSystem | None = None
 ) -> np.ndarray:
-    """Sum over nodes of w_i Lam_i^T Xi_i, as one product of stacked maps.
+    """Sum over nodes of w_i Lam_i^T Xi_i, as products of the stacked maps.
 
     Lam_i are the effective maps of ``system`` and Xi_i those of
     ``other`` (default: ``system`` itself), which must share the node
-    codomain dimensions.  With w = mu v^2 this is the frame operator.
+    codomain dimensions.  With w = mu v^2 this is the frame operator.  The
+    product is summed over row blocks of :data:`_GRAM_BLOCK_FLOATS` floats of
+    L, so the weighted copy of L it needs is one block; a system of one block
+    gets the single product (L^T diag(w)) Xi.
     """
     other = system if other is None else other
     if other.codomain_dims != system.codomain_dims:
         raise ShapeError(f"codomains differ: {system.codomain_dims} vs {other.codomain_dims}")
-    return (system.stacked.T * system.per_row(node_weights)) @ other.stacked
+    left, right = system.stacked, other.stacked
+    w = system.per_row(node_weights)
+    height = max(1, _GRAM_BLOCK_FLOATS // left.shape[1])
+    gram = (left[:height] * w[:height, None]).T @ right[:height]
+    for a in range(height, left.shape[0], height):
+        gram += (left[a : a + height] * w[a : a + height, None]).T @ right[a : a + height]
+    return gram
 
 
 def _frame_operator_power(
@@ -281,21 +315,38 @@ def require_frame(system: GFusionSystem, tol: float = ORDER_TOL) -> FrameBounds:
 
 
 def push_through(system: GFusionSystem, transform: np.ndarray) -> GFusionSystem:
-    """The system with subspaces T F_i and effective maps Lam_i T^T, for an invertible T.
+    """The system with subspaces T F_i and effective maps Lam_i T^T, for an invertible n x n T.
 
-    With the sign-fixed QR T B_i = Q_i R_i of each image basis, the new basis
-    is Q_i and the new local operator local_i R_i^T, as Lam_i T^T = local_i
-    (T B_i)^T; every dimension is kept.  Nodes and weights are kept.
+    The result holds its stacked matrix L T^T, one product, checked finite
+    here, and shares the nodes, weights and row layout of ``system``; every
+    certificate reads only these.  Its subspaces and local operators are
+    formed on first read: with the sign-fixed QR T B_i = Q_i R_i of each
+    image basis, the new basis is Q_i and the new local operator
+    local_i R_i^T, as Lam_i T^T = local_i (T B_i)^T, so every dimension is
+    kept.  Until then the result keeps ``system`` and T.  The bases B_i are
+    read from ``system`` (forming them first if it is pushed too), not from
+    a composed transform, so a chain of pushes writes the bytes of its
+    steps formed one by one.
     """
+    n = system.ambient_dim
     t = Operator(transform).entries
-    subspaces, locals_ = [], []
-    for sub, loc in zip(system.subspaces, system.local_maps):
-        q, r = _positive_qr(t @ sub.basis)
-        subspaces.append(Subspace(system.ambient_dim, q))
-        locals_.append(Operator(loc.entries @ r.T))
-    return GFusionSystem(
-        system.ambient_dim, system.nodes, tuple(subspaces), tuple(locals_), system.weights
+    if t.shape != (n, n):
+        raise ShapeError(f"transform must be {n}x{n}, got {t.shape[0]}x{t.shape[1]}")
+    stacked = system.stacked @ t.T
+    if not np.isfinite(stacked).all():
+        raise ValueError("pushed effective maps must be finite")
+    pushed = object.__new__(GFusionSystem)
+    pushed.__dict__.update(
+        ambient_dim=n,
+        nodes=system.nodes,
+        weights=system.weights,
+        _stacked=_freeze(stacked),
+        _bounds=system._bounds,
+        _row_counts=system._row_counts,
+        _effective=system.split_rows(stacked),
+        _push=(system, t),
     )
+    return pushed
 
 
 def _require_comparison_operator(system: GFusionSystem, k: Operator) -> None:

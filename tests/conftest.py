@@ -142,7 +142,7 @@ def off_diagonal_defect_basis(d):
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """A Counter of the numpy.linalg eigvalsh, eigh, svd and inv calls made in the test.
+    """A Counter of the numpy.linalg eigvalsh, eigh, svd, inv and qr calls made in the test.
 
     Counts calls through the ``numpy.linalg`` module attributes, as the
     library makes them, so every ``opnorm`` counts as one ``svd``; numpy's
@@ -157,7 +157,7 @@ def linalg_calls(monkeypatch):
             return original(*args, **kwargs)
         return call
 
-    for name in ("eigvalsh", "eigh", "svd", "inv"):
+    for name in ("eigvalsh", "eigh", "svd", "inv", "qr"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     return calls
 

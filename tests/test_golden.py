@@ -76,7 +76,7 @@ GOLDEN = {
     "random": (["random", "--seed", "7"], 0,
         "a0c6645cd41002e610c5d5465d0bd7d9fe8fb7972b8a33541c4b22dea0718641"),
     "selftest": (["selftest", "--seed", "0"], 0,
-        "3918bbc360d79c5a2bec05461eb9c59089bd9e841b4d106c86a24526d972bb3a"),
+        "27e085bde8baee401297edf3437669323d91d5fe66da602fbfbec19718161df7"),
 }
 
 

@@ -17,6 +17,7 @@ from cgfusion import (
     assemble_frame_operator,
     atomic_wrt_frame_operator,
     canonical_dual,
+    dumps_canonical,
     frame_bounds,
     kgf_check,
     kgf_lower_bound,
@@ -29,14 +30,30 @@ from cgfusion import (
     require_frame,
     symmetric_perturbation,
     synthesis,
+    system_to_document,
     transform_shift,
     validate_nodes,
+    weighted_gram,
 )
 from cgfusion import measure, systems
-from cgfusion.systems import KGF_SLACK, GFusionSystem, _adjoint_mismatch, _frame_operator_power
+from cgfusion.operators import _positive_qr
+from cgfusion.systems import (
+    KGF_SLACK,
+    GFusionSystem,
+    _adjoint_mismatch,
+    _frame_operator_power,
+    push_through,
+)
 
 import oracles
-from conftest import make_deficient_system, make_system
+from conftest import (
+    make_deficient_system,
+    make_e1,
+    make_e2,
+    make_single_node,
+    make_system,
+    make_wide_system,
+)
 
 
 class TestFrameOperator:
@@ -413,6 +430,7 @@ class TestStackedCore:
 
     def test_spectrum_is_cached(self, linalg_calls):
         _, system = random_raw_system(np.random.default_rng(17), 4, 3)
+        linalg_calls.clear()
         first = frame_bounds(system)
         assert linalg_calls == {"eigh": 1}
         second = frame_bounds(system, tol=1e-3)
@@ -609,3 +627,153 @@ class TestPushThrough:
         assert parseval_residual(parseval) <= 1e-12
         assert frame_bounds(parseval).classification == "parseval"
         assert dual_report.passed and shift_report.passed
+
+    def test_overflowing_image_raises_at_push_time(self):
+        # The local operator 4 times (T B)^T = 5e307 I is 2e308: not a float.
+        system = make_system(2, [np.eye(2)], [4.0 * np.eye(2)], [1.0])
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                push_through(system, 5e307 * np.eye(2))
+            with pytest.raises(ValueError, match="finite"):
+                transform_shift(system, Operator(5e307 * np.eye(2)))
+
+    def test_transform_must_be_square_on_the_ambient_space(self, e2):
+        with pytest.raises(ShapeError):
+            push_through(e2, np.eye(3))
+        with pytest.raises(ShapeError):
+            push_through(e2, np.ones((2, 3)))
+
+
+def eager_push(system, t):
+    """The pushed system formed node by node: a sign-fixed QR of T B_i, then a full build."""
+    subspaces, locals_ = [], []
+    for sub, loc in zip(system.subspaces, system.local_maps):
+        q, r = _positive_qr(t @ sub.basis)
+        subspaces.append(Subspace(system.ambient_dim, q))
+        locals_.append(Operator(loc.entries @ r.T))
+    return GFusionSystem(system.ambient_dim, system.nodes, tuple(subspaces), tuple(locals_),
+                         system.weights)
+
+
+def golden_corpus():
+    """The systems of the CLI's golden inputs."""
+    lines = [[[1.0], [0.0]], [[0.0], [1.0]]]
+    return [make_e1(), make_e2(), make_single_node(),
+            make_deficient_system(np.random.default_rng(5), 4),
+            make_wide_system(np.random.default_rng(11)),
+            make_system(2, lines, [[[1.0]], [[0.0]]], [1.0, 1.0]),
+            make_system(2, lines, [[[0.0]], [[1.0]]], [1.0, 1.0])]
+
+
+def pushes(system, rng):
+    """(result, T) of every library push of ``system``: the shift, and for a frame Parseval and dual."""
+    shift = random_positive_operator(rng, system.ambient_dim)
+    out = [(transform_shift(system, shift)[0], np.eye(system.ambient_dim) + shift.entries)]
+    if frame_bounds(system).lower > 1e-9:
+        out.append((parsevalize(system), _frame_operator_power(system, -0.5, 0.0)))
+        out.append((canonical_dual(system)[0],
+                    np.linalg.inv(assemble_frame_operator(system).entries)))
+    return out
+
+
+def corpus_and_random_frames():
+    rng = np.random.default_rng(41)
+    frames = [random_system(rng, int(rng.integers(2, 9)), int(rng.integers(1, 9)),
+                            ensure_frame=True) for _ in range(12)]
+    return golden_corpus() + frames
+
+
+class TestLazyGeometry:
+    """A pushed system holds L T^T and forms its per-node geometry on first read."""
+
+    def test_geometry_equals_the_per_node_push_bit_for_bit(self):
+        rng = np.random.default_rng(43)
+        for system in corpus_and_random_frames():
+            for pushed, t in pushes(system, rng):
+                eager = eager_push(system, t)
+                assert pushed.codomain_dims == eager.codomain_dims
+                for got, want in zip(pushed.subspaces, eager.subspaces, strict=True):
+                    np.testing.assert_array_equal(got.basis, want.basis)
+                for got, want in zip(pushed.local_maps, eager.local_maps, strict=True):
+                    np.testing.assert_array_equal(got.entries, want.entries)
+
+    def test_geometry_reproduces_the_stacked_rows(self):
+        rng = np.random.default_rng(47)
+        for system in corpus_and_random_frames():
+            for pushed, t in pushes(system, rng):
+                rows = [loc.entries @ sub.basis.T
+                        for sub, loc in zip(pushed.subspaces, pushed.local_maps)]
+                formed = np.vstack([np.zeros((0, system.ambient_dim))] + rows)
+                np.testing.assert_allclose(formed, pushed.stacked, rtol=0.0,
+                                           atol=1e-13 * np.linalg.norm(t, 2))
+                assert not pushed.stacked.flags.writeable
+                assert all(lam.base is pushed.stacked for lam in pushed.effective_maps)
+
+    def test_results_are_certified_without_a_qr(self, linalg_calls):
+        rng = np.random.default_rng(53)
+        system = random_system(rng, 6, 5, ensure_frame=True)
+        frame_bounds(system)
+        linalg_calls.clear()
+        assert frame_bounds(parsevalize(system)).classification == "parseval"
+        assert canonical_dual(system)[1].passed
+        assert transform_shift(system, random_positive_operator(rng, 6))[1].passed
+        assert linalg_calls["qr"] == 0
+
+    def test_writing_a_result_forms_its_geometry_once(self, linalg_calls):
+        system = random_system(np.random.default_rng(59), 5, 7, ensure_frame=True)
+        flat = parsevalize(system)
+        linalg_calls.clear()
+        first = dumps_canonical(system_to_document(flat))
+        assert linalg_calls["qr"] == system.node_count
+        assert dumps_canonical(system_to_document(flat)) == first
+        assert linalg_calls["qr"] == system.node_count
+
+    def test_dual_of_a_parseval_system_writes_the_bytes_of_its_steps(self):
+        for system in corpus_and_random_frames():
+            if frame_bounds(system).lower <= 1e-9:
+                continue
+            flat = parsevalize(system)
+            dual = canonical_dual(flat)[0]
+            expected = eager_push(
+                eager_push(system, _frame_operator_power(system, -0.5, 0.0)),
+                np.linalg.inv(assemble_frame_operator(flat).entries),
+            )
+            assert (dumps_canonical(system_to_document(dual))
+                    == dumps_canonical(system_to_document(expected)))
+
+
+class TestGramBlocks:
+    """weighted_gram sums row blocks of _GRAM_BLOCK_FLOATS floats of the weighted stack."""
+
+    def test_one_block_is_the_single_product(self):
+        rng = np.random.default_rng(61)
+        for system in corpus_and_random_frames():
+            w = system.nodes.mu * system.weights**2
+            expected = (system.stacked.T * system.per_row(w)) @ system.stacked
+            np.testing.assert_array_equal(weighted_gram(system, w), expected)
+
+    def test_blocks_sum_to_the_oracle(self, monkeypatch):
+        monkeypatch.setattr(systems, "_GRAM_BLOCK_FLOATS", 8)
+        for n, count in TestStackedCore.SHAPES:
+            args, system = random_raw_system(np.random.default_rng(300 * n + count), n, count)
+            np.testing.assert_allclose(
+                assemble_frame_operator(system).entries,
+                oracles.frame_operator(*args), rtol=0.0, atol=1e-12,
+            )
+
+    def test_memory_stays_within_a_few_blocks(self):
+        n = 64
+        system = tall_codomain_system(np.random.default_rng(67), n, 4096, 4)
+        rows = system.stacked.shape[0]
+        assert rows * n >= 8 * systems._GRAM_BLOCK_FLOATS
+        w = system.nodes.mu * system.weights**2
+        tracemalloc.start()
+        try:
+            gram = weighted_gram(system, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One scaled block and its product, beside the per-row weights.
+        assert peak <= 8 * (2 * systems._GRAM_BLOCK_FLOATS + rows + 2 * n * n)
+        np.testing.assert_allclose(gram, (system.stacked.T * system.per_row(w)) @ system.stacked,
+                                   rtol=1e-13, atol=1e-13 * np.abs(gram).max())
