@@ -34,12 +34,13 @@ from .operators import (
 from .report import EXACT, VerificationReport, build_report
 from .systems import (
     GFusionSystem,
+    _analysis_rows,
     _frame_operator_power,
+    _synthesis_rows,
     assemble_frame_operator,
     kgf_lower_bound,
     push_through,
     require_frame,
-    synthesis,
     weighted_gram,
 )
 
@@ -96,21 +97,22 @@ def atomic_decompose(
     """Decompose K f through the system with minimal weighted norm.
 
     Returns the coefficient field phi with synthesis(phi) = K f and the
-    norm constant c of the decomposition map.  When K f falls outside
+    norm constant c of the decomposition map; phi is the analysis of
+    S^+ K f.  When K f falls outside
     the frame operator's range the reconstruction residual exceeds
     ``tol`` (relative to ||K f||) and :class:`RangeInclusionError` is
     raised.
     """
-    cert = decomposition_operator(system, k)
+    core, c, _ = _minimal_decomposition(system, k)
     kf = k.apply(f)
-    phi = CoefficientField(tuple(op.apply(f) for op in cert.block_maps))
-    residual = float(np.linalg.norm(synthesis(system, phi) - kf))
+    rows = _analysis_rows(system, core @ np.asarray(f, dtype=float))
+    residual = float(np.linalg.norm(_synthesis_rows(system, rows) - kf))
     if residual > tol * max(1.0, float(np.linalg.norm(kf))):
         raise RangeInclusionError(
             f"K f is not in the range of the frame operator (residual {residual:.3e})",
             residual=residual,
         )
-    return phi, cert.c
+    return CoefficientField(system.split_rows(rows)), c
 
 
 def atomic_equiv_check(

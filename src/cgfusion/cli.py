@@ -7,7 +7,8 @@ errors, including a number out of range in a flag or in CGFUSION_TOL and
 input files whose shapes or nodes do not fit together.
 ``--out`` writes the machine-readable document: a report for verification
 subcommands, a loadable system file for producing subcommands (random,
-parseval, dual, dsum, transform).  Machine output is canonical JSON and
+parseval, dual, dsum, transform).  The document is built only when
+``--out`` is given.  Machine output is canonical JSON and
 contains no timing, so identical inputs and seeds give byte-identical
 artifacts.
 """
@@ -50,7 +51,7 @@ from .random_systems import random_system
 from .report import VerificationReport, _save_canonical, build_report
 from .resolution import canonical_resolution_report, frame_from_resolution
 from .selftest import run_selftest
-from .systems import frame_bounds, kgf_check, kgf_lower_bound
+from .systems import GFusionSystem, frame_bounds, kgf_check, kgf_lower_bound
 from .sysio import (
     SCHEMA_VERSION,
     has_secondary_weights,
@@ -151,9 +152,10 @@ def _print_reports(reports: list[VerificationReport]) -> None:
 
 
 # --- subcommand handlers ------------------------------------------------
+# Each gets the parsed arguments and the resolved tolerance (None without --tol)
+# and returns its reports with the report parameters or the system it produced.
 
-def _cmd_check(args):
-    tol = _resolve_tol(args)
+def _cmd_check(args, tol):
     system = load_system(args.system)
     bounds = frame_bounds(system, tol)
     reports = [
@@ -167,12 +169,10 @@ def _cmd_check(args):
             force_fail=bounds.classification not in _FRAME_LABELS,
         ),
     ]
-    params = {"tol": tol, "system": args.system}
-    return reports, _report_document("check", params, reports)
+    return reports, {"tol": tol, "system": args.system}
 
 
-def _cmd_kgf(args):
-    tol = _resolve_tol(args)
+def _cmd_kgf(args, tol):
     doc = load_document(args.system)
     system = system_from_document(doc, args.system)
     k = _named_operator(args.K, operators_from_document(doc, args.system), "K", required=True)
@@ -207,11 +207,10 @@ def _cmd_kgf(args):
     params = {"tol": tol, "system": args.system, "K": args.K or "operators.K"}
     if args.A is not None:
         params["A"] = args.A
-    return reports, _report_document("kgf", params, reports)
+    return reports, params
 
 
-def _cmd_resolve(args):
-    tol = _resolve_tol(args)
+def _cmd_resolve(args, tol):
     system = load_system(args.system)
     reports = [canonical_resolution_report(system, tol)]
     top = system._energy_top
@@ -228,12 +227,10 @@ def _cmd_resolve(args):
         name="frame_from_resolution", residuals={}, tolerances={"tol": tol},
         constants=constants, notes=notes,
     ))
-    params = {"tol": tol, "system": args.system}
-    return reports, _report_document("resolve", params, reports)
+    return reports, {"tol": tol, "system": args.system}
 
 
-def _cmd_atomic(args):
-    tol = _resolve_tol(args)
+def _cmd_atomic(args, tol):
     doc = load_document(args.system)
     system = system_from_document(doc, args.system)
     k = _named_operator(args.K, operators_from_document(doc, args.system), "K")
@@ -241,12 +238,10 @@ def _cmd_atomic(args):
         reports = [atomic_wrt_frame_operator(system, tol)]
     else:
         reports = [atomic_equiv_check(system, k, tol)]
-    params = {"tol": tol, "system": args.system, "K": args.K or "frame-operator"}
-    return reports, _report_document("atomic", params, reports)
+    return reports, {"tol": tol, "system": args.system, "K": args.K or "frame-operator"}
 
 
-def _cmd_transform(args):
-    tol = _resolve_tol(args)
+def _cmd_transform(args, tol):
     doc = load_document(args.system)
     system = system_from_document(doc, args.system)
     doc_ops = operators_from_document(doc, args.system)
@@ -273,7 +268,7 @@ def _cmd_transform(args):
     else:
         produced, rep = transform_shift(system, l_op, tol)
         reports = [rep]
-    return reports, system_to_document(produced)
+    return reports, produced
 
 
 def _pair_from_args(args) -> PairSystem:
@@ -299,8 +294,7 @@ def _naming_flags(flags: dict, check, *args):
         raise ParameterError(f"{given}: {err}") from err
 
 
-def _cmd_pair(args):
-    tol = _resolve_tol(args)
+def _cmd_pair(args, tol):
     pair = _pair_from_args(args)
     reports = [
         pair_adjoint_and_norm(pair, tol),
@@ -331,51 +325,40 @@ def _cmd_pair(args):
     else:
         lam = deviation if args.lam is None else args.lam
         reports.append(_naming_flags({"--lam": args.lam}, symmetric_perturbation, pair, lam, tol))
-    params = {
+    return reports, {
         "tol": tol, "trials": args.trials, "seed": args.seed,
         "system": args.system, "xi": args.xi or "secondary-weights",
     }
-    return reports, _report_document("pair", params, reports)
 
 
-def _cmd_dsum(args):
-    tol = _resolve_tol(args)
-    chi = load_system(args.system)
-    xi = load_system(args.xi)
-    system, report = direct_sum_laws(chi, xi, tol)
-    return [report], system_to_document(system)
+def _cmd_dsum(args, tol):
+    system, report = direct_sum_laws(load_system(args.system), load_system(args.xi), tol)
+    return [report], system
 
 
-def _cmd_parseval(args):
-    tol = _resolve_tol(args)
-    system = load_system(args.system)
-    flat = parsevalize(system, tol)
+def _cmd_parseval(args, tol):
+    flat = parsevalize(load_system(args.system), tol)
     reports = [build_report(
         name="parseval_identity",
         residuals={"identity_residual": parseval_residual(flat)},
         tolerances={"tol": max(tol, 1e-8)},
     )]
-    return reports, system_to_document(flat)
+    return reports, flat
 
 
-def _cmd_dual(args):
-    tol = _resolve_tol(args)
-    system = load_system(args.system)
-    dual, report = canonical_dual(system, tol)
-    return [report], system_to_document(dual)
+def _cmd_dual(args, tol):
+    dual, report = canonical_dual(load_system(args.system), tol)
+    return [report], dual
 
 
-def _cmd_random(args):
+def _cmd_random(args, tol):
     system = random_system(np.random.default_rng(args.seed), args.dim, args.nodes)
     reports = [validate_nodes(system.nodes, WeightProfile(system.weights))]
-    return reports, system_to_document(system)
+    return reports, system
 
 
-def _cmd_selftest(args):
-    tol = _resolve_tol(args)
-    reports = run_selftest(seed=args.seed, tol=tol)
-    params = {"tol": tol, "seed": args.seed}
-    return reports, _report_document("selftest", params, reports)
+def _cmd_selftest(args, tol):
+    return run_selftest(seed=args.seed, tol=tol), {"tol": tol, "seed": args.seed}
 
 
 # --- parser -------------------------------------------------------------
@@ -461,7 +444,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        reports, document = args.handler(args)
+        tol = _resolve_tol(args) if "tol" in vars(args) else None
+        reports, output = args.handler(args, tol)
     except (SystemFileError, ParameterError, ShapeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE
@@ -469,8 +453,13 @@ def main(argv=None) -> int:
         print(f"verification failed: {err}", file=sys.stderr)
         return FAIL
     _print_reports(reports)
-    if args.out and document is not None:
-        _save_canonical(document, args.out)
+    if args.out:
+        # Rebinding ``output`` releases a produced system before the text is built.
+        if isinstance(output, GFusionSystem):
+            output = system_to_document(output)
+        else:
+            output = _report_document(args.command, output, reports)
+        _save_canonical(output, args.out)
         print(f"wrote {args.out}")
     return PASS if all(r.passed for r in reports) else FAIL
 

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
 
 def format_float(x: float) -> str:
     """Decimal form with 17 significant digits; round-trips any double."""
@@ -23,6 +25,8 @@ def format_float(x: float) -> str:
 
 
 def _write_json(value, out: list[str], level: int) -> None:
+    if isinstance(value, np.ndarray):
+        value = value.tolist()  # one array at a time, so only its lists are held
     pad = "  " * level
     pad_in = pad + "  "
     if isinstance(value, dict):
@@ -80,7 +84,7 @@ def dumps_canonical(document) -> str:
     Keys are emitted sorted, each level is indented by two spaces, and
     every float is written as :func:`format_float` writes it, so equal
     documents produce byte-equal text.  A list of plain floats is
-    formatted in one call.
+    formatted in one call; a numpy array is written as its nested lists.
     """
     out: list[str] = []
     _write_json(document, out, 0)
@@ -92,11 +96,13 @@ def _save_canonical(document, path) -> None:
     """Write ``document`` canonically to the file ``path``.
 
     The whole text is built before the file is opened, so a document that
-    cannot be serialized leaves an existing file as it was.
+    cannot be serialized leaves an existing file as it was.  It is written
+    in 1 MiB slices, so its encoded bytes are never a second whole copy.
     """
     text = dumps_canonical(document)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+        for start in range(0, len(text), 2**20):
+            handle.write(text[start : start + 2**20])
 
 
 EXACT = "exact spectral"

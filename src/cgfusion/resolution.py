@@ -247,17 +247,16 @@ def bounded_resolution_check(
             "factor_fixed_by_measurement",
             f"||T_i^T Lam_i - T_i|| = {hypothesis:.3e} exceeds {tol:g}",
         )
-    # diag(mu v^2) T gives both G = L^T diag(mu v^2) T and E = T^T diag(mu v^2) T.
+    # diag(mu v^2) T gives both G = L^T diag(mu v^2) T and E = T^T diag(mu v^2) T;
+    # G is the sum of the family, so its identity residual is ||G - I||.
     weighted = stacked * system.per_row(system.nodes.mu * system.weights**2)[:, None]
-    family = _held(system.nodes, system.stacked, stacked, system.per_row(system.weights**2),
-                   system._bounds, np.eye(n), system.stacked.T @ weighted)
-    resolution = verify_resolution(family, tol)
+    identity_residual = opnorm(system.stacked.T @ weighted - np.eye(n))
     upper = frame_bounds(system).upper
     largest = float(np.max(np.linalg.norm(cube, 2, axis=(1, 2)), initial=0.0)) ** 2
     energies = np.linalg.eigvalsh(symmetrize(stacked.T @ weighted))
     least, most = float(energies[0]), float(energies[-1])
     residuals = {
-        "identity_residual": resolution.residuals["identity_residual"],
+        "identity_residual": identity_residual,
         "lower_energy_violation": max(0.0, 1.0 / max(upper, 1e-300) - least),
         "upper_energy_violation": max(0.0, most - upper * largest),
         "hypothesis_residual": hypothesis,

@@ -96,9 +96,9 @@ def _is_number(value) -> bool:
 
 
 def _subspace_from(value, where: str, ambient_dim: int) -> Subspace:
-    if not isinstance(value, list):
+    if not isinstance(value, (list, np.ndarray)):
         _fail(where, f"expected a list of basis rows, got {value!r}")
-    rows = _matrix_from(value, where, cols=ambient_dim) if value else np.zeros((0, ambient_dim))
+    rows = _matrix_from(value, where, cols=ambient_dim) if len(value) else np.zeros((0, ambient_dim))
     basis = rows.T
     defect = _basis_defect(basis)
     if defect > REPAIR_ORTHONORMALITY:
@@ -202,25 +202,25 @@ def load_operator(path: str | os.PathLike) -> Operator:
     return Operator(_matrix_from(value, str(path)))
 
 
-def _plain(matrix: np.ndarray) -> list:
-    """Nested lists of the entries, with -0.0 written as 0.0: equal systems, equal bytes."""
-    return (matrix + 0.0).tolist()
-
-
 def system_to_document(
     system: GFusionSystem,
     secondary_weights=None,
     operators: dict[str, Operator] | None = None,
 ) -> dict:
-    """Serializable document for a system (inverse of system_from_document)."""
+    """Document for a system (inverse of :func:`system_from_document`).
+
+    Each matrix is the float array ``m + 0.0`` (-0.0 becomes 0: equal systems,
+    equal bytes).  The document is for ``dumps_canonical`` and :func:`save_system`;
+    ``json.dumps`` needs each array as ``.tolist()``.
+    """
     nodes = []
     for i in range(system.node_count):
         node = {
             "id": system.nodes.ids[i],
             "mu": float(system.nodes.mu[i]),
             "v": float(system.weights[i]),
-            "subspace": _plain(system.subspaces[i].basis.T),
-            "local_operator": _plain(system.local_maps[i].entries),
+            "subspace": system.subspaces[i].basis.T + 0.0,
+            "local_operator": system.local_maps[i].entries + 0.0,
         }
         if secondary_weights is not None:
             node["s"] = float(secondary_weights[i])
@@ -231,7 +231,7 @@ def system_to_document(
         "nodes": nodes,
     }
     if operators:
-        doc["operators"] = {name: _plain(op.entries) for name, op in operators.items()}
+        doc["operators"] = {name: op.entries + 0.0 for name, op in operators.items()}
     return doc
 
 

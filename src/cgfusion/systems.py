@@ -72,7 +72,8 @@ class GFusionSystem:
 
     A system made by :func:`push_through` is built without ``__post_init__``
     from its stacked matrix; its ``subspaces`` and ``local_maps`` are formed
-    on first read (:meth:`__getattr__`) and then kept.
+    on first read (:meth:`__getattr__`) and then kept.  :meth:`with_weights`
+    shares the stacked matrix and geometry, formed or not, of its source.
     """
 
     ambient_dim: int
@@ -92,11 +93,7 @@ class GFusionSystem:
         count = len(self.nodes)
         subspaces = tuple(self.subspaces)
         local_maps = tuple(self.local_maps)
-        weights = np.array(self.weights, dtype=float)
-        if weights.ndim != 1 or weights.shape[0] != count:
-            raise ShapeError(f"expected {count} weights, got shape {weights.shape}")
-        if weights.size and (not np.isfinite(weights).all() or not (weights > 0).all()):
-            raise ValueError("weights must be finite and positive")
+        weights = _checked_weights(self.weights, count)
         if len(subspaces) != count or len(local_maps) != count:
             raise ShapeError(
                 f"{count} nodes but {len(subspaces)} subspaces / {len(local_maps)} local maps"
@@ -116,12 +113,10 @@ class GFusionSystem:
             np.matmul(loc.entries, sub.basis.T, out=stacked[offsets[i] : offsets[i + 1]])
         object.__setattr__(self, "subspaces", subspaces)
         object.__setattr__(self, "local_maps", local_maps)
-        object.__setattr__(self, "weights", _freeze(weights))
-        # Frozen before slicing, so every per-node view is read-only too.
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_stacked", _freeze(stacked))
         object.__setattr__(self, "_bounds", tuple(offsets.tolist()))
         object.__setattr__(self, "_row_counts", _freeze(np.diff(offsets)))
-        object.__setattr__(self, "_effective", self.split_rows(stacked))
 
     def __getattr__(self, name):
         # Reached only when ``name`` is not set: on a pushed system, its
@@ -156,7 +151,7 @@ class GFusionSystem:
     @property
     def effective_maps(self) -> tuple[np.ndarray, ...]:
         """Per-node maps local_i basis_i^T, shape (m_i, ambient_dim); views of :attr:`stacked`."""
-        return self._effective
+        return self.split_rows(self._stacked)
 
     def per_row(self, node_values) -> np.ndarray:
         """Expand one value per node to one value per row of :attr:`stacked`."""
@@ -183,9 +178,29 @@ class GFusionSystem:
         return float(np.linalg.eigvalsh(symmetrize(weighted_gram(self, self.nodes.mu)))[-1])
 
     def with_weights(self, weights) -> "GFusionSystem":
-        return GFusionSystem(
-            self.ambient_dim, self.nodes, self.subspaces, self.local_maps, weights
-        )
+        """The system with ``weights``, checked as at construction; the rest is shared."""
+        weights = _checked_weights(weights, self.node_count)
+        geometry = {k: v for k, v in vars(self).items() if k in ("subspaces", "local_maps", "_push")}
+        return _sharing(self, self._stacked, weights=weights, **geometry)
+
+
+def _checked_weights(weights, count: int) -> np.ndarray:
+    """``weights`` as a read-only float array of ``count`` finite positive values."""
+    weights = np.array(weights, dtype=float)
+    if weights.ndim != 1 or weights.shape[0] != count:
+        raise ShapeError(f"expected {count} weights, got shape {weights.shape}")
+    if weights.size and (not np.isfinite(weights).all() or not (weights > 0).all()):
+        raise ValueError("weights must be finite and positive")
+    return _freeze(weights)
+
+
+def _sharing(system: GFusionSystem, stacked: np.ndarray, **fields) -> GFusionSystem:
+    """A system on ``stacked`` in the layout of ``system``, built without ``__post_init__``."""
+    made = object.__new__(GFusionSystem)
+    made.__dict__.update(ambient_dim=system.ambient_dim, nodes=system.nodes, weights=system.weights,
+                         _stacked=stacked, _bounds=system._bounds, _row_counts=system._row_counts)
+    made.__dict__.update(fields)
+    return made
 
 
 @dataclass(frozen=True)
@@ -335,18 +350,7 @@ def push_through(system: GFusionSystem, transform: np.ndarray) -> GFusionSystem:
     stacked = system.stacked @ t.T
     if not np.isfinite(stacked).all():
         raise ValueError("pushed effective maps must be finite")
-    pushed = object.__new__(GFusionSystem)
-    pushed.__dict__.update(
-        ambient_dim=n,
-        nodes=system.nodes,
-        weights=system.weights,
-        _stacked=_freeze(stacked),
-        _bounds=system._bounds,
-        _row_counts=system._row_counts,
-        _effective=system.split_rows(stacked),
-        _push=(system, t),
-    )
-    return pushed
+    return _sharing(system, _freeze(stacked), _push=(system, t))
 
 
 def _require_comparison_operator(system: GFusionSystem, k: Operator) -> None:

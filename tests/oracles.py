@@ -223,9 +223,12 @@ def canonical_text(doc, indent=2):
 
     Sorted keys, one item per line, ``indent`` spaces per level, empty
     containers as {} and []; every float is format(v, ".17g"), every int
-    str(v), strings and keys go through json.dumps.
+    str(v), strings and keys go through json.dumps; an array is written as
+    its nested lists.
     """
     def text(value, level):
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
         pad = " " * (indent * level)
         inner = " " * (indent * (level + 1))
         if isinstance(value, dict):
