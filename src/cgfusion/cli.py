@@ -459,7 +459,11 @@ def main(argv=None) -> int:
             output = system_to_document(output)
         else:
             output = _report_document(args.command, output, reports)
-        _save_canonical(output, args.out)
+        try:
+            _save_canonical(output, args.out)
+        except OSError as err:
+            print(f"error: {args.out}: cannot write: {err.strerror or err}", file=sys.stderr)
+            return USAGE
         print(f"wrote {args.out}")
     return PASS if all(r.passed for r in reports) else FAIL
 

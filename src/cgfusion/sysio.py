@@ -33,6 +33,7 @@ import json
 import os
 
 import numpy as np
+import orjson
 
 from .errors import SystemFileError
 from .measure import MeasureNodes
@@ -51,6 +52,8 @@ def _fail(where: str, message: str):
 def _matrix_from(value, where: str, rows: int | None = None, cols: int | None = None) -> np.ndarray:
     try:
         arr = np.array(value, dtype=float)
+    except OverflowError:  # an integer literal beyond the double range
+        _fail(where, "entries must be finite")
     except (TypeError, ValueError):
         _fail(where, "expected a rectangular array of numbers")
     if arr.ndim == 1 and arr.size == 0:
@@ -67,13 +70,35 @@ def _matrix_from(value, where: str, rows: int | None = None, cols: int | None = 
 
 
 def _read_json(path: str | os.PathLike):
+    """Parse the file at ``path``; every failure is a :class:`SystemFileError`.
+
+    orjson parses the bytes.  Only what it rejects (NaN and Infinity
+    literals, numbers beyond the double range, lone surrogates, invalid
+    JSON) goes to the stdlib parser, which accepts the first three as
+    before and names the line of a syntax error.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        with open(path, "rb") as handle:
+            data = handle.read()
     except FileNotFoundError:
         raise SystemFileError(f"{path}: file not found")
+    except OSError as err:
+        raise SystemFileError(f"{path}: cannot read: {err.strerror or err}")
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError:
+        pass
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise SystemFileError(f"{path}: not UTF-8 text: byte {err.start}: {err.reason}")
+    try:
+        # Newlines as text-mode reading gives them, for the error's line number.
+        return json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
     except json.JSONDecodeError as err:
         raise SystemFileError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}")
+    except RecursionError:
+        raise SystemFileError(f"{path}: invalid JSON: nested too deeply")
 
 
 def _check_version(version, where: str) -> None:

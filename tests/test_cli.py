@@ -357,6 +357,34 @@ class TestFlags:
         assert main([arg.format(**paths) for arg in argv]) == 2
         assert f"error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "{bad}"],
+        ["kgf", "{e2}", "--K", "{bad}"],
+        ["pair", "{e2}", "--xi", "{bad}"],
+        ["transform", "{e2}", "--L", "{bad}"],
+        ["transform", "{e2}", "--xi", "{e2}", "--L", "{eye}", "--G", "{bad}"],
+    ])
+    def test_unreadable_input_exits_two(self, argv, e2_path, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"[[\xff]]")
+        eye = write_matrix(tmp_path, "eye.json", np.eye(2).tolist())
+        assert main([arg.format(e2=e2_path, bad=bad, eye=eye) for arg in argv]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text: byte 2: invalid start byte\n"
+
+    @pytest.mark.parametrize("target, reason", [
+        ("missing/out.json", "No such file or directory"),
+        ("taken", "Is a directory"),
+    ])
+    def test_unwritable_out_exits_two(self, target, reason, e2_path, tmp_path, capsys):
+        (tmp_path / "taken").mkdir()
+        (tmp_path / "taken" / "kept.json").write_text("old", encoding="utf-8")
+        out = tmp_path / target
+        assert main(["parseval", e2_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {out}: cannot write: {reason}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["e2.json", "taken"]
+        assert [p.name for p in (tmp_path / "taken").iterdir()] == ["kept.json"]
+        assert (tmp_path / "taken" / "kept.json").read_text(encoding="utf-8") == "old"
+
     def test_random_accepts_zero_nodes(self, tmp_path):
         out = tmp_path / "empty.json"
         assert main(["random", "--nodes", "0", "--out", str(out)]) == 0

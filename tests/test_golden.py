@@ -127,6 +127,18 @@ def test_only_the_necessary_reports_are_sampled(workdir, monkeypatch):
     assert sampled == {"perturbation_bound", "selftest_atomic_equivalence"}
 
 
+def test_inputs_load_without_the_stdlib_parser(workdir, monkeypatch):
+    """orjson reads every golden input; the stdlib parser is only its fallback."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.loads called")
+
+    monkeypatch.setattr(json, "loads", refuse)
+    monkeypatch.setattr(cli, "_print_reports", lambda reports: None)
+    for argv, code, _ in GOLDEN.values():
+        if any(arg.endswith(".json") for arg in argv):
+            assert main(argv) == code
+
+
 def test_every_subcommand_is_pinned():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert set(sub.choices) <= {argv[0] for argv, _, _ in GOLDEN.values()}

@@ -1,8 +1,9 @@
 import json
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from cgfusion import Operator, SystemFileError, load_operator, load_system, save_system
@@ -310,6 +311,124 @@ class TestOperators:
         with pytest.raises(SystemFileError) as from_system:
             load_system(system_path)
         assert str(from_system.value) == str(caught.value).replace(str(path), str(system_path))
+
+
+def typed(value):
+    """``value`` with each leaf tagged by its type, and each float by its bits (-0.0 kept)."""
+    if isinstance(value, dict):
+        return {key: typed(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [typed(item) for item in value]
+    if isinstance(value, float):
+        return ("float", struct.pack("<d", value))
+    return (type(value).__name__, value)
+
+
+def as_orjson_loads(value):
+    """``json.loads``'s value with the documented difference: integers outside
+    [-2**63, 2**64) load as the nearest double."""
+    if isinstance(value, dict):
+        return {key: as_orjson_loads(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [as_orjson_loads(item) for item in value]
+    if isinstance(value, int) and not isinstance(value, bool) and not -2**63 <= value < 2**64:
+        try:
+            return float(value)
+        except OverflowError:
+            reject()  # orjson rejects the whole text, and the stdlib parser keeps every int
+    return value
+
+
+def system_text(subspace_row: str, ambient_dim: str = "2") -> bytes:
+    return (f'{{"version": "1", "ambient_dim": {ambient_dim}, "nodes": [{{"id": "a", "mu": 1,'
+            f' "v": 1, "subspace": [[{subspace_row}]], "local_operator": [[1]]}}]}}').encode()
+
+
+class TestParsers:
+    """orjson parses files; the stdlib parser takes only what orjson rejects."""
+
+    @settings(max_examples=150)
+    @given(documents, st.sampled_from([dumps_canonical, json.dumps]))
+    def test_load_document_agrees_with_stdlib(self, tmp_path_factory, doc, dumps):
+        text = dumps({"version": "1", "data": doc})
+        path = tmp_path_factory.mktemp("doc") / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        assert typed(load_document(path)) == typed(as_orjson_loads(json.loads(text)))
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400",
+                                         pytest.param("1" + "0" * 400, id="int-1e400")])
+    def test_non_finite_entry_named(self, tmp_path, literal):
+        path = tmp_path / "s.json"
+        path.write_bytes(system_text(f"{literal}, 0"))
+        with pytest.raises(SystemFileError) as caught:
+            load_system(path)
+        assert str(caught.value) == f"{path}: node 'a': subspace: entries must be finite"
+
+    def test_byte_order_mark_is_invalid_json(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_bytes(b"\xef\xbb\xbf" + system_text("1, 0"))
+        with pytest.raises(SystemFileError) as caught:
+            load_system(path)
+        assert str(caught.value) == (
+            f"{path}: invalid JSON at line 1: Unexpected UTF-8 BOM (decode using utf-8-sig)")
+
+    @pytest.mark.parametrize("literal", ["12345678901234567890", "98765432109876543211",
+                                         "-36893488147419103233"])
+    def test_twenty_digit_entry_is_the_nearest_double(self, tmp_path, literal):
+        path = tmp_path / "k.json"
+        path.write_text(f"[[{literal}]]", encoding="utf-8")
+        assert load_operator(path).entries[0, 0] == float(int(literal))
+
+    @pytest.mark.parametrize("value, loaded", [
+        (-2**63, -2**63), (2**64 - 1, 2**64 - 1),
+        (-2**63 - 1, -9.223372036854775808e18), (2**64, 1.8446744073709552e19),
+    ])
+    def test_integers_past_64_bits_load_as_doubles(self, tmp_path, value, loaded):
+        path = tmp_path / "s.json"
+        path.write_text(f'{{"version": "1", "n": {value}}}', encoding="utf-8")
+        assert typed(load_document(path)["n"]) == typed(loaded)
+
+    def test_ambient_dim_past_64_bits_is_a_double(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_bytes(system_text("1, 0", ambient_dim=str(2**64)))
+        with pytest.raises(SystemFileError) as caught:
+            load_system(path)
+        assert str(caught.value) == (
+            f"{path}: ambient_dim must be a positive integer, got 1.8446744073709552e+19")
+
+    def test_lone_surrogate_loads(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text('{"version": "1", "note": "\\ud800"}', encoding="utf-8")
+        assert load_document(path)["note"] == "\ud800"
+
+    def test_line_number_counts_carriage_returns(self, tmp_path):
+        path = tmp_path / "k.json"
+        path.write_bytes(b"[[1.0, 0.0],\r [0.0 2.0]]")
+        with pytest.raises(SystemFileError) as caught:
+            load_operator(path)
+        assert str(caught.value) == f"{path}: invalid JSON at line 2: Expecting ',' delimiter"
+
+
+@pytest.mark.parametrize("load", [load_document, load_operator])
+class TestUnreadableFiles:
+    def test_not_utf8(self, tmp_path, load):
+        path = tmp_path / "s.json"
+        path.write_bytes(b'{"version": "1", "id": "\xff"}')
+        with pytest.raises(SystemFileError) as caught:
+            load(path)
+        assert str(caught.value) == f"{path}: not UTF-8 text: byte 24: invalid start byte"
+
+    def test_directory(self, tmp_path, load):
+        with pytest.raises(SystemFileError) as caught:
+            load(tmp_path)
+        assert str(caught.value) == f"{tmp_path}: cannot read: Is a directory"
+
+    def test_nested_too_deeply(self, tmp_path, load):
+        path = tmp_path / "s.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        with pytest.raises(SystemFileError) as caught:
+            load(path)
+        assert str(caught.value) == f"{path}: invalid JSON: nested too deeply"
 
 
 class TestCanonicalJson:
