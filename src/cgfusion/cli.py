@@ -21,6 +21,7 @@ import os
 import sys
 
 import numpy as np
+import orjson
 
 from .atomic import (
     atomic_equiv_check,
@@ -463,6 +464,9 @@ def main(argv=None) -> int:
             _save_canonical(output, args.out)
         except OSError as err:
             print(f"error: {args.out}: cannot write: {err.strerror or err}", file=sys.stderr)
+            return USAGE
+        except orjson.JSONEncodeError as err:  # a value JSON text cannot hold
+            print(f"error: {args.out}: cannot write: {err}", file=sys.stderr)
             return USAGE
         print(f"wrote {args.out}")
     return PASS if all(r.passed for r in reports) else FAIL

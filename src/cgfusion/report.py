@@ -3,106 +3,64 @@
 Reports are the uniform result type for every verification in the library:
 named residuals measured against named tolerances, plus certified constants
 and a provenance note saying whether the check was exact or sampled.  The
-JSON form is canonical (sorted keys, fixed float format), so identical runs
-serialize to identical bytes.
+JSON form is canonical (sorted keys, two-space indent, each float the
+shortest decimal that round-trips), so identical runs serialize to
+identical bytes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
+import orjson
+
+_CANONICAL = (orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+              | orjson.OPT_APPEND_NEWLINE)
 
 
-def format_float(x: float) -> str:
-    """Decimal form with 17 significant digits; round-trips any double."""
-    v = float(x)
-    if not math.isfinite(v):
-        raise ValueError(f"non-finite value cannot be serialized: {x!r}")
-    return format(v, ".17g")
-
-
-def _write_json(value, out: list[str], level: int) -> None:
-    if isinstance(value, np.ndarray):
-        value = value.tolist()  # one array at a time, so only its lists are held
-    pad = "  " * level
-    pad_in = pad + "  "
-    if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        keys = sorted(value)
-        for i, key in enumerate(keys):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON keys must be strings, got {key!r}")
-            out.append(pad_in + encode_basestring_ascii(key) + ": ")
-            _write_json(value[key], out, level + 1)
-            out.append(",\n" if i < len(keys) - 1 else "\n")
-        out.append(pad + "}")
+def _check_finite(value) -> None:
+    """Raise ValueError on a NaN or infinity in ``value``, which orjson writes as null."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value cannot be serialized: {value!r}")
+    elif isinstance(value, np.ndarray):
+        finite = np.isfinite(value)
+        if not finite.all():
+            _check_finite(float(value[~finite][0]))
+    elif isinstance(value, dict):
+        for item in value.values():
+            _check_finite(item)
     elif isinstance(value, (list, tuple)):
-        seq = tuple(value)
-        if not seq:
-            out.append("[]")
-            return
-        if set(map(type, seq)) == {float}:
-            # A row of plain floats is one %-format call; "%.17g" % v is
-            # the text of format_float(v).  A non-finite sum means some
-            # item may be non-finite: format_float names the first one.
-            if not math.isfinite(sum(seq)):
-                for item in seq:
-                    format_float(item)
-            sep = ",\n" + pad_in
-            out.append("[\n" + pad_in + sep.join(["%.17g"] * len(seq)) % seq)
-            out.append("\n" + pad + "]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(seq):
-            out.append(pad_in)
-            _write_json(item, out, level + 1)
-            out.append(",\n" if i < len(seq) - 1 else "\n")
-        out.append(pad + "]")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        out.append(format_float(value))
-    elif isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif value is None:
-        out.append("null")
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
+        for item in value:
+            _check_finite(item)
 
 
-def dumps_canonical(document) -> str:
-    """Serialize nested dict/list data to deterministic JSON text.
+def dumps_canonical(document) -> bytes:
+    """Serialize nested dict/list data to deterministic JSON bytes.
 
-    Keys are emitted sorted, each level is indented by two spaces, and
-    every float is written as :func:`format_float` writes it, so equal
-    documents produce byte-equal text.  A list of plain floats is
-    formatted in one call; a numpy array is written as its nested lists.
+    Keys are emitted sorted, each level is indented by two spaces, every
+    float is the shortest decimal that round-trips, strings are raw UTF-8
+    and the text ends in a newline, so equal documents produce byte-equal
+    output.  A numpy array (C-contiguous) is written as its nested lists.
+    A NaN or infinity raises ValueError; a value orjson cannot write (an
+    int outside [-2**63, 2**64), a lone surrogate) raises
+    ``orjson.JSONEncodeError``, a TypeError.
     """
-    out: list[str] = []
-    _write_json(document, out, 0)
-    out.append("\n")
-    return "".join(out)
+    _check_finite(document)
+    return orjson.dumps(document, option=_CANONICAL)
 
 
 def _save_canonical(document, path) -> None:
     """Write ``document`` canonically to the file ``path``.
 
-    The whole text is built before the file is opened, so a document that
-    cannot be serialized leaves an existing file as it was.  It is written
-    in 1 MiB slices, so its encoded bytes are never a second whole copy.
+    The bytes are built before the file is opened, so a document that
+    cannot be serialized leaves an existing file as it was.
     """
-    text = dumps_canonical(document)
-    with open(path, "w", encoding="utf-8") as handle:
-        for start in range(0, len(text), 2**20):
-            handle.write(text[start : start + 2**20])
+    data = dumps_canonical(document)
+    with open(path, "wb") as handle:
+        handle.write(data)
 
 
 EXACT = "exact spectral"

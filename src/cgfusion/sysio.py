@@ -19,8 +19,8 @@ file looks like::
 ``local_operator`` is an m x k row-list acting on basis coordinates;
 ``s`` is an optional secondary weight per node, and ``operators`` an
 optional table of named square matrices.  Writing serializes every
-number as decimal with 17 significant digits, which round-trips doubles
-bit-exactly.
+float as the shortest decimal that round-trips, so a written file loads
+to bit-identical doubles.
 
 A basis whose orthonormality defect exceeds 1e-10 but stays within 1e-6
 is silently re-orthonormalized on load (column order and signs
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 
 import numpy as np
 import orjson
@@ -169,6 +170,8 @@ def system_from_document(doc: dict, where: str = "document", use_secondary: bool
                 continue  # the secondary weight is optional
             if not _is_number(value) or not value > 0:
                 _fail(spot, f"{key} must be a number > 0, got {value!r}")
+            if not value <= sys.float_info.max:  # infinity, or an int past the double range
+                _fail(spot, f"{key} must be finite")
         mu, weight = raw["mu"], raw["s" if use_secondary else "v"]
         subspace = _subspace_from(raw.get("subspace", []), f"{spot}: subspace", ambient_dim)
         local = Operator(
@@ -227,6 +230,11 @@ def load_operator(path: str | os.PathLike) -> Operator:
     return Operator(_matrix_from(value, str(path)))
 
 
+def _plain(matrix: np.ndarray) -> np.ndarray:
+    # orjson writes only C-contiguous arrays; adding 0.0 turns -0.0 into 0.
+    return np.add(matrix, 0.0, order="C")
+
+
 def system_to_document(
     system: GFusionSystem,
     secondary_weights=None,
@@ -234,9 +242,9 @@ def system_to_document(
 ) -> dict:
     """Document for a system (inverse of :func:`system_from_document`).
 
-    Each matrix is the float array ``m + 0.0`` (-0.0 becomes 0: equal systems,
-    equal bytes).  The document is for ``dumps_canonical`` and :func:`save_system`;
-    ``json.dumps`` needs each array as ``.tolist()``.
+    Each matrix is a C-ordered float array with -0.0 written as 0 (equal
+    systems, equal bytes).  The document is for ``dumps_canonical`` and
+    :func:`save_system`; ``json.dumps`` needs each array as ``.tolist()``.
     """
     nodes = []
     for i in range(system.node_count):
@@ -244,8 +252,8 @@ def system_to_document(
             "id": system.nodes.ids[i],
             "mu": float(system.nodes.mu[i]),
             "v": float(system.weights[i]),
-            "subspace": system.subspaces[i].basis.T + 0.0,
-            "local_operator": system.local_maps[i].entries + 0.0,
+            "subspace": _plain(system.subspaces[i].basis.T),
+            "local_operator": _plain(system.local_maps[i].entries),
         }
         if secondary_weights is not None:
             node["s"] = float(secondary_weights[i])
@@ -256,7 +264,7 @@ def system_to_document(
         "nodes": nodes,
     }
     if operators:
-        doc["operators"] = {name: op.entries + 0.0 for name, op in operators.items()}
+        doc["operators"] = {name: _plain(op.entries) for name, op in operators.items()}
     return doc
 
 

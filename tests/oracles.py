@@ -3,10 +3,13 @@
 Pure numpy, no package imports: every quantity is assembled directly
 from its defining formula (dense sums, pseudoinverses, eigensolves), so
 the library's code paths can be regression-pinned against these values.
-:func:`canonical_text` is a plain writer of the canonical JSON form.
+:func:`canonical_text` is a plain writer of the canonical JSON layout, and
+:func:`masked_numbers` and :func:`assert_shortest_floats` check the
+numbers of a canonical text apart from that layout.
 """
 
 import json
+import re
 
 import numpy as np
 
@@ -219,12 +222,13 @@ def system_args(spec):
 
 
 def canonical_text(doc, indent=2):
-    """Canonical JSON text of ``doc``, built value by value.
+    """Canonical JSON layout of ``doc``, built value by value.
 
     Sorted keys, one item per line, ``indent`` spaces per level, empty
     containers as {} and []; every float is format(v, ".17g"), every int
-    str(v), strings and keys go through json.dumps; an array is written as
-    its nested lists.
+    str(v), strings and keys go through json.dumps as raw UTF-8; an array
+    is written as its nested lists.  The canonical writer writes floats in
+    their shortest form, so compare the two through :func:`masked_numbers`.
     """
     def text(value, level):
         if isinstance(value, np.ndarray):
@@ -234,7 +238,8 @@ def canonical_text(doc, indent=2):
         if isinstance(value, dict):
             if not value:
                 return "{}"
-            items = [inner + json.dumps(k) + ": " + text(value[k], level + 1) for k in sorted(value)]
+            items = [inner + json.dumps(k, ensure_ascii=False) + ": " + text(value[k], level + 1)
+                     for k in sorted(value)]
             return "{\n" + ",\n".join(items) + "\n" + pad + "}"
         if isinstance(value, (list, tuple)):
             if not value:
@@ -252,7 +257,56 @@ def canonical_text(doc, indent=2):
         if isinstance(value, int):
             return str(value)
         if isinstance(value, str):
-            return json.dumps(value)
+            return json.dumps(value, ensure_ascii=False)
         raise TypeError(f"cannot write {type(value).__name__}")
 
     return text(doc, 0) + "\n"
+
+
+#: A JSON string (kept whole, so digits inside it are not numbers) or a number.
+_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?')
+
+
+def number_tokens(text):
+    """The number tokens of JSON ``text``, in order."""
+    return [t for t in _TOKEN.findall(text) if not t.startswith('"')]
+
+
+def masked_numbers(text):
+    """JSON ``text`` with every number token replaced by ``#``."""
+    return _TOKEN.sub(lambda m: m.group() if m.group().startswith('"') else "#", text)
+
+
+def significant_digits(token):
+    """Digits of a decimal token's mantissa, leading and trailing zeros dropped."""
+    mantissa = re.split("[eE]", token)[0].lstrip("-").replace(".", "")
+    return len(mantissa.strip("0"))
+
+
+def number_leaves(doc):
+    """The int and float leaves of ``doc`` in canonical order (keys sorted)."""
+    if isinstance(doc, np.ndarray):
+        doc = doc.tolist()
+    if isinstance(doc, dict):
+        return [leaf for key in sorted(doc) for leaf in number_leaves(doc[key])]
+    if isinstance(doc, (list, tuple)):
+        return [leaf for item in doc for leaf in number_leaves(item)]
+    if isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        return [doc]
+    return []
+
+
+def assert_shortest_floats(text, doc):
+    """Each number token of ``text`` is the matching leaf of ``doc``: an int
+    token the same int, a float token the same double (sign of zero too)
+    with as many significant digits as ``repr`` gives, the shortest decimal
+    that round-trips."""
+    tokens, leaves = number_tokens(text), number_leaves(doc)
+    assert len(tokens) == len(leaves)
+    for token, leaf in zip(tokens, leaves):
+        if isinstance(leaf, int):
+            assert token == str(leaf)
+            continue
+        assert any(mark in token for mark in ".eE"), token  # it loads as a float
+        assert float(token) == leaf and np.signbit(float(token)) == np.signbit(leaf), token
+        assert significant_digits(token) == significant_digits(repr(float(leaf))), token

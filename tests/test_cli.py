@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -66,6 +67,22 @@ class TestCheck:
         }), encoding="utf-8")
         assert main(["check", str(path)]) == 2
         assert "node 'a': mu must be a number > 0, got True" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["mu", "v", "s"])
+    @pytest.mark.parametrize("literal, problem", [
+        ("Infinity", "must be finite"),
+        ("1e400", "must be finite"),
+        ("1" + "0" * 400, "must be finite"),
+        ("-Infinity", "must be a number > 0, got -inf"),
+        ("NaN", "must be a number > 0, got nan"),
+    ], ids=["Infinity", "1e400", "int-1e400", "-Infinity", "NaN"])
+    def test_non_finite_weight_is_usage_error(self, field, literal, problem, tmp_path, capsys):
+        node = {"id": "a", "mu": 1, "v": 1, "s": 1, "subspace": [[1]], "local_operator": [[1]]}
+        text = json.dumps({"version": "1", "ambient_dim": 1, "nodes": [node]})
+        path = tmp_path / "weights.json"
+        path.write_text(text.replace(f'"{field}": 1', f'"{field}": {literal}'), encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: node 'a': {field} {problem}\n"
 
     def test_duplicate_node_id_is_usage_error(self, tmp_path, capsys):
         node = {"id": "a", "mu": 1.0, "v": 1.0, "subspace": [[1.0]], "local_operator": [[1.0]]}
@@ -384,6 +401,29 @@ class TestFlags:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["e2.json", "taken"]
         assert [p.name for p in (tmp_path / "taken").iterdir()] == ["kept.json"]
         assert (tmp_path / "taken" / "kept.json").read_text(encoding="utf-8") == "old"
+
+    @pytest.mark.parametrize("case, reason", [
+        ("seed", "Integer exceeds 64-bit range"),
+        ("node-id", "str is not valid UTF-8: surrogates not allowed"),
+        ("path", "str is not valid UTF-8: surrogates not allowed"),
+    ], ids=["seed", "node-id", "path"])
+    def test_unencodable_document_exits_two(self, case, reason, e2_path, tmp_path, capsys):
+        # JSON text holds neither an int past 64 bits nor a lone surrogate: a node
+        # id escaped as one, or a path argument whose bytes are not UTF-8.
+        doc = json.loads(open(e2_path, encoding="utf-8").read())
+        doc["nodes"][0]["id"] = "\ud800"
+        lone_id = tmp_path / "id.json"
+        lone_id.write_text(json.dumps(doc), encoding="utf-8")
+        undecodable = tmp_path / "\udcff.json"
+        shutil.copy(e2_path, undecodable)
+        argv = {"seed": ["selftest", "--seed", str(2**70)],
+                "node-id": ["parseval", str(lone_id)],
+                "path": ["check", str(undecodable)]}[case]
+        out = tmp_path / "out.json"
+        out.write_text("old", encoding="utf-8")
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {out}: cannot write: {reason}\n"
+        assert out.read_text(encoding="utf-8") == "old"
 
     def test_random_accepts_zero_nodes(self, tmp_path):
         out = tmp_path / "empty.json"

@@ -17,6 +17,7 @@ from cgfusion import Operator, cli, save_system
 from cgfusion.cli import build_parser, main
 from cgfusion.report import SAMPLED
 
+import oracles
 from conftest import (
     make_deficient_system,
     make_e1,
@@ -29,54 +30,54 @@ from conftest import (
 GOLDEN = {
     # name: (argv, exit code, sha256 of the --out file, or None when none is written)
     "check-e1": (["check", "e1.json"], 0,
-        "319df5de7cc8caa23bdde7a31033893187a747dd6784a45375f8fa7adbdfb95c"),
+        "81abb74f5558f7a0e506edc007c64a129a56141f61bc0d36e1f4f647b241188e"),
     "check-e2": (["check", "e2.json"], 0,
-        "048d11d012382a1e8fc607af44ccd9a09ac37de9edfb1c35e34df109f8869734"),
+        "b7558aee3d90deeda36f0c60b43312b10f74608e75d819c5cbedcf8ba63ebbcc"),
     "check-single": (["check", "single.json"], 1,
-        "92858c24b8b2c9b6cf6df562abd3ede8806d562be0c91251ed3a4789b9129b3a"),
+        "9c44e3853a04eb9a98d2a2d8d34c6826e58ee72aef2b56f6d446bb57e48f0184"),
     "kgf-lower-bound": (["kgf", "e2.json", "--K", "k.json"], 0,
-        "8897190cd398577cf483518fd39807968586e763d3e3e5226296a07c5913e154"),
+        "396075646e41034b3941223b5cb94470ed2f2d36ef6366de27d11728f5e57c60"),
     "kgf-certify": (["kgf", "e2.json", "--K", "k.json", "--A", "1"], 0,
-        "0201913309d0213f884bdfec868bad62642aeac4faae5fb491112433b69e6f29"),
+        "66cbb13925ad2d5c7c4c83ec8bf8c3900a36a136314aefc4ff29cfe3fbd68f5f"),
     "kgf-file-operator": (["kgf", "e2k.json", "--A", "2"], 1,
-        "8d7922d55931895af32e0e5387b478556772833b4ef53aeaf08cdfaa5c9bb8ac"),
+        "7f5972dca282acc4751b4b1f07271139c3723e42f92f43501d63986e62da8688"),
     "resolve-e1": (["resolve", "e1.json"], 0,
-        "eb43de8a4acefb01b513785836a83a4ab4f1bb692b8a429059eae369bc2c1c72"),
+        "f222cf46fbc878fc7930793e29e5433aa930eb8bd68d8058b1d2cda45573afd9"),
     "resolve-e2": (["resolve", "e2.json"], 0,
-        "c02c080c3d4e13b3e8198656f676302a1f0f06b4e70d1a32473029fadd13165e"),
+        "1a584e29a5f611920c834eddc79147822cae5e27308cdaf63752e79bb14ad263"),
     "resolve-single": (["resolve", "single.json"], 1,
-        "28184dd19c818eef5b40c2a5e2bb7ee64970d79fd25f53fa0357feaffa208cb9"),
+        "eebba59b390c276cca588e066469a6d5336dded734847fd08e159b5870b3726e"),
     "resolve-deficient": (["resolve", "deficient.json"], 1,
-        "78dae6def98e2fd18f07738b781ffccca7b7fb7506dae610c3a550dea3b2eede"),
+        "13d2d4b9a34cb2fb0b33f286fa723c0bd0627b3bdc124cabb2253a40ca95d2de"),
     "atomic-e1": (["atomic", "e1.json"], 0,
-        "0f11cc5e375520bd21ff1454d1e2ed891090e5f5a338d5eec1a7193b9afc3cb2"),
+        "75963e295b6b9757da88ea102c9ba5d5043f714a9cddb99c9e35df5bef7b798e"),
     "atomic-e2-K": (["atomic", "e2.json", "--K", "k.json"], 0,
-        "393762ae14f45a457e5a1b9a21647d1be3a94b4dadf00e4ad2e18e15c9fa7c92"),
+        "b3824dc85298fc3e0c49fe0a5601df05e4c794f2c3730aeef68754a8b372d685"),
     "atomic-single": (["atomic", "single.json"], 1, None),
     "transform-shift": (["transform", "e2.json", "--L", "l.json"], 0,
-        "40b560a5af465c33ea456bb77689b01814e4f15af5432917dbca4bae868b1a6d"),
+        "625b26551f6fbfc678dac8cb5acf8200070fbc10668dc82cc77b555e1a998651"),
     "transform-combined": (["transform", "chi.json", "--xi", "xi.json",
                             "--L", "half.json", "--G", "half.json"], 0,
-        "79ace364c9fb65869cf1b6d1419fcf14a08e8d5d5c2b69b0a2bc0559434d2d4c"),
+        "428cea2257725ab718f4fff4fa8227e86e7079d45d3eb8aad15cdf96bb4ff901"),
     "pair-files": (["pair", "e2.json", "--xi", "e1.json"], 0,
-        "a35ce0f811863753a50338b82367941bf52c0357e13339d9b0e043bd6dad245c"),
+        "08422ffaa209e90af908146e08a9d95c481d31c042c9873e7311665803f48090"),
     "pair-secondary": (["pair", "e1s.json", "--lam", "0.05", "--trials", "10"], 1,
-        "6d539d891a8cc27ed90818497b02e735809766724678a0007850b4ef519f310a"),
+        "45eaf33743723e4724089353e14075e476a7f787829e27f2b13b4befd31c7dcf"),
     "dsum": (["dsum", "e2.json", "--xi", "e1.json"], 0,
-        "7a9fd372a9a9aee645acdf6d6900f98c883a7f548debc4bdc2351541c5597912"),
+        "5566f411524418d499e8600a629174a47325b26b92067a38454e5107891dcbb9"),
     "parseval": (["parseval", "e2.json"], 0,
-        "b515a50b2333291a7ca1ddede22ab5e71197c9795adad084d3f9630285ac0d1d"),
+        "fd3e689f38eb85a03121afc497d199d890a4991c668b3eb8652375be1d5a8b31"),
     "dual": (["dual", "e2.json"], 0,
-        "dc5c9fd55d79f1a363c4225f4c937b29be829b0bbe1bacdc56aacd86dc331a70"),
+        "cb9baa79896652c943ccc577503c8db1a43d02a2784b47799753ba1a1d62de55"),
     # n = 40: rows of up to 40 floats, five levels deep in the document.
     "parseval-wide": (["parseval", "wide.json"], 0,
-        "432ea99b3008b2f9e706abb8ac53ea48cd46fcfb4dd557f89b976de8136fbaea"),
+        "3519f9c6e306e77b936320deb314d2c274bbdf647074178917d8ad65d089c340"),
     "dual-wide": (["dual", "wide.json"], 0,
-        "41584c4f9a9f14d24a80aadeac7cf3234a609a884982dc2f417e77d5f47cb416"),
+        "8eda48ca8862216e536f2724baea7a4412671ea2b496596415b8bdf3c4aff686"),
     "random": (["random", "--seed", "7"], 0,
-        "a0c6645cd41002e610c5d5465d0bd7d9fe8fb7972b8a33541c4b22dea0718641"),
+        "da3420297aab7e5c96638964fb6b3b0b33a00c28c187d356a37be3de8f85abfd"),
     "selftest": (["selftest", "--seed", "0"], 0,
-        "27e085bde8baee401297edf3437669323d91d5fe66da602fbfbec19718161df7"),
+        "8416646ce40e480996d8e9e1696a7c7a26e127cd63cd533676484ff2aae4a64f"),
 }
 
 
@@ -113,6 +114,10 @@ def test_out_file_is_pinned(workdir, name, capsys):
     out = workdir / "out.json"
     assert main(argv + ["--out", "out.json"]) == code
     capsys.readouterr()
+    if out.exists():
+        # Each float is the shortest decimal that round-trips.
+        text = out.read_text(encoding="utf-8")
+        oracles.assert_shortest_floats(text, json.loads(text))
     written = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
     assert written == digest
 
