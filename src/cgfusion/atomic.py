@@ -25,7 +25,6 @@ from .errors import (
 from .measure import CoefficientField
 from .operators import (
     ORDER_TOL,
-    STRUCT_TOL,
     SYM_TOL,
     Operator,
     opnorm,
@@ -92,7 +91,7 @@ def decomposition_operator(system: GFusionSystem, k: Operator) -> AtomicCertific
 
 
 def atomic_decompose(
-    system: GFusionSystem, k: Operator, f, tol: float = STRUCT_TOL
+    system: GFusionSystem, k: Operator, f, tol: float = ORDER_TOL
 ) -> tuple[CoefficientField, float]:
     """Decompose K f through the system with minimal weighted norm.
 
@@ -216,7 +215,7 @@ def transform_combined(
     l: Operator,
     g: Operator,
     k: Operator,
-    tol: float = STRUCT_TOL,
+    tol: float = ORDER_TOL,
 ) -> GFusionSystem:
     """Combine two cross-orthogonal systems through M = L + G.
 
@@ -255,7 +254,7 @@ def transform_combined(
 
 
 def transform_shift(
-    system: GFusionSystem, l: Operator, tol: float = STRUCT_TOL
+    system: GFusionSystem, l: Operator, tol: float = ORDER_TOL
 ) -> tuple[GFusionSystem, VerificationReport]:
     """Shift a system by M = I + L for positive semidefinite L.
 

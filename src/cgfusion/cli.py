@@ -3,8 +3,8 @@
 Each subcommand is a thin shell over library functions that return
 reports, and takes only the flags it reads.  Exit codes: 0 when every
 requested check passes, 1 on a verification failure, 2 on usage or file
-errors, including a number out of range in a flag or in CGFUSION_TOL and
-input files whose shapes or nodes do not fit together.
+errors, including a number out of range in a flag and input files whose
+shapes or nodes do not fit together.
 ``--out`` writes the machine-readable document: a report for verification
 subcommands, a loadable system file for producing subcommands (random,
 parseval, dual, dsum, transform).  The document is built only when
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -64,8 +63,6 @@ from .sysio import (
     system_to_document,
 )
 
-TOL_ENV_VAR = "CGFUSION_TOL"
-
 PASS, FAIL, USAGE = 0, 1, 2
 
 _FRAME_LABELS = ("frame", "tight", "parseval")
@@ -85,26 +82,13 @@ def _checked(kind, least=None):
     return parse
 
 
-_TOLERANCE = _checked(float, 0)
 _FLAGS = {
-    "--tol": dict(type=_TOLERANCE, default=None,
-                  help=f"tolerance (default {ORDER_TOL:g}, or ${TOL_ENV_VAR})"),
+    "--tol": dict(type=_checked(float, 0), default=ORDER_TOL,
+                  help=f"tolerance (default {ORDER_TOL:g})"),
     "--trials": dict(type=_checked(int, 1), default=100,
                      help="random directions of the perturbation_bound hypothesis check"),
     "--seed": dict(type=_checked(int, 0), default=0, help="random seed"),
 }
-
-
-def _resolve_tol(args) -> float:
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get(TOL_ENV_VAR)
-    if env is None:
-        return ORDER_TOL
-    try:
-        return _TOLERANCE(env)
-    except argparse.ArgumentTypeError as err:
-        raise ParameterError(f"{TOL_ENV_VAR}: {err}")
 
 
 def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
@@ -153,7 +137,7 @@ def _print_reports(reports: list[VerificationReport]) -> None:
 
 
 # --- subcommand handlers ------------------------------------------------
-# Each gets the parsed arguments and the resolved tolerance (None without --tol)
+# Each gets the parsed arguments and the tolerance (None without --tol)
 # and returns its reports with the report parameters or the system it produced.
 
 def _cmd_check(args, tol):
@@ -243,6 +227,10 @@ def _cmd_atomic(args, tol):
 
 
 def _cmd_transform(args, tol):
+    unread = [flag for flag, value in (("--G", args.G), ("--K", args.K)) if value is not None]
+    if unread and not args.xi:
+        raise ParameterError(f"{', '.join(unread)}: read only by the combined transform, "
+                             "which needs --xi")
     doc = load_document(args.system)
     system = system_from_document(doc, args.system)
     doc_ops = operators_from_document(doc, args.system)
@@ -430,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("random", help="generate a seeded random system")
     p.add_argument("--dim", type=_checked(int, 1), default=4)
-    p.add_argument("--nodes", type=_checked(int, 0), default=3)
+    p.add_argument("--nodes", type=_checked(int, 1), default=3)
     _add_flags(p, "--seed")
     p.set_defaults(handler=_cmd_random)
 
@@ -445,8 +433,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        tol = _resolve_tol(args) if "tol" in vars(args) else None
-        reports, output = args.handler(args, tol)
+        reports, output = args.handler(args, getattr(args, "tol", None))
     except (SystemFileError, ParameterError, ShapeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE

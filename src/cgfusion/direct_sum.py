@@ -116,8 +116,7 @@ def canonical_dual(
     reciprocals [1/B, 1/A] of the original ones, which the report checks.
     """
     bounds = require_frame(system, tol)
-    s = assemble_frame_operator(system).entries
-    s_inv = np.linalg.inv(s)
+    s_inv = system._inverse
     dual = push_through(system, s_inv)
     s_dual = assemble_frame_operator(dual).entries
     dual_bounds = frame_bounds(dual, tol)

@@ -26,9 +26,8 @@ from .errors import (
 )
 from .report import EXACT, VerificationReport, build_report
 
-#: Default tolerance for structural residuals (operator identities).
-STRUCT_TOL = 1e-9
-#: Default tolerance on the minimum eigenvalue in semidefinite-order checks.
+#: Default tolerance: on the minimum eigenvalue in semidefinite-order checks
+#: and on structural residuals (operator identities).
 ORDER_TOL = 1e-9
 #: Relative cutoff below which singular values count as zero.
 RANK_TOL = 1e-12
@@ -231,7 +230,7 @@ def pinv(t: Operator) -> Operator:
     return Operator((vt.T * inv) @ u.T)
 
 
-def douglas_factor(l: Operator, t: Operator, tol: float = STRUCT_TOL) -> tuple[Operator, float]:
+def douglas_factor(l: Operator, t: Operator, tol: float = ORDER_TOL) -> tuple[Operator, float]:
     """Factor L = T S and certify the majorization L L^T <= lam^2 T T^T.
 
     S is the minimal-norm solution pinv(T) L.  The factorization is
@@ -325,7 +324,7 @@ def orthonormalize_image(t: Operator, v: Subspace) -> Subspace:
 
 
 def projection_identity_check(
-    t: Operator, v: Subspace, tol: float = STRUCT_TOL
+    t: Operator, v: Subspace, tol: float = ORDER_TOL
 ) -> VerificationReport:
     """Check the projection exchange identities for T against subspace V.
 

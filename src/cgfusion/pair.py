@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .operators import Operator, STRUCT_TOL, opnorm, symmetrize
+from .operators import ORDER_TOL, Operator, opnorm, symmetrize
 from .report import EXACT, SAMPLED, VerificationReport, build_report
 from .systems import GFusionSystem, frame_bounds, weighted_gram
 
@@ -77,7 +77,7 @@ def pair_frame_operator(pair: PairSystem) -> Operator:
     return pair._mixed_operator
 
 
-def pair_adjoint_and_norm(pair: PairSystem, tol: float = STRUCT_TOL) -> VerificationReport:
+def pair_adjoint_and_norm(pair: PairSystem, tol: float = ORDER_TOL) -> VerificationReport:
     """Verify the norm bound ||M|| <= sqrt(D1 D2) for the mixed operator M.
 
     The adjoint law, that M^T is the mixed operator of the swapped pair,
@@ -98,7 +98,7 @@ def pair_adjoint_and_norm(pair: PairSystem, tol: float = STRUCT_TOL) -> Verifica
     )
 
 
-def bounded_below_analysis(pair: PairSystem, tol: float = STRUCT_TOL) -> VerificationReport:
+def bounded_below_analysis(pair: PairSystem, tol: float = ORDER_TOL) -> VerificationReport:
     """Decide bounded-belowness of the mixed operator and exploit it.
 
     When the smallest singular value of the mixed operator M exceeds
@@ -171,7 +171,7 @@ def perturbation_bound(
     lambda2: float,
     trials: int = 100,
     seed: int = 0,
-    tol: float = STRUCT_TOL,
+    tol: float = ORDER_TOL,
 ) -> VerificationReport:
     """Frame bound from the mixed-norm perturbation hypothesis.
 
@@ -227,7 +227,7 @@ def perturbation_bound(
 def symmetric_perturbation(
     pair: PairSystem,
     lam: float,
-    tol: float = STRUCT_TOL,
+    tol: float = ORDER_TOL,
 ) -> VerificationReport:
     """Frame bounds for both systems from ||I - S|| <= lam.
 

@@ -22,27 +22,19 @@ MASS_RANGE = (0.5, 2.0)
 _CONDITION_FLOOR = 1e-6
 
 
-def _rng(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
-
-
 def random_orthonormal_basis(rng, n: int, k: int) -> np.ndarray:
     """Haar-distributed n x k orthonormal basis (k <= n): Q of a sign-fixed QR of Gaussians."""
-    return _positive_qr(_rng(rng).standard_normal((n, k)))[0]
+    return _positive_qr(np.random.default_rng(rng).standard_normal((n, k)))[0]
 
 
 def random_operator(rng, rows: int, cols: int) -> Operator:
     """Dense operator with entries uniform in [-1, 1]."""
-    generator = _rng(rng)
-    return Operator(generator.uniform(-1.0, 1.0, size=(rows, cols)))
+    return Operator(np.random.default_rng(rng).uniform(-1.0, 1.0, size=(rows, cols)))
 
 
 def random_positive_operator(rng, n: int) -> Operator:
     """Random symmetric positive semidefinite operator."""
-    generator = _rng(rng)
-    a = generator.standard_normal((n, n))
+    a = np.random.default_rng(rng).standard_normal((n, n))
     return Operator(symmetrize(a @ a.T) / max(n, 1))
 
 
@@ -82,7 +74,7 @@ def random_system(
     draw repeats until the frame operator is well conditioned, so the
     result is always a frame.
     """
-    generator = _rng(rng)
+    generator = np.random.default_rng(rng)
     for _ in range(64):
         ids = tuple(f"n{i}" for i in range(node_count))
         nodes = MeasureNodes(ids, generator.uniform(*MASS_RANGE, size=node_count))
@@ -101,7 +93,7 @@ def random_pair(
     ensure_frames: bool = False,
 ) -> PairSystem:
     """Two systems over shared nodes with matching codomains."""
-    generator = _rng(rng)
+    generator = np.random.default_rng(rng)
     chi = random_system(generator, ambient_dim, node_count, ensure_frame=ensure_frames)
     for _ in range(64):
         subspaces, locals_ = _draw_geometry(
@@ -126,7 +118,7 @@ def random_shared_weight_frames(
 
     The layout direct sums expect.
     """
-    generator = _rng(rng)
+    generator = np.random.default_rng(rng)
     chi = random_system(generator, ambient_dim_left, node_count, ensure_frame=True)
     for _ in range(64):
         subspaces, locals_ = _draw_geometry(generator, ambient_dim_right, node_count, True)

@@ -20,7 +20,7 @@ from .errors import (
     SingularFrameOperatorError,
 )
 from .measure import MeasureNodes
-from .operators import ORDER_TOL, STRUCT_TOL, Operator, _freeze, opnorm, symmetrize
+from .operators import ORDER_TOL, Operator, _freeze, opnorm, symmetrize
 from .report import EXACT, VerificationReport, build_report
 from .systems import (
     FrameBounds,
@@ -115,10 +115,10 @@ def canonical_resolution(system: GFusionSystem, tol: float = ORDER_TOL) -> Resol
     require_frame(system, tol)
     s = assemble_frame_operator(system).entries
     return _held(system.nodes, system.stacked, system.stacked, system.per_row(system.weights**2),
-                 system._bounds, np.linalg.inv(s), s)
+                 system._bounds, system._inverse, s)
 
 
-def verify_resolution(family: ResolutionFamily, tol: float = STRUCT_TOL) -> VerificationReport:
+def verify_resolution(family: ResolutionFamily, tol: float = ORDER_TOL) -> VerificationReport:
     """Measure || sum_i mu_i W_i - I ||; pass iff within ``tol``."""
     residual = opnorm(family.weighted_sum() - np.eye(family.ambient_dim))
     return build_report(
@@ -185,7 +185,7 @@ def _stacked_factors(system: GFusionSystem, factors) -> np.ndarray:
 
 
 def energy_lower_check(
-    system: GFusionSystem, factors, f, tol: float = STRUCT_TOL
+    system: GFusionSystem, factors, f, tol: float = ORDER_TOL
 ) -> VerificationReport:
     """Check (1/D) ||g||^2 <= sum_i mu_i v_i^2 ||T_i f||^2 for the given factors.
 
@@ -215,7 +215,7 @@ def energy_lower_check(
 
 
 def bounded_resolution_check(
-    system: GFusionSystem, factors, tol: float = STRUCT_TOL
+    system: GFusionSystem, factors, tol: float = ORDER_TOL
 ) -> VerificationReport:
     """Two-sided energy bounds for square factors fixed by their measurement.
 
@@ -272,7 +272,7 @@ def bounded_resolution_check(
 
 
 def frame_from_resolution(
-    system: GFusionSystem, lower: float, tol: float = STRUCT_TOL
+    system: GFusionSystem, lower: float, tol: float = ORDER_TOL
 ) -> FrameBounds:
     """Certify frame bounds (lower, sup v^2 / lower) from two conditions.
 

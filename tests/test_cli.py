@@ -181,6 +181,17 @@ class TestTransform:
     def test_missing_l_is_usage_error(self, e2_path):
         assert main(["transform", e2_path]) == 2
 
+    @pytest.mark.parametrize("flag", ["--G", "--K"])
+    def test_combined_operator_without_xi_is_usage_error(self, flag, e2_path, tmp_path, capsys):
+        # Only the combined transform reads --G and --K; the 3 x 2 file is never loaded.
+        l = write_matrix(tmp_path, "l.json", [[1.0, 0.0], [0.0, 0.0]])
+        unread = write_matrix(tmp_path, "unread.json", [[1.0, 0.0]] * 3)
+        out = tmp_path / "out.json"
+        assert main(["transform", e2_path, "--L", l, flag, unread, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {flag}: read only by the combined transform, which needs --xi\n"
+        assert not out.exists()
+
     def test_combined_transform(self, tmp_path, capsys):
         from conftest import make_system
 
@@ -303,17 +314,14 @@ def exit_code(argv):
 
 
 class TestFlags:
-    def test_env_tol_override(self, e2_path, tmp_path, monkeypatch):
-        monkeypatch.setenv("CGFUSION_TOL", "1e-6")
-        out = tmp_path / "report.json"
-        assert main(["check", e2_path, "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["parameters"]["tol"] == 1e-6
-
-    def test_flag_beats_env(self, e2_path, tmp_path, monkeypatch):
+    def test_environment_leaves_output_unchanged(self, e2_path, tmp_path, monkeypatch):
+        # No environment variable sets the tolerance: only --tol does.
+        plain, with_env = tmp_path / "plain.json", tmp_path / "with_env.json"
+        assert main(["check", e2_path, "--out", str(plain)]) == 0
         monkeypatch.setenv("CGFUSION_TOL", "1e-3")
-        out = tmp_path / "report.json"
-        assert main(["check", e2_path, "--tol", "1e-9", "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["parameters"]["tol"] == 1e-9
+        assert main(["check", e2_path, "--out", str(with_env)]) == 0
+        assert with_env.read_bytes() == plain.read_bytes()
+        assert json.loads(plain.read_text())["parameters"]["tol"] == 1e-9
 
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -324,8 +332,9 @@ class TestFlags:
         (["check", "{e2}", "--tol", "nan"], {}, "--tol"),
         (["check", "{e2}", "--tol", "inf"], {}, "--tol"),
         (["check", "{e2}", "--tol", "-1"], {}, "--tol"),
-        (["check", "{e2}"], {"CGFUSION_TOL": "nan"}, "CGFUSION_TOL"),
-        (["check", "{e2}"], {"CGFUSION_TOL": "-1"}, "CGFUSION_TOL"),
+        (["random", "--nodes", "0"], {}, "--nodes"),
+        # No environment variable is read: one set here rescues no flag.
+        (["selftest", "--tol", "nan"], {"CGFUSION_TOL": "1e-3"}, "--tol"),
         (["pair", "{e2}", "--xi", "{e1}", "--trials", "-3"], {}, "--trials"),
         (["pair", "{e2}", "--xi", "{e1}", "--trials", "0"], {}, "--trials"),
         (["random", "--dim", "0"], {}, "--dim"),
@@ -347,7 +356,6 @@ class TestFlags:
     ])
     def test_invalid_number_exits_two(self, argv, env, named, e1_path, e2_path, tmp_path,
                                       monkeypatch, capsys):
-        monkeypatch.delenv("CGFUSION_TOL", raising=False)
         for key, value in env.items():
             monkeypatch.setenv(key, value)
         paths = {"e1": e1_path, "e2": e2_path, "e1s": str(tmp_path / "e1s.json"),
@@ -424,11 +432,6 @@ class TestFlags:
         assert main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {out}: cannot write: {reason}\n"
         assert out.read_text(encoding="utf-8") == "old"
-
-    def test_random_accepts_zero_nodes(self, tmp_path):
-        out = tmp_path / "empty.json"
-        assert main(["random", "--nodes", "0", "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["nodes"] == []
 
     @pytest.mark.parametrize("argv", [
         ["kgf", "{e2}", "--seed", "1"],

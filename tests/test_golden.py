@@ -103,7 +103,6 @@ def write_inputs():
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("CGFUSION_TOL", raising=False)
     write_inputs()
     return tmp_path
 

@@ -1,8 +1,9 @@
 """Pins on the size of the public surface.
 
-A new knob (a defaulted parameter of a public callable, or a CLI flag)
-has to come with an edit of the count here, so that it is added on
-purpose and not by drift.
+A new knob (a defaulted parameter of a public callable, a CLI flag, or
+an environment variable) has to come with an edit of a pin here, so that
+it is added on purpose and not by drift; no module reads the
+environment.
 """
 
 import argparse
@@ -51,6 +52,13 @@ def test_every_exported_name_resolves_once():
 
 def test_defaulted_parameter_count():
     assert sum(map(_defaulted, _public_callables())) == DEFAULTED_PARAMETERS
+
+
+def test_no_module_reads_the_environment():
+    package = Path(cgfusion.__file__).parent
+    readers = [path.name for path in sorted(package.glob("*.py"))
+               if re.search(r"\b(environ|getenv)\b", path.read_text(encoding="utf-8"))]
+    assert readers == []
 
 
 def _subcommands() -> dict:

@@ -17,6 +17,7 @@ from cgfusion import (
     assemble_frame_operator,
     atomic_wrt_frame_operator,
     canonical_dual,
+    canonical_resolution,
     dumps_canonical,
     frame_bounds,
     kgf_check,
@@ -33,6 +34,7 @@ from cgfusion import (
     system_to_document,
     transform_shift,
     validate_nodes,
+    verify_resolution,
     weighted_gram,
 )
 from cgfusion import measure, systems
@@ -481,7 +483,7 @@ def tall_codomain_system(rng, n, rows_per_node, count):
 
 
 class TestAdjointBatches:
-    """adjoint_consistency checks r x r probe pairs, fields in batches of h = max(1, B // sum m_i)."""
+    """adjoint_consistency checks r x r probe pairs from one draw of r vectors and r fields."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -500,32 +502,6 @@ class TestAdjointBatches:
         assert adjoint_consistency(system, trials=100, seed=0).passed
         assert calls == [(10, 10)]
 
-    def test_over_budget_keeps_batches_of_n(self, calls, monkeypatch):
-        # h = 2 fields per batch, each checked against vectors in blocks of n = 4.
-        _, system = random_raw_system(np.random.default_rng(3), 4, 6)
-        monkeypatch.setattr(systems, "_ADJOINT_BATCH_FLOATS", 3 * system.stacked.shape[0] - 1)
-        report = adjoint_consistency(system, trials=100, seed=0)
-        assert report.passed and report.residuals["adjoint_mismatch"] <= 1e-13
-        assert calls == [(f, 2) for _ in range(5) for f in (4, 4, 2)]
-
-    def test_budget_caps_the_batch_height(self, calls, monkeypatch):
-        _, system = random_raw_system(np.random.default_rng(3), 4, 6)
-        monkeypatch.setattr(systems, "_ADJOINT_BATCH_FLOATS", 3 * system.stacked.shape[0] + 1)
-        assert adjoint_consistency(system, trials=16, seed=0).passed
-        assert calls == [(4, 3), (4, 1)]
-
-    @pytest.mark.parametrize("budget_rows", [1, 2, 3, 7])
-    def test_small_budget_keeps_the_probes(self, budget_rows, monkeypatch):
-        args, system = random_raw_system(np.random.default_rng(5), 4, 6)
-        monkeypatch.setattr(
-            systems, "_ADJOINT_BATCH_FLOATS", budget_rows * system.stacked.shape[0]
-        )
-        report = adjoint_consistency(system, trials=50, seed=9)
-        assert report.passed and report.residuals["adjoint_mismatch"] <= 1e-13
-        expected = misweight_synthesis(monkeypatch, args)(50, 9)
-        got = adjoint_consistency(system, trials=50, seed=9).residuals
-        assert got["adjoint_mismatch"] == pytest.approx(expected, rel=1e-12)
-
     @pytest.mark.parametrize("trials", [1, 100])
     def test_misweighted_synthesis_fails(self, trials, monkeypatch):
         args, system = random_raw_system(np.random.default_rng(7), 5, 6)
@@ -535,21 +511,19 @@ class TestAdjointBatches:
         assert report.residuals["adjoint_mismatch"] > 1e-6
 
     # n (n + sum m_i) is 1 052 672 floats at n = 64 and 131 136 at n = 8,
-    # above and below the 2^20 budget.  10^4 trials are 100 x 100 probes,
-    # more than one block of vectors: 100 fields at once would draw 13 MB.
+    # above and below 2^20.  200 trials draw 15 x (n + sum m_i) floats.
     @pytest.mark.parametrize("n", [64, 8])
     def test_memory_stays_within_the_batch_bound(self, n):
         system = tall_codomain_system(np.random.default_rng(n), n, 4096, 4)
         width = n + system.stacked.shape[0]
-        for trials in (200, 10**4):
-            tracemalloc.start()
-            try:
-                report = adjoint_consistency(system, trials=trials, seed=0)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert report.passed
-            assert peak <= 4 * 8 * max(n * width, systems._ADJOINT_BATCH_FLOATS)
+        tracemalloc.start()
+        try:
+            report = adjoint_consistency(system, trials=200, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak <= 4 * 8 * max(n * width, 2**20)
 
 
 def relative_error(got, expected):
@@ -557,7 +531,8 @@ def relative_error(got, expected):
 
 
 class TestOneFactorization:
-    """Every spectral function of S is read from its one cached eigendecomposition."""
+    """Every spectral function of S is read from its one cached eigendecomposition,
+    and S^-1 from its one cached LU inverse."""
 
     def test_certificates_reuse_the_cached_eigenpairs(self, linalg_calls):
         rng = np.random.default_rng(23)
@@ -579,6 +554,15 @@ class TestOneFactorization:
         assert "spectral_xi_lower" in report.constants
         assert linalg_calls["eigh"] == linalg_calls["eigvalsh"] == 0
         assert linalg_calls["svd"] == 4
+
+    def test_dual_and_resolution_share_one_inverse(self, linalg_calls):
+        system = random_system(np.random.default_rng(19), 5, 4, ensure_frame=True)
+        linalg_calls.clear()
+        family = canonical_resolution(system)
+        _, report = canonical_dual(system)
+        assert linalg_calls["inv"] == 1
+        assert family.shared is system._inverse
+        assert verify_resolution(family).passed and report.passed
 
     def test_pseudoinverse_matches_pinv(self):
         rng = np.random.default_rng(29)
