@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DegenerateKError,
     HypothesisNotMetError,
     NotPositiveError,
     RangeInclusionError,
@@ -125,7 +126,9 @@ def atomic_equiv_check(
     decompositions succeed) and, when decompositions exist, the
     quantitative link 1/c^2 <= a_star + tol.
     """
-    if k.entries.size == 0 or np.abs(k.entries).max() == 0.0:
+    try:
+        a_star = kgf_lower_bound(system, k, tol)
+    except DegenerateKError:
         return build_report(
             name="atomic_equiv_check",
             residuals={},
@@ -135,7 +138,6 @@ def atomic_equiv_check(
             notes=("comparison operator is zero: decomposition is trivial and the "
                    "lower-bound condition is vacuous; both faces hold",),
         )
-    a_star = kgf_lower_bound(system, k, tol)
     _, c, residual = _minimal_decomposition(system, k)
     reconstruction = np.linalg.norm(residual, axis=0)
     worst_recon = float(reconstruction.max())

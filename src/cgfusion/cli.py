@@ -163,7 +163,7 @@ def _cmd_kgf(args, tol):
     k = _named_operator(args.K, operators_from_document(doc, args.system), "K", required=True)
     reports = []
     if args.A is not None:
-        cert = kgf_check(system, k, args.A, tol)
+        cert = _naming_flags({"--A": args.A}, kgf_check, system, k, args.A, tol)
         reports.append(build_report(
             name="kgf_check",
             residuals={"order_defect": max(0.0, -(cert.gap + tol))},

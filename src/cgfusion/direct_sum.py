@@ -53,8 +53,7 @@ def direct_sum_system(chi: GFusionSystem, xi: GFusionSystem) -> GFusionSystem:
         subspaces.append(Subspace(n + x, basis))
         local = np.zeros((loc_a.rows + loc_b.rows, loc_a.cols + loc_b.cols))
         local[: loc_a.rows, : loc_a.cols] = loc_a.entries
-        ratio = 1.0 if s == v else float(s) / float(v)
-        local[loc_a.rows :, loc_a.cols :] = ratio * loc_b.entries
+        local[loc_a.rows :, loc_a.cols :] = float(s) / float(v) * loc_b.entries
         locals_.append(Operator(local))
     return GFusionSystem(n + x, chi.nodes, tuple(subspaces), tuple(locals_), chi.weights)
 

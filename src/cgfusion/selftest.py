@@ -81,10 +81,7 @@ def _scaling_row(system, factor=1.7):
 
 
 def _canonical_row(system):
-    r = canonical_resolution_report(system).residuals
-    return {"identity_residual": r["identity_residual"],
-            "energy_bound_violation": max(r["energy_lower_violation"],
-                                          r["energy_upper_violation"])}
+    return canonical_resolution_report(system).residuals
 
 
 def _atomic_row(system, r_op, tol):

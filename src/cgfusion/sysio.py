@@ -50,7 +50,7 @@ def _fail(where: str, message: str):
     raise SystemFileError(f"{where}: {message}")
 
 
-def _matrix_from(value, where: str, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+def _matrix_from(value, where: str, cols: int | None = None) -> np.ndarray:
     try:
         arr = np.array(value, dtype=float)
     except OverflowError:  # an integer literal beyond the double range
@@ -63,8 +63,6 @@ def _matrix_from(value, where: str, rows: int | None = None, cols: int | None = 
         _fail(where, f"expected a 2-d array, got ndim={arr.ndim}")
     if not np.isfinite(arr).all():
         _fail(where, "entries must be finite")
-    if rows is not None and arr.shape[0] != rows:
-        _fail(where, f"expected {rows} rows, got {arr.shape[0]}")
     if cols is not None and arr.shape[1] != cols:
         _fail(where, f"expected {cols} columns, got {arr.shape[1]}")
     return arr
@@ -132,10 +130,9 @@ def _subspace_from(value, where: str, ambient_dim: int) -> Subspace:
     if defect > BASIS_TOL:
         # QR with diag R > 0 is Gram-Schmidt in column order: the repaired
         # basis stays close to the file's, which the local operator uses.
-        q, r = _positive_qr(basis)
-        if np.diag(r).min() <= 1e-8 * np.linalg.norm(basis, axis=0).max():
-            _fail(where, "basis vectors are numerically dependent")
-        basis = q
+        # The gate above keeps every eigenvalue of B^T B above 1 - k 1e-6
+        # (Gershgorin), so k < 10^6 columns are independent.
+        basis = _positive_qr(basis)[0]
     return Subspace(ambient_dim, basis)
 
 

@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateKError, ShapeError, SingularFrameOperatorError
+from .errors import DegenerateKError, ParameterError, ShapeError, SingularFrameOperatorError
 from .measure import CoefficientField, MeasureNodes
 from .operators import (
     ORDER_TOL,
@@ -366,9 +366,11 @@ def kgf_check(
 ) -> OrderCertificate:
     """Certify that the frame operator dominates lower * K K^T."""
     _require_comparison_operator(system, k)
-    s = assemble_frame_operator(system)
-    target = Operator(symmetrize(float(lower) * (k.entries @ k.entries.T)))
-    return operator_leq(target, s, tol)
+    with np.errstate(over="ignore"):
+        target = symmetrize(float(lower) * (k.entries @ k.entries.T))
+    if not np.isfinite(target).all():
+        raise ParameterError(f"A K K^T overflows at A = {lower:g}")
+    return operator_leq(Operator(target), assemble_frame_operator(system), tol)
 
 
 def kgf_lower_bound(system: GFusionSystem, k: Operator, tol: float = ORDER_TOL) -> float:
@@ -382,16 +384,21 @@ def kgf_lower_bound(system: GFusionSystem, k: Operator, tol: float = ORDER_TOL) 
     eigensolver's roundoff on S (about 1e-16 ||S||).  Returns 0 when A
     is at most ``tol``: no positive constant works beyond that slack.
     K = 0 raises :class:`DegenerateKError`: every constant works, so the
-    condition certifies nothing.
+    condition certifies nothing.  A K that puts the squared norm above
+    outside the positive doubles raises :class:`ParameterError`.
     """
     _require_comparison_operator(system, k)
-    if k.entries.size == 0 or np.abs(k.entries).max() == 0.0:
+    if np.abs(k.entries).max() == 0.0:
         raise DegenerateKError("comparison operator is zero; the bound is vacuous")
     w, q = system._eigh
     w = w + KGF_SLACK * tol
     if w[0] <= 0.0:
         return 0.0
-    a = 1.0 / opnorm((q.T @ k.entries) / np.sqrt(w)[:, None]) ** 2
+    norm = opnorm((q.T @ k.entries) / np.sqrt(w)[:, None])
+    if not 0.0 < norm * norm < math.inf:
+        raise ParameterError(f"comparison operator of norm {opnorm(k.entries):.3g} "
+                             "puts the kgf constant outside the double range")
+    a = 1.0 / norm**2
     return a if a > tol else 0.0
 
 

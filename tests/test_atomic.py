@@ -195,6 +195,33 @@ class TestTransformCombined:
                                ident(), 1e-9)
         assert excinfo.value.condition == "shared_weights"
 
+    @pytest.mark.parametrize("xi_args, condition, message", [
+        ((3, [[[1.0], [0.0], [0.0]], [[0.0], [1.0], [0.0]]], [[[0.0]], [[1.0]]], [1.0, 1.0]),
+         "shared_nodes", "ambient dimensions differ"),
+        ((2, [[[1.0], [0.0]], [[0.0], [1.0]]], [[[0.0]], [[1.0]]], [1.0, 1.0], None, ("a", "b")),
+         "shared_nodes", "systems live on different nodes"),
+        ((2, [[[1.0], [0.0]], [[0.0], [1.0]]], [[[0.0]], [[1.0]]], [1.0, 1.0], [1.0, 2.0]),
+         "shared_nodes", "systems live on different nodes"),
+        ((2, [[[1.0], [0.0]], [[0.0], [1.0]]], [[[0.0]], [[1.0], [0.0]]], [1.0, 1.0]),
+         "matching_codomains", "local codomain dimensions differ"),
+        ((2, [[[0.0], [1.0]], [[1.0], [0.0]]], [[[0.0]], [[1.0]]], [1.0, 1.0]),
+         "shared_subspaces", "subspaces differ at node n0"),
+    ], ids=["ambient-dim", "node-ids", "masses", "codomains", "subspaces"])
+    def test_geometry_mismatch_names_the_condition(self, xi_args, condition, message):
+        chi, _ = padded_half_systems()
+        with pytest.raises(HypothesisNotMetError) as excinfo:
+            transform_combined(chi, make_system(*xi_args), ident(), ident(), ident(), 1e-9)
+        assert excinfo.value.condition == condition
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("name", ["L", "G", "K"])
+    def test_operator_shape_is_checked(self, name):
+        chi, xi = padded_half_systems()
+        ops = {"L": ident(), "G": ident(), "K": ident()}
+        ops[name] = ident(3)
+        with pytest.raises(ShapeError, match=f"^{name} must be 2x2, got 3x3$"):
+            transform_combined(chi, xi, ops["L"], ops["G"], ops["K"], 1e-9)
+
     def test_lower_bound_survives_transform(self):
         rng = np.random.default_rng(33)
         for _ in range(5):

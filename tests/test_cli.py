@@ -135,6 +135,16 @@ class TestResolve:
         save_system(make_single_node(), path)
         assert main(["resolve", str(path)]) == 1
 
+    def test_tiny_tight_frame_passes(self, tmp_path, capsys):
+        # S = 1.0154e-8 I: check calls it tight, and the canonical
+        # resolution's energy bounds hold exactly at any scale.
+        path = tmp_path / "tiny.json"
+        save_system(make_system(2, [np.eye(2)], [np.eye(2)], [0.00010076530012812557]), path)
+        assert main(["check", str(path)]) == 0
+        assert "classification: tight" in capsys.readouterr().out
+        assert main(["resolve", str(path)]) == 0
+        assert "[PASS] canonical_resolution" in capsys.readouterr().out
+
     def test_spectrum_solved_once(self, e2_path, linalg_calls):
         # One eigh of S (cached), one eigvalsh of the unweighted energy
         # operator (cached, read by the CLI and frame_from_resolution), the
@@ -209,6 +219,18 @@ class TestTransform:
         capsys.readouterr()
         assert main(["check", str(out)]) == 0
         assert "classification: parseval" in capsys.readouterr().out
+
+    def test_combined_geometry_mismatch_fails_verification(self, tmp_path, capsys):
+        lines = [[[1.0], [0.0]], [[0.0], [1.0]]]
+        chi, xi = tmp_path / "chi.json", tmp_path / "xi.json"
+        save_system(make_system(2, lines, [[[1.0]], [[0.0]]], [1.0, 1.0]), chi)
+        save_system(make_system(2, lines[::-1], [[[0.0]], [[1.0]]], [1.0, 1.0]), xi)
+        half = write_matrix(tmp_path, "half.json", [[0.5, 0.0], [0.0, 0.5]])
+        out = tmp_path / "out.json"
+        assert main(["transform", str(chi), "--xi", str(xi), "--L", half, "--G", half,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "verification failed: subspaces differ at node n0\n"
+        assert not out.exists()
 
 
 class TestPair:
@@ -372,15 +394,39 @@ class TestFlags:
         (["pair", "{e2}", "--xi", "{nodes3}"], "systems must share their measure nodes"),
         (["dsum", "{e2}", "--xi", "{r3}"], "systems must share their measure nodes"),
         (["dsum", "{e2}", "--xi", "{nodes3}"], "systems must share their measure nodes"),
+        # A zero K is sized like any other before it counts as vacuous.
+        (["atomic", "{e2}", "--K", "{z3}"], "comparison operator must be 2x2, got 3x3"),
     ])
     def test_mismatched_files_exit_two(self, argv, message, e2_path, tmp_path, capsys):
         paths = {"e2": e2_path, "k3": write_matrix(tmp_path, "k3.json", np.eye(3).tolist()),
+                 "z3": write_matrix(tmp_path, "z3.json", np.zeros((3, 3)).tolist()),
                  "r3": str(tmp_path / "r3.json"), "nodes3": str(tmp_path / "nodes3.json")}
         save_system(random_system(np.random.default_rng(1), 3, 2), paths["r3"])
         lines = [[[1.0], [0.0]], [[0.0], [1.0]], [[1.0], [0.0]]]
         save_system(make_system(2, lines, [[[1.0]]] * 3, [1.0] * 3), paths["nodes3"])
         assert main([arg.format(**paths) for arg in argv]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["kgf", "{k}", "--A", "1e308"], "--A: A K K^T overflows at A = 1e+308"),
+        (["kgf", "{khuge}"],
+         "comparison operator of norm 1e+200 puts the kgf constant outside the double range"),
+        (["atomic", "{khuge}"],
+         "comparison operator of norm 1e+200 puts the kgf constant outside the double range"),
+        (["kgf", "{ktiny}"],
+         "comparison operator of norm 1e-170 puts the kgf constant outside the double range"),
+        (["atomic", "{ktiny}"],
+         "comparison operator of norm 1e-170 puts the kgf constant outside the double range"),
+    ], ids=["kgf-A", "kgf-huge-K", "atomic-huge-K", "kgf-tiny-K", "atomic-tiny-K"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_out_of_range_operator_exits_two(self, argv, message, tmp_path, capsys):
+        # The kgf constant is 1/||diag(w)^(-1/2) Q^T K||^2, with S = I here.
+        paths = {name: str(tmp_path / f"{name}.json") for name in ("k", "khuge", "ktiny")}
+        for name, scale in (("k", 1.0), ("khuge", 1e200), ("ktiny", 1e-170)):
+            save_system(make_system(2, [np.eye(2)], [np.eye(2)], [1.0]), paths[name],
+                        operators={"K": Operator(scale * np.eye(2))})
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("argv", [
         ["check", "{bad}"],

@@ -9,13 +9,15 @@ an output on purpose must update the pin and say why.
 import argparse
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cgfusion import Operator, cli, save_system
 from cgfusion.cli import build_parser, main
-from cgfusion.report import SAMPLED
+from cgfusion.report import EXACT, SAMPLED
 
 import oracles
 from conftest import (
@@ -42,9 +44,9 @@ GOLDEN = {
     "kgf-file-operator": (["kgf", "e2k.json", "--A", "2"], 1,
         "7f5972dca282acc4751b4b1f07271139c3723e42f92f43501d63986e62da8688"),
     "resolve-e1": (["resolve", "e1.json"], 0,
-        "f222cf46fbc878fc7930793e29e5433aa930eb8bd68d8058b1d2cda45573afd9"),
+        "eb53c642bac02b9eb2d52dfea8c2a21af8d08423fd27a04934fdee874e9530bc"),
     "resolve-e2": (["resolve", "e2.json"], 0,
-        "1a584e29a5f611920c834eddc79147822cae5e27308cdaf63752e79bb14ad263"),
+        "70b79f9a37f2bafb047b443bb634593e87f0df04fd825765417dfea384ec563f"),
     "resolve-single": (["resolve", "single.json"], 1,
         "eebba59b390c276cca588e066469a6d5336dded734847fd08e159b5870b3726e"),
     "resolve-deficient": (["resolve", "deficient.json"], 1,
@@ -77,7 +79,7 @@ GOLDEN = {
     "random": (["random", "--seed", "7"], 0,
         "da3420297aab7e5c96638964fb6b3b0b33a00c28c187d356a37be3de8f85abfd"),
     "selftest": (["selftest", "--seed", "0"], 0,
-        "8416646ce40e480996d8e9e1696a7c7a26e127cd63cd533676484ff2aae4a64f"),
+        "d144276fe7131508adb72bc13a324da4c5b41c15514ff3e89022387b1293e447"),
 }
 
 
@@ -129,6 +131,42 @@ def test_only_the_necessary_reports_are_sampled(workdir, monkeypatch):
         assert main(argv) == code
     sampled = {r.name for r in printed if r.provenance == SAMPLED}
     assert sampled == {"perturbation_bound", "selftest_atomic_equivalence"}
+
+
+def _readme_provenance() -> dict:
+    """The README's "Reports and their provenance" table, as {report: (from, provenance)}."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text[text.index("| report | from | provenance |"):].split("\n\n", 1)[0]
+    rows = {}
+    for row in table.splitlines()[2:]:
+        reports, sources, provenance = row.strip("|").split("|")
+        for name in re.findall(r"`([^`]+)`", reports):
+            rows[name] = (set(re.findall(r"`([^`]+)`", sources)), provenance.strip())
+    return rows
+
+
+def test_readme_provenance_table_matches_the_written_reports(workdir, monkeypatch):
+    """Each report a golden command writes is a row with its subcommands and provenance."""
+    printed = []
+    monkeypatch.setattr(cli, "_print_reports", printed.extend)
+    written = {}
+    for argv, code, _ in GOLDEN.values():
+        assert main(argv) == code
+        for report in printed:
+            sources, provenance = written.setdefault(report.name, (set(), set()))
+            sources.add(argv[0])
+            if report.residuals or report.constants:  # a skipped check measures nothing
+                provenance.add({EXACT: "exact", SAMPLED: "sampled"}[report.provenance])
+        printed.clear()
+    table = _readme_provenance()
+    other_selftest_rows = table.pop("selftest_*")
+    commands = set(next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices)
+    documented = {name: (sources & commands, {provenance})
+                  for name, (sources, provenance) in table.items() if sources & commands}
+    documented.update({name: (other_selftest_rows[0], {other_selftest_rows[1]})
+                       for name in written if name.startswith("selftest_") and name not in table})
+    assert written == documented
 
 
 def test_inputs_load_without_the_stdlib_parser(workdir, monkeypatch):
