@@ -31,7 +31,7 @@ from .operators import (
     opnorm,
     symmetrize,
 )
-from .report import EXACT, VerificationReport, build_report
+from .report import VerificationReport, build_report
 from .systems import (
     GFusionSystem,
     _analysis_rows,
@@ -134,7 +134,6 @@ def atomic_equiv_check(
             residuals={},
             tolerances={"tol": tol},
             constants={"c": 0.0},
-            provenance=EXACT,
             notes=("comparison operator is zero: decomposition is trivial and the "
                    "lower-bound condition is vacuous; both faces hold",),
         )
@@ -159,7 +158,6 @@ def atomic_equiv_check(
         residuals=residuals,
         tolerances={"tol": tol, "equivalence_mismatch": 0.0},
         constants=constants,
-        provenance=EXACT,
         notes=tuple(notes),
     )
 
@@ -184,7 +182,6 @@ def atomic_wrt_frame_operator(
         residuals=residuals,
         tolerances=tolerances,
         constants=dict(inner.constants),
-        provenance=EXACT,
         notes=inner.notes,
     )
 
@@ -218,15 +215,17 @@ def transform_combined(
     g: Operator,
     k: Operator,
     tol: float = ORDER_TOL,
-) -> GFusionSystem:
-    """Combine two cross-orthogonal systems through M = L + G.
+) -> tuple[GFusionSystem, VerificationReport]:
+    """Combine two cross-orthogonal systems through M = L + G, with a report on its bound.
 
     The systems must share nodes, subspaces, weights and codomains, the
     cross synthesis sum mu v^2 Lam^T Xi must vanish, M must be
     invertible, and K must commute with M.  The local operators
     (Lam_i + Xi_i) B_i on chi's bases B_i, pushed through M, give subspaces
     M F_i and effective maps (Lam_i + Xi_i) M^T.  Its lower bound with
-    respect to K is at least a_star(chi, K) * sigma_min(M)^2.
+    respect to K is at least a_star(chi, K) * sigma_min(M)^2, which the
+    ``combined_transform_bound`` report checks with the kgf constants of
+    :func:`kgf_lower_bound`; a zero K raises its :class:`DegenerateKError`.
     """
     n = chi.ambient_dim
     for name, op in (("L", l), ("G", g), ("K", k)):
@@ -252,7 +251,12 @@ def transform_combined(
         )
     summed = chi.split_rows(chi.stacked + xi.stacked)
     locals_ = tuple(Operator(rows @ sub.basis) for rows, sub in zip(summed, chi.subspaces))
-    return push_through(GFusionSystem(n, chi.nodes, chi.subspaces, locals_, chi.weights), m)
+    combined = push_through(GFusionSystem(n, chi.nodes, chi.subspaces, locals_, chi.weights), m)
+    sigma_min = float(singular[-1])
+    a_chi, a_new = kgf_lower_bound(chi, k, tol), kgf_lower_bound(combined, k, tol)
+    return combined, build_report(
+        "combined_transform_bound", {"bound_defect": max(0.0, a_chi * sigma_min**2 - a_new)},
+        {"tol": tol}, {"a_chi": a_chi, "a_new": a_new, "sigma_min": sigma_min})
 
 
 def transform_shift(
@@ -283,6 +287,5 @@ def transform_shift(
         residuals={"conjugation_residual": residual},
         tolerances={"tol": tol},
         constants={"shift_norm": opnorm(entries)},
-        provenance=EXACT,
     )
     return shifted, report

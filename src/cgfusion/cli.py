@@ -28,30 +28,29 @@ from .atomic import (
     transform_combined,
     transform_shift,
 )
-from .direct_sum import canonical_dual, direct_sum_laws, parseval_residual, parsevalize
+from .direct_sum import canonical_dual, direct_sum_laws, parseval_report, parsevalize
 from .errors import (
     DegenerateKError,
     GFusionError,
-    HypothesisNotMetError,
+    OperatorRangeError,
     ParameterError,
     ShapeError,
     SystemFileError,
 )
 from .measure import WeightProfile, validate_nodes
-from .operators import ORDER_TOL, Operator, opnorm
+from .operators import ORDER_TOL, Operator
 from .pair import (
     PairSystem,
     bounded_below_analysis,
     pair_adjoint_and_norm,
-    pair_frame_operator,
     perturbation_bound,
     symmetric_perturbation,
 )
 from .random_systems import random_system
-from .report import VerificationReport, _save_canonical, build_report
-from .resolution import canonical_resolution_report, frame_from_resolution
+from .report import EXACT, VerificationReport, _save_canonical
+from .resolution import canonical_resolution_report, frame_from_resolution_report
 from .selftest import run_selftest
-from .systems import GFusionSystem, frame_bounds, kgf_check, kgf_lower_bound
+from .systems import GFusionSystem, frame_bounds, kgf_report
 from .sysio import (
     SCHEMA_VERSION,
     has_secondary_weights,
@@ -64,8 +63,6 @@ from .sysio import (
 )
 
 PASS, FAIL, USAGE = 0, 1, 2
-
-_FRAME_LABELS = ("frame", "tight", "parseval")
 
 
 def _checked(kind, least=None):
@@ -91,11 +88,14 @@ _FLAGS = {
 }
 
 
-def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
-    """Add the shared flags in ``names``, and ``--out``, to a subcommand."""
+def _finish(parser: argparse.ArgumentParser, handler, *names: str, system=True) -> None:
+    """Finish a subcommand: its SYSTEM file, the shared flags in ``names``, --out, ``handler``."""
+    if system:
+        parser.add_argument("system")
     for name in names:
         parser.add_argument(name, **_FLAGS[name])
     parser.add_argument("--out", default=None, help="write the machine-readable output here")
+    parser.set_defaults(handler=handler)
 
 
 def _named_operator(flag_value, doc_operators, name, required=False) -> Operator | None:
@@ -130,7 +130,7 @@ def _print_reports(reports: list[VerificationReport]) -> None:
             print(f"    {key} = {rep.residuals[key]:.6g} (tol {rep.tolerance_for(key):.6g})")
         for key in sorted(rep.constants):
             print(f"    {key} = {rep.constants[key]:.6g}")
-        if rep.provenance != "exact spectral":
+        if rep.provenance != EXACT:
             print(f"    provenance: {rep.provenance}")
         for note in rep.notes:
             print(f"    note: {note}")
@@ -142,17 +142,9 @@ def _print_reports(reports: list[VerificationReport]) -> None:
 
 def _cmd_check(args, tol):
     system = load_system(args.system)
-    bounds = frame_bounds(system, tol)
     reports = [
         validate_nodes(system.nodes, WeightProfile(system.weights)),
-        build_report(
-            name="frame_bounds",
-            residuals={},
-            tolerances={"tol": tol},
-            constants={"lower": bounds.lower, "upper": bounds.upper},
-            notes=(f"classification: {bounds.classification}",),
-            force_fail=bounds.classification not in _FRAME_LABELS,
-        ),
+        frame_bounds(system, tol).report(tol),
     ]
     return reports, {"tol": tol, "system": args.system}
 
@@ -161,34 +153,7 @@ def _cmd_kgf(args, tol):
     doc = load_document(args.system)
     system = system_from_document(doc, args.system)
     k = _named_operator(args.K, operators_from_document(doc, args.system), "K", required=True)
-    reports = []
-    if args.A is not None:
-        cert = _naming_flags({"--A": args.A}, kgf_check, system, k, args.A, tol)
-        reports.append(build_report(
-            name="kgf_check",
-            residuals={"order_defect": max(0.0, -(cert.gap + tol))},
-            tolerances={"order_defect": 0.0},
-            constants={"gap": cert.gap, "lower": args.A},
-        ))
-    else:
-        try:
-            a_star = kgf_lower_bound(system, k, tol)
-        except DegenerateKError as err:
-            reports.append(build_report(
-                name="kgf_lower_bound",
-                residuals={},
-                tolerances={"tol": tol},
-                notes=(str(err),),
-                force_fail=True,
-            ))
-        else:
-            cert = kgf_check(system, k, a_star, tol)
-            reports.append(build_report(
-                name="kgf_lower_bound",
-                residuals={"order_defect": max(0.0, -(cert.gap + 10 * tol))},
-                tolerances={"order_defect": 0.0},
-                constants={"a_star": a_star, "gap": cert.gap},
-            ))
+    reports = [_naming_flags({"--A": args.A}, kgf_report, system, k, args.A, tol)]
     params = {"tol": tol, "system": args.system, "K": args.K or "operators.K"}
     if args.A is not None:
         params["A"] = args.A
@@ -197,21 +162,7 @@ def _cmd_kgf(args, tol):
 
 def _cmd_resolve(args, tol):
     system = load_system(args.system)
-    reports = [canonical_resolution_report(system, tol)]
-    top = system._energy_top
-    constants, notes = {}, ("skipped: zero energy operator",)
-    if top > 0:
-        try:
-            certified = frame_from_resolution(system, 1.0 / top, tol)
-        except HypothesisNotMetError as err:
-            notes = (f"hypotheses not met ({err.condition}); skipped",)
-        else:
-            constants = {"certified_lower": certified.lower, "certified_upper": certified.upper}
-            notes = (f"classification: {certified.classification}",)
-    reports.append(build_report(
-        name="frame_from_resolution", residuals={}, tolerances={"tol": tol},
-        constants=constants, notes=notes,
-    ))
+    reports = [canonical_resolution_report(system, tol), frame_from_resolution_report(system, tol)]
     return reports, {"tol": tol, "system": args.system}
 
 
@@ -219,10 +170,8 @@ def _cmd_atomic(args, tol):
     doc = load_document(args.system)
     system = system_from_document(doc, args.system)
     k = _named_operator(args.K, operators_from_document(doc, args.system), "K")
-    if k is None:
-        reports = [atomic_wrt_frame_operator(system, tol)]
-    else:
-        reports = [atomic_equiv_check(system, k, tol)]
+    reports = [atomic_wrt_frame_operator(system, tol) if k is None
+               else atomic_equiv_check(system, k, tol)]
     return reports, {"tol": tol, "system": args.system, "K": args.K or "frame-operator"}
 
 
@@ -239,25 +188,13 @@ def _cmd_transform(args, tol):
         xi = load_system(args.xi)
         g_op = _named_operator(args.G, doc_ops, "G", required=True)
         k_op = _named_operator(args.K, doc_ops, "K") or Operator.identity(system.ambient_dim)
-        combined = transform_combined(system, xi, l_op, g_op, k_op, tol)
-        m = l_op.entries + g_op.entries
-        sigma_min = float(np.linalg.svd(m, compute_uv=False)[-1])
         try:
-            a_chi = kgf_lower_bound(system, k_op, tol)
-            a_new = kgf_lower_bound(combined, k_op, tol)
-        except DegenerateKError as err:
-            raise SystemFileError(f"transform: {err}")
-        reports = [build_report(
-            name="combined_transform_bound",
-            residuals={"bound_defect": max(0.0, a_chi * sigma_min**2 - a_new)},
-            tolerances={"tol": tol},
-            constants={"a_chi": a_chi, "a_new": a_new, "sigma_min": sigma_min},
-        )]
-        produced = combined
+            produced, report = transform_combined(system, xi, l_op, g_op, k_op, tol)
+        except DegenerateKError as err:  # a zero K bounds nothing: a usage error
+            raise SystemFileError(f"transform: {err}") from err
     else:
-        produced, rep = transform_shift(system, l_op, tol)
-        reports = [rep]
-    return reports, produced
+        produced, report = transform_shift(system, l_op, tol)
+    return [report], produced
 
 
 def _pair_from_args(args) -> PairSystem:
@@ -275,7 +212,7 @@ def _pair_from_args(args) -> PairSystem:
 
 
 def _naming_flags(flags: dict, check, *args):
-    """``check(*args)``; its :class:`ParameterError` names the ``flags`` the user gave."""
+    """``check(*args)``; its :class:`ParameterError`, raised for a value given, names ``flags``."""
     try:
         return check(*args)
     except ParameterError as err:
@@ -285,35 +222,15 @@ def _naming_flags(flags: dict, check, *args):
 
 def _cmd_pair(args, tol):
     pair = _pair_from_args(args)
+    # A lambda not given takes the library's default, which may skip its check.
+    lam2 = 0.0 if args.lambda2 is None else args.lambda2
     reports = [
         pair_adjoint_and_norm(pair, tol),
         bounded_below_analysis(pair, tol),
+        _naming_flags({"--lambda1": args.lambda1, "--lambda2": args.lambda2},
+                      perturbation_bound, pair, args.lambda1, lam2, args.trials, args.seed, tol),
+        _naming_flags({"--lam": args.lam}, symmetric_perturbation, pair, args.lam, tol),
     ]
-    mixed = pair_frame_operator(pair).entries
-    deviation = opnorm(np.eye(pair.ambient_dim) - mixed)
-    # Only a default derived from the deviation skips a check; a value the
-    # user gave goes to the library, and one out of range is a usage error,
-    # even a lambda2 given beside a derived lambda1 that would skip.
-    lam2 = 0.0 if args.lambda2 is None else args.lambda2
-    if args.lambda1 is None and not deviation < 1.0 and lam2 > -1.0:
-        reports.append(build_report(
-            name="perturbation_bound", residuals={}, tolerances={"tol": tol},
-            notes=(f"skipped: deviation {deviation:.3g} leaves no admissible lambda1 < 1",),
-        ))
-    else:
-        lam1 = deviation if args.lambda1 is None else args.lambda1
-        reports.append(_naming_flags(
-            {"--lambda1": args.lambda1, "--lambda2": args.lambda2},
-            perturbation_bound, pair, lam1, lam2, args.trials, args.seed, tol,
-        ))
-    if args.lam is None and not deviation < 1.0:
-        reports.append(build_report(
-            name="symmetric_perturbation", residuals={}, tolerances={"tol": tol},
-            notes=(f"skipped: ||I - S|| = {deviation:.3g} is not below 1",),
-        ))
-    else:
-        lam = deviation if args.lam is None else args.lam
-        reports.append(_naming_flags({"--lam": args.lam}, symmetric_perturbation, pair, lam, tol))
     return reports, {
         "tol": tol, "trials": args.trials, "seed": args.seed,
         "system": args.system, "xi": args.xi or "secondary-weights",
@@ -327,12 +244,7 @@ def _cmd_dsum(args, tol):
 
 def _cmd_parseval(args, tol):
     flat = parsevalize(load_system(args.system), tol)
-    reports = [build_report(
-        name="parseval_identity",
-        residuals={"identity_residual": parseval_residual(flat)},
-        tolerances={"tol": max(tol, 1e-8)},
-    )]
-    return reports, flat
+    return [parseval_report(flat, tol)], flat
 
 
 def _cmd_dual(args, tol):
@@ -360,71 +272,51 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="frame bounds and classification")
-    p.add_argument("system")
-    _add_flags(p, "--tol")
-    p.set_defaults(handler=_cmd_check)
+    _finish(p, _cmd_check, "--tol")
 
     p = sub.add_parser("kgf", help="lower-bound certificate against an operator")
-    p.add_argument("system")
     p.add_argument("--K", default=None, help="operator file (default: operators.K)")
     p.add_argument("--A", type=_checked(float), default=None, help="lower bound to certify")
-    _add_flags(p, "--tol")
-    p.set_defaults(handler=_cmd_kgf)
+    _finish(p, _cmd_kgf, "--tol")
 
     p = sub.add_parser("resolve", help="resolution-of-identity suite")
-    p.add_argument("system")
-    _add_flags(p, "--tol")
-    p.set_defaults(handler=_cmd_resolve)
+    _finish(p, _cmd_resolve, "--tol")
 
     p = sub.add_parser("atomic", help="atomic decomposition checks")
-    p.add_argument("system")
     p.add_argument("--K", default=None, help="operator file (default: frame operator)")
-    _add_flags(p, "--tol")
-    p.set_defaults(handler=_cmd_atomic)
+    _finish(p, _cmd_atomic, "--tol")
 
     p = sub.add_parser("transform", help="shift or combined system transform")
-    p.add_argument("system")
     p.add_argument("--L", default=None, help="operator file (default: operators.L)")
     p.add_argument("--G", default=None, help="operator file (combined transform)")
     p.add_argument("--K", default=None, help="operator file (combined transform)")
     p.add_argument("--xi", default=None, help="second system file (combined transform)")
-    _add_flags(p, "--tol")
-    p.set_defaults(handler=_cmd_transform)
+    _finish(p, _cmd_transform, "--tol")
 
     p = sub.add_parser("pair", help="mixed-operator laws and perturbation bounds")
-    p.add_argument("system")
     p.add_argument("--xi", default=None, help="second system file")
     p.add_argument("--lambda1", type=_checked(float), default=None)
     p.add_argument("--lambda2", type=_checked(float), default=None)
     p.add_argument("--lam", type=_checked(float), default=None)
-    _add_flags(p, "--tol", "--trials", "--seed")
-    p.set_defaults(handler=_cmd_pair)
+    _finish(p, _cmd_pair, "--tol", "--trials", "--seed")
 
     p = sub.add_parser("dsum", help="direct sum of two systems")
-    p.add_argument("system")
     p.add_argument("--xi", required=True, help="second system file")
-    _add_flags(p, "--tol")
-    p.set_defaults(handler=_cmd_dsum)
+    _finish(p, _cmd_dsum, "--tol")
 
     p = sub.add_parser("parseval", help="canonical Parseval version")
-    p.add_argument("system")
-    _add_flags(p, "--tol")
-    p.set_defaults(handler=_cmd_parseval)
+    _finish(p, _cmd_parseval, "--tol")
 
     p = sub.add_parser("dual", help="canonical dual system")
-    p.add_argument("system")
-    _add_flags(p, "--tol")
-    p.set_defaults(handler=_cmd_dual)
+    _finish(p, _cmd_dual, "--tol")
 
     p = sub.add_parser("random", help="generate a seeded random system")
     p.add_argument("--dim", type=_checked(int, 1), default=4)
     p.add_argument("--nodes", type=_checked(int, 1), default=3)
-    _add_flags(p, "--seed")
-    p.set_defaults(handler=_cmd_random)
+    _finish(p, _cmd_random, "--seed", system=False)
 
     p = sub.add_parser("selftest", help="full seeded property campaign")
-    _add_flags(p, "--tol", "--seed")
-    p.set_defaults(handler=_cmd_selftest)
+    _finish(p, _cmd_selftest, "--tol", "--seed", system=False)
 
     return parser
 
@@ -434,7 +326,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         reports, output = args.handler(args, getattr(args, "tol", None))
-    except (SystemFileError, ParameterError, ShapeError) as err:
+    except (SystemFileError, ParameterError, ShapeError, OperatorRangeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE
     except GFusionError as err:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .operators import ORDER_TOL, Operator, Subspace, opnorm
-from .report import EXACT, VerificationReport, build_report
+from .report import VerificationReport, build_report
 from .systems import (
     GFusionSystem,
     _frame_operator_power,
@@ -105,6 +105,12 @@ def parseval_residual(system: GFusionSystem) -> float:
     return opnorm(assemble_frame_operator(system).entries - np.eye(system.ambient_dim))
 
 
+def parseval_report(system: GFusionSystem, tol: float = ORDER_TOL) -> VerificationReport:
+    """The ``parseval_identity`` report: :func:`parseval_residual` within max(tol, 1e-8)."""
+    return build_report("parseval_identity", {"identity_residual": parseval_residual(system)},
+                        {"tol": max(tol, 1e-8)})
+
+
 def canonical_dual(
     system: GFusionSystem, tol: float = ORDER_TOL
 ) -> tuple[GFusionSystem, VerificationReport]:
@@ -133,6 +139,5 @@ def canonical_dual(
             "original_lower": bounds.lower,
             "original_upper": bounds.upper,
         },
-        provenance=EXACT,
     )
     return dual, report

@@ -55,5 +55,9 @@ class ParameterError(GFusionError, ValueError):
     """A scalar parameter lies outside its admissible range."""
 
 
+class OperatorRangeError(GFusionError, ValueError):
+    """An operator puts a quantity computed from it outside the range of doubles."""
+
+
 class SystemFileError(GFusionError, ValueError):
     """A system or operator file failed to parse or validate."""

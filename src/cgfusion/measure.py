@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ShapeError
-from .report import EXACT, VerificationReport, build_report
+from .report import VerificationReport, build_report
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,6 +162,5 @@ def validate_nodes(nodes: MeasureNodes, weights: WeightProfile | None = None) ->
         name="validate_nodes",
         residuals=residuals,
         tolerances={"tol": 0.0},
-        provenance=EXACT,
         notes=tuple(notes),
     )

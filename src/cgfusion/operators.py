@@ -24,7 +24,7 @@ from .errors import (
     ShapeError,
     SingularError,
 )
-from .report import EXACT, VerificationReport, build_report
+from .report import VerificationReport, build_report
 
 #: Default tolerance: on the minimum eigenvalue in semidefinite-order checks
 #: and on structural residuals (operator identities).
@@ -355,6 +355,5 @@ def projection_identity_check(
         residuals=residuals,
         tolerances={"tol": tol},
         constants={"unitarity_defect": gram_defect},
-        provenance=EXACT,
         notes=notes,
     )

@@ -24,8 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .operators import ORDER_TOL, Operator, opnorm, symmetrize
-from .report import EXACT, SAMPLED, VerificationReport, build_report
+from .operators import ORDER_TOL, Operator, _freeze, opnorm, symmetrize
+from .report import SAMPLED, VerificationReport, build_report, skipped_report
 from .systems import GFusionSystem, frame_bounds, weighted_gram
 
 
@@ -65,6 +65,16 @@ class PairSystem:
         weights = self.chi.nodes.mu * self.chi.weights * self.xi.weights
         return Operator(weighted_gram(self.xi, weights, self.chi))
 
+    @cached_property
+    def _singular_values(self) -> np.ndarray:
+        # The singular values of M, descending, from one SVD; read-only like M.
+        return _freeze(np.linalg.svd(self._mixed_operator.entries, compute_uv=False))
+
+    @cached_property
+    def _deviation(self) -> float:
+        # ||I - M||, the default lambda of both perturbation bounds.
+        return opnorm(np.eye(self.ambient_dim) - self._mixed_operator.entries)
+
     def bessel_bounds(self) -> tuple[float, float]:
         """(bessel_xi, bessel_chi) = (D1, D2): upper bounds of xi and chi."""
         d1 = frame_bounds(self.xi).upper
@@ -84,15 +94,13 @@ def pair_adjoint_and_norm(pair: PairSystem, tol: float = ORDER_TOL) -> Verificat
     holds by construction: both are products of the same two stacked
     matrices, so it is not measured here.
     """
-    mixed = pair_frame_operator(pair).entries
     d1, d2 = pair.bessel_bounds()
-    norm = opnorm(mixed)
+    norm = float(pair._singular_values[0])
     return build_report(
         name="pair_adjoint_and_norm",
         residuals={"norm_excess": max(0.0, norm - float(np.sqrt(d1 * d2)))},
         tolerances={"tol": tol},
         constants={"operator_norm": norm, "bessel_xi": d1, "bessel_chi": d2},
-        provenance=EXACT,
         notes=("convention: bessel_chi bounds the analysis-side system, "
                "bessel_xi the synthesis side",),
     )
@@ -113,8 +121,7 @@ def bounded_below_analysis(pair: PairSystem, tol: float = ORDER_TOL) -> Verifica
     """
     mixed = pair_frame_operator(pair).entries
     n = pair.ambient_dim
-    singular = np.linalg.svd(mixed, compute_uv=False)
-    sigma_min = float(singular[-1]) if singular.size else 0.0
+    sigma_min = float(pair._singular_values[-1])
     d1, d2 = pair.bessel_bounds()
     if sigma_min <= tol:
         return build_report(
@@ -122,7 +129,6 @@ def bounded_below_analysis(pair: PairSystem, tol: float = ORDER_TOL) -> Verifica
             residuals={},
             tolerances={"tol": tol},
             constants={"sigma_min": sigma_min, "bessel_xi": d1, "bessel_chi": d2},
-            provenance=EXACT,
             notes=("mixed operator is not bounded below; no resolution induced",),
         )
     inverse = np.linalg.inv(mixed)
@@ -143,7 +149,6 @@ def bounded_below_analysis(pair: PairSystem, tol: float = ORDER_TOL) -> Verifica
             "bessel_xi": d1,
             "bessel_chi": d2,
         },
-        provenance=EXACT,
         notes=("mixed operator is bounded below; induced resolution verified",),
     )
 
@@ -167,8 +172,8 @@ def _unit_directions(mixed: np.ndarray, trials: int, seed: int) -> np.ndarray:
 
 def perturbation_bound(
     pair: PairSystem,
-    lambda1: float,
-    lambda2: float,
+    lambda1: float | None = None,
+    lambda2: float = 0.0,
     trials: int = 100,
     seed: int = 0,
     tol: float = ORDER_TOL,
@@ -182,10 +187,16 @@ def perturbation_bound(
     certificate, flagged as such.  When the hypothesis holds, the
     analysis side is certified a frame with lower bound
     ((1 - lambda1) / (1 + lambda2))^2 / D1, cross-checked against its
-    spectral lower bound.
+    spectral lower bound.  With ``lambda1`` None it is ||I - S||, and the
+    check is skipped when that is not below 1.
     """
     if not lambda2 > -1.0:
         raise ParameterError(f"lambda2 must be > -1, got {lambda2}")
+    if lambda1 is None:
+        lambda1 = pair._deviation
+        if not lambda1 < 1.0:
+            return skipped_report("perturbation_bound", f"skipped: deviation {lambda1:.3g} "
+                                  "leaves no admissible lambda1 < 1", tol)
     if not lambda1 < 1.0:
         raise ParameterError(f"lambda1 must be < 1, got {lambda1}")
     mixed = pair_frame_operator(pair).entries
@@ -226,7 +237,7 @@ def perturbation_bound(
 
 def symmetric_perturbation(
     pair: PairSystem,
-    lam: float,
+    lam: float | None = None,
     tol: float = ORDER_TOL,
 ) -> VerificationReport:
     """Frame bounds for both systems from ||I - S|| <= lam.
@@ -237,11 +248,17 @@ def symmetric_perturbation(
     side with (1 - lam)^2 / D1, the synthesis side with (1 - lam)^2 / D2,
     each compared with its spectral lower bound.  No Rayleigh quotient
     lies below that bound, so the comparison covers every direction.
+    With ``lam`` None it is ||I - S|| itself, and the check is skipped when
+    that is not below 1.
     """
+    deviation = pair._deviation
+    if lam is None:
+        if not deviation < 1.0:
+            return skipped_report("symmetric_perturbation",
+                                  f"skipped: ||I - S|| = {deviation:.3g} is not below 1", tol)
+        lam = deviation
     if not 0.0 <= lam < 1.0:
         raise ParameterError(f"lambda must lie in [0, 1), got {lam}")
-    mixed = pair_frame_operator(pair).entries
-    deviation = opnorm(np.eye(pair.ambient_dim) - mixed)
     d1, d2 = pair.bessel_bounds()
     met = deviation <= lam + tol
     residuals = {"hypothesis_excess": max(0.0, deviation - lam)}
@@ -270,6 +287,5 @@ def symmetric_perturbation(
         residuals=residuals,
         tolerances={"tol": tol},
         constants=constants,
-        provenance=EXACT,
         notes=tuple(notes),
     )

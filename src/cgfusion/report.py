@@ -2,10 +2,10 @@
 
 Reports are the uniform result type for every verification in the library:
 named residuals measured against named tolerances, plus certified constants
-and a provenance note saying whether the check was exact or sampled.  The
-JSON form is canonical (sorted keys, two-space indent, each float the
-shortest decimal that round-trips), so identical runs serialize to
-identical bytes.
+and a provenance note saying whether the check was exact, sampled or
+skipped.  The JSON form is canonical (sorted keys, two-space indent, each
+float the shortest decimal that round-trips), so identical runs serialize
+to identical bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ _CANONICAL = (orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_
 
 def _check_finite(value) -> None:
     """Raise ValueError on a NaN or infinity in ``value``, which orjson writes as null."""
-    if isinstance(value, float):
+    if isinstance(value, (float, np.floating)):
         if not math.isfinite(value):
             raise ValueError(f"non-finite value cannot be serialized: {value!r}")
     elif isinstance(value, np.ndarray):
@@ -65,6 +65,7 @@ def _save_canonical(document, path) -> None:
 
 EXACT = "exact spectral"
 SAMPLED = "sampled"
+SKIPPED = "skipped"
 
 
 def _tolerance_for(name: str, tolerances: dict[str, float], key: str) -> float:
@@ -138,3 +139,9 @@ def build_report(
         provenance=provenance,
         notes=tuple(notes),
     )
+
+
+def skipped_report(name: str, note: str, tol: float) -> VerificationReport:
+    """A check that measured nothing: it passes, with no residuals and ``note`` saying why."""
+    return VerificationReport(name=name, passed=True, tolerances={"tol": tol},
+                              provenance=SKIPPED, notes=(note,))

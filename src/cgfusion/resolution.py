@@ -21,7 +21,7 @@ from .errors import (
 )
 from .measure import MeasureNodes
 from .operators import ORDER_TOL, Operator, _freeze, opnorm, symmetrize
-from .report import EXACT, VerificationReport, build_report
+from .report import VerificationReport, build_report, skipped_report
 from .systems import (
     FrameBounds,
     GFusionSystem,
@@ -126,7 +126,6 @@ def verify_resolution(family: ResolutionFamily, tol: float = ORDER_TOL) -> Verif
         residuals={"identity_residual": residual},
         tolerances={"tol": tol},
         constants={"node_count": float(len(family.nodes))},
-        provenance=EXACT,
     )
 
 
@@ -160,7 +159,6 @@ def canonical_resolution_report(
         residuals={"identity_residual": opnorm(s @ system._inverse - np.eye(system.ambient_dim))},
         tolerances={"tol": max(tol, 1e-8)},
         constants={"lower": bounds.lower, "upper": bounds.upper},
-        provenance=EXACT,
     )
 
 
@@ -206,7 +204,6 @@ def energy_lower_check(
         residuals={"lower_energy_violation": max(0.0, lhs - energy)},
         tolerances={"tol": tol},
         constants={"lhs": lhs, "rhs": energy, "upper_bound": upper},
-        provenance=EXACT,
     )
 
 
@@ -263,7 +260,6 @@ def bounded_resolution_check(
         tolerances={"tol": tol},
         constants={"factor_norm_sup_sq": largest, "upper_bound": upper,
                    "energy_min": least, "energy_max": most},
-        provenance=EXACT,
     )
 
 
@@ -305,3 +301,23 @@ def frame_from_resolution(
             f"([{lower:.6g}, {upper:.6g}] vs [{spectral.lower:.6g}, {spectral.upper:.6g}])",
         )
     return FrameBounds(lower, upper, classify(lower, upper, tol))
+
+
+def frame_from_resolution_report(
+    system: GFusionSystem, tol: float = ORDER_TOL
+) -> VerificationReport:
+    """The ``frame_from_resolution`` report at the largest lower bound that condition 1 admits.
+
+    That bound is 1 / (top eigenvalue of the energy operator).  The check is
+    skipped when the energy operator is zero or a hypothesis is not met.
+    """
+    name, top = "frame_from_resolution", system._energy_top
+    if not top > 0:
+        return skipped_report(name, "skipped: zero energy operator", tol)
+    try:
+        certified = frame_from_resolution(system, 1.0 / top, tol)
+    except HypothesisNotMetError as err:
+        return skipped_report(name, f"hypotheses not met ({err.condition}); skipped", tol)
+    return build_report(name, {}, {"tol": tol}, {"certified_lower": certified.lower,
+                                                 "certified_upper": certified.upper},
+                        notes=(f"classification: {certified.classification}",))

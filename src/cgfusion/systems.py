@@ -28,7 +28,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateKError, ParameterError, ShapeError, SingularFrameOperatorError
+from .errors import (
+    DegenerateKError,
+    OperatorRangeError,
+    ParameterError,
+    ShapeError,
+    SingularFrameOperatorError,
+)
 from .measure import CoefficientField, MeasureNodes
 from .operators import (
     ORDER_TOL,
@@ -219,6 +225,13 @@ class FrameBounds:
         if self.lower > self.upper + 1e-12:
             raise ValueError("lower bound exceeds upper bound")
 
+    def report(self, tol: float = ORDER_TOL) -> VerificationReport:
+        """The ``frame_bounds`` report of bounds classified at ``tol``; it fails below a frame."""
+        constants = {"lower": self.lower, "upper": self.upper}
+        return build_report("frame_bounds", {}, {"tol": tol}, constants,
+                            notes=(f"classification: {self.classification}",),
+                            force_fail=self.classification not in CLASSIFICATIONS[2:])
+
 
 def weighted_gram(
     system: GFusionSystem, node_weights, other: GFusionSystem | None = None
@@ -364,10 +377,19 @@ def _require_comparison_operator(system: GFusionSystem, k: Operator) -> None:
 def kgf_check(
     system: GFusionSystem, k: Operator, lower: float, tol: float = ORDER_TOL
 ) -> OrderCertificate:
-    """Certify that the frame operator dominates lower * K K^T."""
+    """Certify that the frame operator dominates lower * K K^T.
+
+    A K whose K K^T overflows raises :class:`OperatorRangeError`; a ``lower``
+    that takes A K K^T out of the double range, :class:`ParameterError`.
+    """
     _require_comparison_operator(system, k)
     with np.errstate(over="ignore"):
-        target = symmetrize(float(lower) * (k.entries @ k.entries.T))
+        gram = k.entries @ k.entries.T
+        if not np.isfinite(gram).all():
+            raise OperatorRangeError(
+                f"comparison operator of norm {opnorm(k.entries):.3g} overflows K K^T"
+            )
+        target = symmetrize(float(lower) * gram)
     if not np.isfinite(target).all():
         raise ParameterError(f"A K K^T overflows at A = {lower:g}")
     return operator_leq(Operator(target), assemble_frame_operator(system), tol)
@@ -385,7 +407,7 @@ def kgf_lower_bound(system: GFusionSystem, k: Operator, tol: float = ORDER_TOL) 
     is at most ``tol``: no positive constant works beyond that slack.
     K = 0 raises :class:`DegenerateKError`: every constant works, so the
     condition certifies nothing.  A K that puts the squared norm above
-    outside the positive doubles raises :class:`ParameterError`.
+    outside the positive doubles raises :class:`OperatorRangeError`.
     """
     _require_comparison_operator(system, k)
     if np.abs(k.entries).max() == 0.0:
@@ -396,10 +418,34 @@ def kgf_lower_bound(system: GFusionSystem, k: Operator, tol: float = ORDER_TOL) 
         return 0.0
     norm = opnorm((q.T @ k.entries) / np.sqrt(w)[:, None])
     if not 0.0 < norm * norm < math.inf:
-        raise ParameterError(f"comparison operator of norm {opnorm(k.entries):.3g} "
-                             "puts the kgf constant outside the double range")
+        raise OperatorRangeError(f"comparison operator of norm {opnorm(k.entries):.3g} "
+                                 "puts the kgf constant outside the double range")
     a = 1.0 / norm**2
     return a if a > tol else 0.0
+
+
+def kgf_report(
+    system: GFusionSystem, k: Operator, lower: float | None, tol: float = ORDER_TOL
+) -> VerificationReport:
+    """The ``kgf_check`` report at ``lower``, or with ``lower`` None the ``kgf_lower_bound`` one.
+
+    Its ``order_defect`` is how far the :func:`kgf_check` gap at ``lower``
+    falls below -``tol``, or the gap at the constant of :func:`kgf_lower_bound`
+    below -10 ``tol``.  A zero K fails the lower bound with a note: it
+    certifies nothing.
+    """
+    if lower is not None:
+        name, slack, constants = "kgf_check", tol, {"lower": lower}
+    else:
+        name, slack = "kgf_lower_bound", 10 * tol
+        try:
+            lower = kgf_lower_bound(system, k, tol)
+        except DegenerateKError as err:
+            return build_report(name, {}, {"tol": tol}, notes=(str(err),), force_fail=True)
+        constants = {"a_star": lower}
+    gap = kgf_check(system, k, lower, tol).gap
+    return build_report(name, {"order_defect": max(0.0, -(gap + slack))}, {"order_defect": 0.0},
+                        {**constants, "gap": gap})
 
 
 def _adjoint_mismatch(

@@ -398,9 +398,9 @@ def _fixture_checks():
     xi = make_system(2, bases=[[[1.0], [0.0]], [[0.0], [1.0]]],
                      local_maps=[[[0.0]], [[1.0]]], weights=[1.0, 1.0])
     half = Operator(0.5 * np.eye(2))
-    recombined = transform_combined(chi, xi, half, half, ident, 1e-9)
+    recombined, _ = transform_combined(chi, xi, half, half, ident, 1e-9)
     add("combined_identity", assemble_frame_operator(recombined).entries, np.eye(2))
-    doubled = transform_combined(chi, xi, ident, ident, ident, 1e-9)
+    doubled, _ = transform_combined(chi, xi, ident, ident, ident, 1e-9)
     b_doubled = frame_bounds(doubled)
     add("combined_doubled_bounds", [b_doubled.lower, b_doubled.upper], [4.0, 4.0])
     shifted, _ = transform_shift(e1, ident)

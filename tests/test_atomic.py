@@ -154,7 +154,7 @@ class TestTransformCombined:
     def test_identity_recombination(self, e1):
         chi, xi = padded_half_systems()
         half = Operator(0.5 * np.eye(2))
-        combined = transform_combined(chi, xi, half, half, ident(), 1e-9)
+        combined, _ = transform_combined(chi, xi, half, half, ident(), 1e-9)
         np.testing.assert_allclose(
             assemble_frame_operator(combined).entries, np.eye(2), atol=1e-12
         )
@@ -163,7 +163,7 @@ class TestTransformCombined:
 
     def test_scaling_transform(self):
         chi, xi = padded_half_systems()
-        combined = transform_combined(chi, xi, ident(), ident(), ident(), 1e-9)
+        combined, _ = transform_combined(chi, xi, ident(), ident(), ident(), 1e-9)
         bounds = frame_bounds(combined)
         assert bounds.lower == pytest.approx(4.0, abs=1e-12)
         assert bounds.upper == pytest.approx(4.0, abs=1e-12)
@@ -228,11 +228,14 @@ class TestTransformCombined:
             chi, xi = padded_half_systems()
             scale = float(rng.uniform(0.5, 2.0))
             m_half = Operator(scale * 0.5 * np.eye(2))
-            combined = transform_combined(chi, xi, m_half, m_half, ident(), 1e-9)
+            combined, report = transform_combined(chi, xi, m_half, m_half, ident(), 1e-9)
             a_chi = kgf_lower_bound(chi, ident(), 1e-9)
             sigma_min = scale
             a_new = kgf_lower_bound(combined, ident(), 1e-9)
             assert a_new >= a_chi * sigma_min**2 - 1e-9
+            assert report.passed
+            assert (report.constants["a_chi"], report.constants["a_new"]) == (a_chi, a_new)
+            assert report.constants["sigma_min"] == pytest.approx(sigma_min, rel=1e-15)
 
     def test_non_diagonal_geometry_conjugates_frame_operator(self):
         # node-disjoint halves on random lines: zero cross synthesis, so the
@@ -258,7 +261,7 @@ class TestTransformCombined:
             m = a @ a.T / n + 0.5 * np.eye(n)
             half = Operator(m / 2)
             for other in (xi, xi_flipped):
-                combined = transform_combined(chi, other, half, half, Operator(m), 1e-9)
+                combined, _ = transform_combined(chi, other, half, half, Operator(m), 1e-9)
                 expected = m @ (
                     assemble_frame_operator(chi).entries + assemble_frame_operator(other).entries
                 ) @ m.T

@@ -417,7 +417,9 @@ class TestFlags:
          "comparison operator of norm 1e-170 puts the kgf constant outside the double range"),
         (["atomic", "{ktiny}"],
          "comparison operator of norm 1e-170 puts the kgf constant outside the double range"),
-    ], ids=["kgf-A", "kgf-huge-K", "atomic-huge-K", "kgf-tiny-K", "atomic-tiny-K"])
+        # K K^T overflows before A scales it: the operator is named, not --A.
+        (["kgf", "{khuge}", "--A", "1"], "comparison operator of norm 1e+200 overflows K K^T"),
+    ], ids=["kgf-A", "kgf-huge-K", "atomic-huge-K", "kgf-tiny-K", "atomic-tiny-K", "kgf-A-huge-K"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_out_of_range_operator_exits_two(self, argv, message, tmp_path, capsys):
         # The kgf constant is 1/||diag(w)^(-1/2) Q^T K||^2, with S = I here.

@@ -17,7 +17,7 @@ import pytest
 
 from cgfusion import Operator, cli, save_system
 from cgfusion.cli import build_parser, main
-from cgfusion.report import EXACT, SAMPLED
+from cgfusion.report import EXACT, SAMPLED, SKIPPED
 
 import oracles
 from conftest import (
@@ -46,11 +46,11 @@ GOLDEN = {
     "resolve-e1": (["resolve", "e1.json"], 0,
         "eb53c642bac02b9eb2d52dfea8c2a21af8d08423fd27a04934fdee874e9530bc"),
     "resolve-e2": (["resolve", "e2.json"], 0,
-        "70b79f9a37f2bafb047b443bb634593e87f0df04fd825765417dfea384ec563f"),
+        "ca94bacf162ff992a9208db065caebb9e1bc98012189b70eb18df61f1f2adc17"),
     "resolve-single": (["resolve", "single.json"], 1,
-        "eebba59b390c276cca588e066469a6d5336dded734847fd08e159b5870b3726e"),
+        "dd658a6781a55cc5f31fd014d75caf6df46fb623fad5878a52ca4ead932d8e37"),
     "resolve-deficient": (["resolve", "deficient.json"], 1,
-        "13d2d4b9a34cb2fb0b33f286fa723c0bd0627b3bdc124cabb2253a40ca95d2de"),
+        "50afd32afb1520e738765b370d30e432de00f48cfa3511f43b81ffb66f48fca3"),
     "atomic-e1": (["atomic", "e1.json"], 0,
         "75963e295b6b9757da88ea102c9ba5d5043f714a9cddb99c9e35df5bef7b798e"),
     "atomic-e2-K": (["atomic", "e2.json", "--K", "k.json"], 0,
@@ -62,7 +62,7 @@ GOLDEN = {
                             "--L", "half.json", "--G", "half.json"], 0,
         "428cea2257725ab718f4fff4fa8227e86e7079d45d3eb8aad15cdf96bb4ff901"),
     "pair-files": (["pair", "e2.json", "--xi", "e1.json"], 0,
-        "08422ffaa209e90af908146e08a9d95c481d31c042c9873e7311665803f48090"),
+        "c675e728ff5489d3b42f341cdfee7925f6c4bb8bc5677a33703f0f449e1c4cd5"),
     "pair-secondary": (["pair", "e1s.json", "--lam", "0.05", "--trials", "10"], 1,
         "45eaf33743723e4724089353e14075e476a7f787829e27f2b13b4befd31c7dcf"),
     "dsum": (["dsum", "e2.json", "--xi", "e1.json"], 0,
@@ -134,19 +134,23 @@ def test_only_the_necessary_reports_are_sampled(workdir, monkeypatch):
 
 
 def _readme_provenance() -> dict:
-    """The README's "Reports and their provenance" table, as {report: (from, provenance)}."""
+    """The README's "Reports and their provenance" table, as {report: (from, provenances)}."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = text[text.index("| report | from | provenance |"):].split("\n\n", 1)[0]
     rows = {}
     for row in table.splitlines()[2:]:
         reports, sources, provenance = row.strip("|").split("|")
         for name in re.findall(r"`([^`]+)`", reports):
-            rows[name] = (set(re.findall(r"`([^`]+)`", sources)), provenance.strip())
+            rows[name] = (set(re.findall(r"`([^`]+)`", sources)),
+                          set(provenance.strip().split(" or ")))
     return rows
 
 
 def test_readme_provenance_table_matches_the_written_reports(workdir, monkeypatch):
-    """Each report a golden command writes is a row with its subcommands and provenance."""
+    """Each report a golden command writes is a row with its subcommands and provenances.
+
+    A skipped report measured nothing: it has no residuals and a note that says so.
+    """
     printed = []
     monkeypatch.setattr(cli, "_print_reports", printed.extend)
     written = {}
@@ -155,16 +159,19 @@ def test_readme_provenance_table_matches_the_written_reports(workdir, monkeypatc
         for report in printed:
             sources, provenance = written.setdefault(report.name, (set(), set()))
             sources.add(argv[0])
-            if report.residuals or report.constants:  # a skipped check measures nothing
-                provenance.add({EXACT: "exact", SAMPLED: "sampled"}[report.provenance])
+            labels = {EXACT: "exact", SAMPLED: "sampled", SKIPPED: "skipped"}
+            provenance.add(labels[report.provenance])
+            if report.provenance == SKIPPED:
+                assert report.passed and not report.residuals and not report.constants
+                assert any("skipped" in note for note in report.notes), report.notes
         printed.clear()
     table = _readme_provenance()
     other_selftest_rows = table.pop("selftest_*")
     commands = set(next(a for a in build_parser()._actions
                         if isinstance(a, argparse._SubParsersAction)).choices)
-    documented = {name: (sources & commands, {provenance})
+    documented = {name: (sources & commands, provenance)
                   for name, (sources, provenance) in table.items() if sources & commands}
-    documented.update({name: (other_selftest_rows[0], {other_selftest_rows[1]})
+    documented.update({name: other_selftest_rows
                        for name in written if name.startswith("selftest_") and name not in table})
     assert written == documented
 

@@ -15,6 +15,8 @@ from cgfusion import (
     symmetric_perturbation,
 )
 
+from cgfusion.report import SKIPPED
+
 import oracles
 from conftest import make_e1, make_e2, make_system, system_args, transpose_law_residual
 
@@ -218,6 +220,32 @@ class TestSymmetricPerturbation:
             assert report.passed
             assert report.residuals["chi_bound_excess"] <= 1e-9
             assert report.residuals["xi_bound_excess"] <= 1e-9
+
+
+class TestDefaultLambdas:
+    """With no lambda given, both bounds take ||I - M|| and skip when it is not below 1."""
+
+    def test_deviation_one_skips_both(self, e2, e1):
+        pair = PairSystem(e2, e1)
+        skipped = [perturbation_bound(pair), symmetric_perturbation(pair)]
+        assert [report.notes for report in skipped] == [
+            ("skipped: deviation 1 leaves no admissible lambda1 < 1",),
+            ("skipped: ||I - S|| = 1 is not below 1",),
+        ]
+        for report in skipped:
+            assert report.passed and report.provenance == SKIPPED
+            assert report.residuals == report.constants == {}
+            assert report.tolerances == {"tol": 1e-9}
+        # A lambda2 given is still checked, even beside a default lambda1 that would skip.
+        with pytest.raises(ParameterError):
+            perturbation_bound(pair, lambda2=-2.0)
+
+    def test_deviation_below_one_is_the_lambda(self, e1):
+        pair = PairSystem(e1, e1.with_weights(np.array([0.8, 1.0])))
+        deviation = float(np.linalg.norm(np.eye(2) - pair_frame_operator(pair).entries, 2))
+        assert deviation == pytest.approx(0.2, abs=1e-15)
+        assert perturbation_bound(pair) == perturbation_bound(pair, deviation, 0.0)
+        assert symmetric_perturbation(pair) == symmetric_perturbation(pair, deviation)
 
 
 class TestPairValidation:

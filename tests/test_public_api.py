@@ -17,7 +17,7 @@ from cgfusion.cli import _FLAGS, build_parser
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 #: Defaulted parameters over the callables of ``cgfusion.__all__`` and their public methods.
-DEFAULTED_PARAMETERS = 49
+DEFAULTED_PARAMETERS = 53
 #: Optional actions of every subcommand, ``--help`` aside.
 CLI_FLAGS = 39
 
@@ -59,6 +59,12 @@ def test_no_module_reads_the_environment():
     readers = [path.name for path in sorted(package.glob("*.py"))
                if re.search(r"\b(environ|getenv)\b", path.read_text(encoding="utf-8"))]
     assert readers == []
+
+
+def test_cli_builds_no_report():
+    """The CLI only loads, calls library functions that return reports, and writes."""
+    source = (Path(cgfusion.__file__).parent / "cli.py").read_text(encoding="utf-8")
+    assert re.findall(r"build_report|VerificationReport\(|_energy_top", source) == []
 
 
 def _subcommands() -> dict:

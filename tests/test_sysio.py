@@ -473,8 +473,9 @@ class TestCanonicalJson:
         assert text.index(b'"a"') < text.index(b'"b"')
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            dumps_canonical({"x": float("nan")})
+        for bad in (float("nan"), np.float64("inf"), np.float32("nan")):
+            with pytest.raises(ValueError):
+                dumps_canonical({"x": bad})
 
     @settings(max_examples=150)
     @given(documents)
@@ -520,6 +521,13 @@ class TestCanonicalJson:
     def test_mixed_row_keeps_ints_and_booleans(self):
         assert dumps_canonical([1.0, 2, True]) == b"[\n  1.0,\n  2,\n  true\n]\n"
         assert dumps_canonical([1.0, None, "a"]) == b'[\n  1.0,\n  null,\n  "a"\n]\n'
+
+    def test_null_and_the_string_null_are_written_unchanged(self):
+        assert dumps_canonical({"a": None, "b": "null"}) == b'{\n  "a": null,\n  "b": "null"\n}\n'
+
+    def test_non_finite_named_before_an_unwritable_int(self):
+        with pytest.raises(ValueError, match="non-finite value cannot be serialized: nan"):
+            dumps_canonical({"a": 2**70, "b": float("nan")})
 
     def test_strings_are_raw_utf8(self):
         assert dumps_canonical({"id": "n\u00e9"}) == '{\n  "id": "n\u00e9"\n}\n'.encode()

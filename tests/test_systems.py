@@ -16,12 +16,14 @@ from cgfusion import (
     analysis,
     assemble_frame_operator,
     atomic_wrt_frame_operator,
+    bounded_below_analysis,
     canonical_dual,
     canonical_resolution,
     dumps_canonical,
     frame_bounds,
     kgf_check,
     kgf_lower_bound,
+    pair_adjoint_and_norm,
     parseval_residual,
     parsevalize,
     pinv,
@@ -554,6 +556,17 @@ class TestOneFactorization:
         assert "spectral_xi_lower" in report.constants
         assert linalg_calls["eigh"] == linalg_calls["eigvalsh"] == 0
         assert linalg_calls["svd"] == 4
+
+    def test_pair_reports_share_one_svd_of_the_mixed_operator(self, linalg_calls):
+        rng = np.random.default_rng(37)
+        chi = random_system(rng, 5, 4, ensure_frame=True)
+        pair = PairSystem(chi, chi.with_weights(1.1 * chi.weights))
+        linalg_calls.clear()
+        # One SVD gives ||M|| and sigma_min; the other two are the identity residuals.
+        assert pair_adjoint_and_norm(pair).passed
+        report = bounded_below_analysis(pair)
+        assert report.passed and "identity_residual" in report.residuals
+        assert linalg_calls["svd"] == 3
 
     def test_dual_and_resolution_share_one_inverse(self, linalg_calls):
         system = random_system(np.random.default_rng(19), 5, 4, ensure_frame=True)
