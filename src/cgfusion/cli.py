@@ -153,7 +153,7 @@ def _cmd_kgf(args, tol):
     doc = load_document(args.system)
     system = system_from_document(doc, args.system)
     k = _named_operator(args.K, operators_from_document(doc, args.system), "K", required=True)
-    reports = [_naming_flags({"--A": args.A}, kgf_report, system, k, args.A, tol)]
+    reports = [_naming_flags({"lower": "--A"}, kgf_report, system, k, args.A, tol)]
     params = {"tol": tol, "system": args.system, "K": args.K or "operators.K"}
     if args.A is not None:
         params["A"] = args.A
@@ -212,12 +212,14 @@ def _pair_from_args(args) -> PairSystem:
 
 
 def _naming_flags(flags: dict, check, *args):
-    """``check(*args)``; its :class:`ParameterError`, raised for a value given, names ``flags``."""
+    """``check(*args)``; its :class:`ParameterError` names the flag of the parameter it rejects.
+
+    ``flags`` maps each parameter of ``check`` that a flag sets to that flag.
+    """
     try:
         return check(*args)
     except ParameterError as err:
-        given = ", ".join(flag for flag, value in flags.items() if value is not None)
-        raise ParameterError(f"{given}: {err}") from err
+        raise ParameterError(f"{flags[err.parameter]}: {err}", err.parameter) from err
 
 
 def _cmd_pair(args, tol):
@@ -227,9 +229,9 @@ def _cmd_pair(args, tol):
     reports = [
         pair_adjoint_and_norm(pair, tol),
         bounded_below_analysis(pair, tol),
-        _naming_flags({"--lambda1": args.lambda1, "--lambda2": args.lambda2},
+        _naming_flags({"lambda1": "--lambda1", "lambda2": "--lambda2"},
                       perturbation_bound, pair, args.lambda1, lam2, args.trials, args.seed, tol),
-        _naming_flags({"--lam": args.lam}, symmetric_perturbation, pair, args.lam, tol),
+        _naming_flags({"lam": "--lam"}, symmetric_perturbation, pair, args.lam, tol),
     ]
     return reports, {
         "tol": tol, "trials": args.trials, "seed": args.seed,

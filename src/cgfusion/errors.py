@@ -52,7 +52,15 @@ class DegenerateKError(GFusionError, ValueError):
 
 
 class ParameterError(GFusionError, ValueError):
-    """A scalar parameter lies outside its admissible range."""
+    """A scalar parameter lies outside its admissible range.
+
+    ``parameter`` names the rejected parameter of the raising function, or
+    is None when the error names what it rejects only in ``message``.
+    """
+
+    def __init__(self, message: str, parameter: str | None = None):
+        super().__init__(message)
+        self.parameter = parameter
 
 
 class OperatorRangeError(GFusionError, ValueError):

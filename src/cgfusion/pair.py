@@ -191,14 +191,14 @@ def perturbation_bound(
     check is skipped when that is not below 1.
     """
     if not lambda2 > -1.0:
-        raise ParameterError(f"lambda2 must be > -1, got {lambda2}")
+        raise ParameterError(f"lambda2 must be > -1, got {lambda2}", "lambda2")
     if lambda1 is None:
         lambda1 = pair._deviation
         if not lambda1 < 1.0:
             return skipped_report("perturbation_bound", f"skipped: deviation {lambda1:.3g} "
                                   "leaves no admissible lambda1 < 1", tol)
     if not lambda1 < 1.0:
-        raise ParameterError(f"lambda1 must be < 1, got {lambda1}")
+        raise ParameterError(f"lambda1 must be < 1, got {lambda1}", "lambda1")
     mixed = pair_frame_operator(pair).entries
     directions = _unit_directions(mixed, trials, seed)
     images = directions @ mixed.T
@@ -258,7 +258,7 @@ def symmetric_perturbation(
                                   f"skipped: ||I - S|| = {deviation:.3g} is not below 1", tol)
         lam = deviation
     if not 0.0 <= lam < 1.0:
-        raise ParameterError(f"lambda must lie in [0, 1), got {lam}")
+        raise ParameterError(f"lambda must lie in [0, 1), got {lam}", "lam")
     d1, d2 = pair.bessel_bounds()
     met = deviation <= lam + tol
     residuals = {"hypothesis_excess": max(0.0, deviation - lam)}

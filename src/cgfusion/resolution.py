@@ -276,7 +276,7 @@ def frame_from_resolution(
     returned.
     """
     if not lower > 0:
-        raise ParameterError(f"lower bound must be positive, got {lower}")
+        raise ParameterError(f"lower bound must be positive, got {lower}", "lower")
     top = system._energy_top
     if top > 1.0 / lower + tol:
         raise HypothesisNotMetError(
@@ -317,7 +317,7 @@ def frame_from_resolution_report(
     try:
         certified = frame_from_resolution(system, 1.0 / top, tol)
     except HypothesisNotMetError as err:
-        return skipped_report(name, f"hypotheses not met ({err.condition}); skipped", tol)
+        return skipped_report(name, f"skipped: hypotheses not met ({err.condition})", tol)
     return build_report(name, {}, {"tol": tol}, {"certified_lower": certified.lower,
                                                  "certified_upper": certified.upper},
                         notes=(f"classification: {certified.classification}",))

@@ -23,6 +23,7 @@ kgf constant, S^+ and S^(-1/2) are all read from that one S = Q diag(w) Q^T.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -65,8 +66,10 @@ CLASSIFICATIONS = (
 #: closed form; keeps the constant inside :func:`kgf_check`'s boundary.
 KGF_SLACK = 0.5
 
-#: Floats per row block of the weighted stacked matrix in :func:`weighted_gram` (1 MB).
-_GRAM_BLOCK_FLOATS = 2**17
+#: Floats (256 KB) per row block of the stacked matrix in :func:`_row_blocks`,
+#: whose blocks have max(_BLOCK_FLOATS // n, n) rows; chosen by timing at
+#: n = 8, 64, 200 and 400 (README, "Row blocks").
+_BLOCK_FLOATS = 2**15
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,6 +236,40 @@ class FrameBounds:
                             force_fail=self.classification not in CLASSIFICATIONS[2:])
 
 
+def _row_blocks(system: GFusionSystem, *node_values):
+    """Row blocks of the stacked matrix, each with ``node_values`` spread over its rows.
+
+    Yields ``(rows, values)`` per block, in row order.  ``rows`` indexes a
+    block of h = max(:data:`_BLOCK_FLOATS` // n, n) rows of
+    :attr:`GFusionSystem.stacked` (the last may be shorter): a block holds
+    about :data:`_BLOCK_FLOATS` floats, and at least n rows, so that the
+    n x n product a Gram adds per block is no larger than the block.
+    ``values`` has one row per entry of ``node_values`` (one value per
+    node), repeated over the block's rows as :meth:`GFusionSystem.per_row`
+    repeats it over all rows.
+
+    A system of at most one block, no rows included, is yielded whole with
+    ``rows`` = ``...``, in the fewest numpy calls: many small systems take
+    this path.
+    """
+    total = system.stacked.shape[0]
+    n = system.ambient_dim
+    height = max(_BLOCK_FLOATS // n, n)
+    values = np.array(node_values, dtype=float)
+    if total <= height:
+        yield ..., values.repeat(system._row_counts, axis=1)
+        return
+    bounds = system._bounds
+    for a in range(0, total, height):
+        b = min(a + height, total)
+        first = bisect_right(bounds, a) - 1
+        last = bisect_left(bounds, b, first)
+        counts = system._row_counts[first:last].copy()
+        counts[0] -= a - bounds[first]
+        counts[-1] -= bounds[last] - b
+        yield slice(a, b), values[:, first:last].repeat(counts, axis=1)
+
+
 def weighted_gram(
     system: GFusionSystem, node_weights, other: GFusionSystem | None = None
 ) -> np.ndarray:
@@ -241,19 +278,19 @@ def weighted_gram(
     Lam_i are the effective maps of ``system`` and Xi_i those of
     ``other`` (default: ``system`` itself), which must share the node
     codomain dimensions.  With w = mu v^2 this is the frame operator.  The
-    product is summed over row blocks of :data:`_GRAM_BLOCK_FLOATS` floats of
-    L, so the weighted copy of L it needs is one block; a system of one block
-    gets the single product (L^T diag(w)) Xi.
+    product is summed over the row blocks of :func:`_row_blocks`, so the
+    weighted copy of L it needs is one block; a system of one block gets
+    the single product (L^T diag(w)) Xi.
     """
     other = system if other is None else other
     if other.codomain_dims != system.codomain_dims:
         raise ShapeError(f"codomains differ: {system.codomain_dims} vs {other.codomain_dims}")
     left, right = system.stacked, other.stacked
-    w = system.per_row(node_weights)
-    height = max(1, _GRAM_BLOCK_FLOATS // left.shape[1])
-    gram = (left[:height] * w[:height, None]).T @ right[:height]
-    for a in range(height, left.shape[0], height):
-        gram += (left[a : a + height] * w[a : a + height, None]).T @ right[a : a + height]
+    blocks = _row_blocks(system, node_weights)
+    rows, w = next(blocks)  # w: the block's weights as one row, so w.T is a column
+    gram = (left[rows] * w.T).T @ right[rows]
+    for rows, w in blocks:
+        gram += (left[rows] * w.T).T @ right[rows]
     return gram
 
 
@@ -285,9 +322,14 @@ def _analysis_rows(system: GFusionSystem, f: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _synthesis_weights(system: GFusionSystem) -> np.ndarray:
+    """The node weights mu_i v_i that synthesis applies to its fields."""
+    return system.nodes.mu * system.weights
+
+
 def _synthesis_rows(system: GFusionSystem, phi: np.ndarray) -> np.ndarray:
     """Synthesis sum_i mu_i v_i Lam_i^T phi_i of each stacked field row of phi."""
-    return (phi * system.per_row(system.nodes.mu * system.weights)) @ system.stacked
+    return (phi * system.per_row(_synthesis_weights(system))) @ system.stacked
 
 
 def analysis(system: GFusionSystem, f) -> CoefficientField:
@@ -391,7 +433,7 @@ def kgf_check(
             )
         target = symmetrize(float(lower) * gram)
     if not np.isfinite(target).all():
-        raise ParameterError(f"A K K^T overflows at A = {lower:g}")
+        raise ParameterError(f"A K K^T overflows at A = {lower:g}", "lower")
     return operator_leq(Operator(target), assemble_frame_operator(system), tol)
 
 
@@ -448,21 +490,35 @@ def kgf_report(
                         {**constants, "gap": gap})
 
 
-def _adjoint_mismatch(
-    system: GFusionSystem, f: np.ndarray, measured: np.ndarray, phi: np.ndarray
-) -> float:
+def _adjoint_mismatch(system: GFusionSystem, f: np.ndarray, phi: np.ndarray) -> float:
     """Largest scale-normalized mismatch over the cross pairs of ``phi`` and ``f``.
 
-    Row s of ``phi`` is a field phi_s in node order, row t of ``f`` a vector
-    f_t and row t of ``measured`` its analysis; entry (s, t) compares
-    <synthesis(phi_s), f_t> with the mass-weighted <phi_s, analysis(f_t)>.
+    Row s of ``phi`` is a field phi_s in node order and row t of ``f`` a
+    vector f_t; entry (s, t) compares <synthesis(phi_s), f_t> with the
+    mass-weighted <phi_s, analysis(f_t)>.  One pass over the row blocks of
+    :func:`_row_blocks` analyses f on a block, adds the block's share of the
+    synthesis of phi, of the mass-weighted inner products and of the squared
+    field norms, so each block of L is read once.
     """
-    left = _synthesis_rows(system, phi) @ f.T
-    weighted = phi * system.per_row(system.nodes.mu)
-    right = weighted @ measured.T
-    field_norm = np.sqrt(np.maximum(np.einsum("ij,ij->i", weighted, phi), 0.0))
-    scale = np.maximum(1.0, np.outer(field_norm, np.linalg.norm(f, axis=1)))
-    return float(np.max(np.abs(left - right) / scale))
+    stacked = system.stacked
+    # Probes as columns: block @ probes runs faster than f @ block.T for few probes.
+    probes = np.ascontiguousarray(f.T)
+    # Sums over the blocks, each started by the first block's terms.
+    synthesized = right = squares = 0.0
+    for rows, (mass, v, syn) in _row_blocks(
+        system, system.nodes.mu, system.weights, _synthesis_weights(system)
+    ):
+        block = stacked[rows]
+        fields = phi[:, rows]
+        measured = block @ probes
+        measured *= v[:, None]
+        weighted = fields * mass
+        right += weighted @ measured
+        squares += np.einsum("ij,ij->i", weighted, fields)
+        synthesized += (fields * syn) @ block
+    left = synthesized @ f.T
+    scale = np.maximum(1.0, np.sqrt(squares)[:, None] * np.linalg.norm(f, axis=1))
+    return float((np.abs(left - right) / scale).max())
 
 
 def adjoint_consistency(
@@ -473,9 +529,11 @@ def adjoint_consistency(
     Draws r = ceil(sqrt(trials)) vectors f (r x n), then r fields phi
     (r x sum m_i), from one seeded row-major stream, and compares
     <synthesis(phi_s), f_t> in the ambient space with the mass-weighted
-    <phi_s, analysis(f_t)> on all r^2 >= trials pairs, as two r x r
-    products; reports the largest scale-normalized mismatch.  The draws hold
-    r (n + sum m_i) doubles at once.
+    <phi_s, analysis(f_t)> on all r^2 >= trials pairs; reports the largest
+    scale-normalized mismatch.  Both sides come from one pass over the row
+    blocks of the stacked matrix L (:func:`_adjoint_mismatch`), which reads
+    L once and holds, beside the r (n + sum m_i) drawn doubles, only the
+    temporaries of one block.
 
     The law holds by construction (both sides are products with the same
     stacked matrix), so no CLI path calls this check.  It stays only because
@@ -485,7 +543,7 @@ def adjoint_consistency(
     probes = math.isqrt(max(int(trials), 1) - 1) + 1
     f = rng.standard_normal((probes, system.ambient_dim))
     phi = rng.standard_normal((probes, system.stacked.shape[0]))
-    worst = _adjoint_mismatch(system, f, _analysis_rows(system, f), phi)
+    worst = _adjoint_mismatch(system, f, phi)
     return build_report(
         name="adjoint_consistency",
         residuals={"adjoint_mismatch": worst},

@@ -387,6 +387,14 @@ class TestFlags:
         assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
+        (["--lambda1", "1.5", "--lambda2", "0.1"], "--lambda1: lambda1 must be < 1, got 1.5"),
+        (["--lambda1", "0.5", "--lambda2", "-2"], "--lambda2: lambda2 must be > -1, got -2.0"),
+    ])
+    def test_only_the_rejected_lambda_is_named(self, argv, message, e1_path, e2_path, capsys):
+        assert main(["pair", e2_path, "--xi", e1_path, *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
         (["kgf", "{e2}", "--K", "{k3}"], "comparison operator must be 2x2, got 3x3"),
         (["atomic", "{e2}", "--K", "{k3}"], "comparison operator must be 2x2, got 3x3"),
         (["transform", "{e2}", "--L", "{k3}"], "L must be 2x2, got 3x3"),

@@ -46,11 +46,11 @@ GOLDEN = {
     "resolve-e1": (["resolve", "e1.json"], 0,
         "eb53c642bac02b9eb2d52dfea8c2a21af8d08423fd27a04934fdee874e9530bc"),
     "resolve-e2": (["resolve", "e2.json"], 0,
-        "ca94bacf162ff992a9208db065caebb9e1bc98012189b70eb18df61f1f2adc17"),
+        "2bcca61915a0d57637b87116615970e696a56663f74f0e9ed71e8d8996573f2c"),
     "resolve-single": (["resolve", "single.json"], 1,
-        "dd658a6781a55cc5f31fd014d75caf6df46fb623fad5878a52ca4ead932d8e37"),
+        "070648dd29bf3d158d2fd148165b09b6837323b46cf6239767891e980d625376"),
     "resolve-deficient": (["resolve", "deficient.json"], 1,
-        "50afd32afb1520e738765b370d30e432de00f48cfa3511f43b81ffb66f48fca3"),
+        "1d56cd8456f826a898e7fe6e80ad97517c42ad0a24f9238c7acb5e82d13eff55"),
     "atomic-e1": (["atomic", "e1.json"], 0,
         "75963e295b6b9757da88ea102c9ba5d5043f714a9cddb99c9e35df5bef7b798e"),
     "atomic-e2-K": (["atomic", "e2.json", "--K", "k.json"], 0,
@@ -149,7 +149,8 @@ def _readme_provenance() -> dict:
 def test_readme_provenance_table_matches_the_written_reports(workdir, monkeypatch):
     """Each report a golden command writes is a row with its subcommands and provenances.
 
-    A skipped report measured nothing: it has no residuals and a note that says so.
+    A skipped report measured nothing: it has no residuals and one note, which
+    begins ``skipped:``.
     """
     printed = []
     monkeypatch.setattr(cli, "_print_reports", printed.extend)
@@ -163,7 +164,8 @@ def test_readme_provenance_table_matches_the_written_reports(workdir, monkeypatc
             provenance.add(labels[report.provenance])
             if report.provenance == SKIPPED:
                 assert report.passed and not report.residuals and not report.constants
-                assert any("skipped" in note for note in report.notes), report.notes
+                assert [note.startswith("skipped:") for note in report.notes] == [True], \
+                    report.notes
         printed.clear()
     table = _readme_provenance()
     other_selftest_rows = table.pop("selftest_*")

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -164,10 +166,15 @@ class TestPerturbationBound:
 
     def test_parameter_validation(self, e1):
         pair = PairSystem(e1, e1)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError) as err:
             perturbation_bound(pair, 1.0, 0.0)
-        with pytest.raises(ParameterError):
+        assert err.value.parameter == "lambda1"
+        with pytest.raises(ParameterError) as err:
             perturbation_bound(pair, 0.5, -1.0)
+        assert err.value.parameter == "lambda2"
+        # The parameter survives a pickle round trip, as out of a process pool.
+        copy = pickle.loads(pickle.dumps(err.value))
+        assert (str(copy), copy.parameter) == (str(err.value), "lambda2")
 
     def test_certified_bound_is_valid_on_random_pairs(self):
         rng = np.random.default_rng(43)
@@ -203,8 +210,9 @@ class TestSymmetricPerturbation:
 
     def test_parameter_validation(self, e1):
         pair = PairSystem(e1, e1)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError) as err:
             symmetric_perturbation(pair, 1.0)
+        assert err.value.parameter == "lam"
         with pytest.raises(ParameterError):
             symmetric_perturbation(pair, -0.1)
 

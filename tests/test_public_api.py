@@ -17,7 +17,7 @@ from cgfusion.cli import _FLAGS, build_parser
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 #: Defaulted parameters over the callables of ``cgfusion.__all__`` and their public methods.
-DEFAULTED_PARAMETERS = 53
+DEFAULTED_PARAMETERS = 54
 #: Optional actions of every subcommand, ``--help`` aside.
 CLI_FLAGS = 39
 

@@ -24,6 +24,7 @@ from cgfusion import (
     kgf_check,
     kgf_lower_bound,
     pair_adjoint_and_norm,
+    pair_frame_operator,
     parseval_residual,
     parsevalize,
     pinv,
@@ -464,12 +465,12 @@ def misweight_synthesis(monkeypatch, args, factor=1.5):
     masses, _, bases, locals_ = args
     node = next(i for i, (b, x) in enumerate(zip(bases, locals_)) if b.shape[1] and x.shape[0])
 
-    def broken(system, phi):
+    def broken(system):
         scale = np.ones(system.node_count)
         scale[node] = factor
-        return (phi * system.per_row(system.nodes.mu * system.weights * scale)) @ system.stacked
+        return system.nodes.mu * system.weights * scale
 
-    monkeypatch.setattr(systems, "_synthesis_rows", broken)
+    monkeypatch.setattr(systems, "_synthesis_weights", broken)
     synthesis_masses = np.array(masses, dtype=float)
     synthesis_masses[node] *= factor
     return lambda trials, seed: oracles.adjoint_cross_mismatch(
@@ -491,9 +492,9 @@ class TestAdjointBatches:
     def calls(self, monkeypatch):
         shapes = []
 
-        def counting(system, f, measured, phi):
+        def counting(system, f, phi):
             shapes.append((f.shape[0], phi.shape[0]))
-            return _adjoint_mismatch(system, f, measured, phi)
+            return _adjoint_mismatch(system, f, phi)
 
         monkeypatch.setattr(systems, "_adjoint_mismatch", counting)
         return shapes
@@ -512,12 +513,15 @@ class TestAdjointBatches:
         assert not report.passed
         assert report.residuals["adjoint_mismatch"] > 1e-6
 
-    # n (n + sum m_i) is 1 052 672 floats at n = 64 and 131 136 at n = 8,
-    # above and below 2^20.  200 trials draw 15 x (n + sum m_i) floats.
+    # Each system spans 16 blocks of h = 512 (n = 64) or 4096 (n = 8) rows,
+    # so one more r x sum m_i temporary would break the bound.
     @pytest.mark.parametrize("n", [64, 8])
     def test_memory_stays_within_the_batch_bound(self, n):
-        system = tall_codomain_system(np.random.default_rng(n), n, 4096, 4)
-        width = n + system.stacked.shape[0]
+        height = block_height(n)
+        system = tall_codomain_system(np.random.default_rng(n), n, 4096, 16 * height // 4096)
+        rows = system.stacked.shape[0]
+        assert rows == 16 * height
+        probes = 15  # ceil(sqrt(200))
         tracemalloc.start()
         try:
             report = adjoint_consistency(system, trials=200, seed=0)
@@ -525,7 +529,14 @@ class TestAdjointBatches:
         finally:
             tracemalloc.stop()
         assert report.passed
-        assert peak <= 4 * 8 * max(n * width, 2**20)
+        # The draws, r (n + sum m_i) doubles, plus one block: an h x n block's
+        # worth and four r x h temporaries.
+        assert peak <= 8 * (probes * (n + rows) + height * n + 4 * probes * height)
+
+
+def block_height(n):
+    """Rows per block of the stacked matrix at ambient dimension n."""
+    return max(systems._BLOCK_FLOATS // n, n)
 
 
 def relative_error(got, expected):
@@ -740,7 +751,7 @@ class TestLazyGeometry:
 
 
 class TestGramBlocks:
-    """weighted_gram sums row blocks of _GRAM_BLOCK_FLOATS floats of the weighted stack."""
+    """weighted_gram sums the row blocks of _row_blocks of the weighted stack."""
 
     def test_one_block_is_the_single_product(self):
         rng = np.random.default_rng(61)
@@ -750,7 +761,7 @@ class TestGramBlocks:
             np.testing.assert_array_equal(weighted_gram(system, w), expected)
 
     def test_blocks_sum_to_the_oracle(self, monkeypatch):
-        monkeypatch.setattr(systems, "_GRAM_BLOCK_FLOATS", 8)
+        monkeypatch.setattr(systems, "_BLOCK_FLOATS", 1)  # blocks of n rows
         for n, count in TestStackedCore.SHAPES:
             args, system = random_raw_system(np.random.default_rng(300 * n + count), n, count)
             np.testing.assert_allclose(
@@ -762,7 +773,8 @@ class TestGramBlocks:
         n = 64
         system = tall_codomain_system(np.random.default_rng(67), n, 4096, 4)
         rows = system.stacked.shape[0]
-        assert rows * n >= 8 * systems._GRAM_BLOCK_FLOATS
+        height = block_height(n)
+        assert rows >= 8 * height
         w = system.nodes.mu * system.weights**2
         tracemalloc.start()
         try:
@@ -770,7 +782,60 @@ class TestGramBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # One scaled block and its product, beside the per-row weights.
-        assert peak <= 8 * (2 * systems._GRAM_BLOCK_FLOATS + rows + 2 * n * n)
+        # One scaled block and its product: no array spans all rows.
+        assert peak <= 8 * (2 * height * n + 2 * n * n)
         np.testing.assert_allclose(gram, (system.stacked.T * system.per_row(w)) @ system.stacked,
                                    rtol=1e-13, atol=1e-13 * np.abs(gram).max())
+
+
+def block_edge_args(rng, n, rows):
+    """Oracle arguments of four nodes with ``rows`` stacked rows in all.
+
+    The second node has no rows and the last has two, so at one block plus one
+    row the last node straddles the block edge.
+    """
+    k = min(n, 2)
+    bases = [np.linalg.qr(rng.standard_normal((n, n)))[0][:, :k] for _ in range(4)]
+    dims = [rows // 3, 0, rows - rows // 3 - 2, 2]
+    locals_ = [rng.uniform(-1.0, 1.0, (m, k)) for m in dims]
+    return rng.uniform(0.5, 2.0, 4), rng.uniform(0.5, 2.0, 4), bases, locals_
+
+
+class TestBlockEdges:
+    """Grams and the adjoint check match the per-node oracles with sum m_i one block
+    minus one, one block and one block plus one, the last node straddling the edge."""
+
+    @pytest.fixture(params=[(n, d) for n in (1, 8, 64) for d in (-1, 0, 1)],
+                    ids=lambda p: f"n{p[0]}-block{p[1]:+d}")
+    def edge(self, request):
+        n, offset = request.param
+        rng = np.random.default_rng(n + 10 * offset + 20)
+        args = block_edge_args(rng, n, block_height(n) + offset)
+        system = make_system(n, args[2], args[3], args[1], args[0])
+        assert system.stacked.shape[0] == block_height(n) + offset
+        return rng, args, system
+
+    def test_weighted_gram(self, edge):
+        _, args, system = edge
+        expected = oracles.frame_operator(*args)
+        got = weighted_gram(system, system.nodes.mu * system.weights**2)
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13 * np.abs(expected).max())
+
+    def test_pair_gram(self, edge):
+        rng, (masses, v, bases, locals_), chi = edge
+        n = chi.ambient_dim
+        xi_bases = [np.linalg.qr(rng.standard_normal((n, n)))[0][:, : b.shape[1]] for b in bases]
+        xi_locals = [rng.uniform(-1.0, 1.0, x.shape) for x in locals_]
+        s = rng.uniform(0.5, 2.0, 4)
+        xi = make_system(n, xi_bases, xi_locals, s, masses)
+        expected = oracles.mixed_operator(masses, v, s, (bases, locals_), (xi_bases, xi_locals))
+        got = pair_frame_operator(PairSystem(chi, xi)).entries
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13 * np.abs(expected).max())
+
+    def test_adjoint_consistency(self, edge, monkeypatch):
+        _, args, system = edge
+        assert adjoint_consistency(system, trials=100, seed=3).residuals["adjoint_mismatch"] <= 1e-13
+        expected = misweight_synthesis(monkeypatch, args)(100, 3)
+        assert expected > 1e-3
+        got = adjoint_consistency(system, trials=100, seed=3).residuals["adjoint_mismatch"]
+        assert got == pytest.approx(expected, rel=1e-12)
