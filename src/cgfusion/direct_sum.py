@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .operators import ORDER_TOL, Operator, Subspace, opnorm
+from .operators import ORDER_TOL, TOL_FLOOR, Operator, Subspace, opnorm
 from .report import VerificationReport, build_report
 from .systems import (
     GFusionSystem,
@@ -106,9 +106,9 @@ def parseval_residual(system: GFusionSystem) -> float:
 
 
 def parseval_report(system: GFusionSystem, tol: float = ORDER_TOL) -> VerificationReport:
-    """The ``parseval_identity`` report: :func:`parseval_residual` within max(tol, 1e-8)."""
+    """The ``parseval_identity`` report: :func:`parseval_residual` within max(tol, TOL_FLOOR)."""
     return build_report("parseval_identity", {"identity_residual": parseval_residual(system)},
-                        {"tol": max(tol, 1e-8)})
+                        {"tol": max(tol, TOL_FLOOR)})
 
 
 def canonical_dual(

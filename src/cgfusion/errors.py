@@ -46,6 +46,9 @@ class HypothesisNotMetError(GFusionError, ValueError):
         super().__init__(message or f"hypothesis not met: {condition}")
         self.condition = condition
 
+    def __reduce__(self):
+        return type(self), (self.condition, str(self)), self.__dict__
+
 
 class DegenerateKError(GFusionError, ValueError):
     """The comparison operator is zero, making the lower-bound condition vacuous."""

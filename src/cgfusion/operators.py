@@ -24,11 +24,13 @@ from .errors import (
     ShapeError,
     SingularError,
 )
-from .report import VerificationReport, build_report
 
 #: Default tolerance: on the minimum eigenvalue in semidefinite-order checks
 #: and on structural residuals (operator identities).
 ORDER_TOL = 1e-9
+#: Floor of the tolerance of the Parseval identity and canonical resolution
+#: reports and of the looser selftest rows: each passes within max(tol, TOL_FLOOR).
+TOL_FLOOR = 1e-8
 #: Relative cutoff below which singular values count as zero.
 RANK_TOL = 1e-12
 #: Absolute tolerance when an input is required to be symmetric.
@@ -306,54 +308,3 @@ def orthonormal_columns(m: np.ndarray) -> np.ndarray:
         return np.zeros((m.shape[0], 0))
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     return u[:, s > RANK_TOL * s[0]]
-
-
-def orthonormalize_image(t: Operator, v: Subspace) -> Subspace:
-    """Orthonormal basis of T applied to the subspace.
-
-    The basis is :func:`orthonormal_columns` of T B for the subspace
-    basis B: its dimension equals the numerical rank of the image, and a
-    rank-zero image yields the empty subspace.
-    """
-    if t.cols != v.ambient_dim:
-        raise ShapeError(
-            f"operator domain {t.cols} does not match ambient dim {v.ambient_dim}"
-        )
-    image = t.entries @ v.basis
-    return Subspace(t.rows, orthonormal_columns(image))
-
-
-def projection_identity_check(
-    t: Operator, v: Subspace, tol: float = ORDER_TOL
-) -> VerificationReport:
-    """Check the projection exchange identities for T against subspace V.
-
-    The identity P_V T^T = P_V T^T P_TV holds for every operator and is
-    reported as residual ``projection_identity``.  When T^T T = I within
-    ``tol`` the commutation P_TV T = T P_V is also checked, as residual
-    ``unitary_commutation``; otherwise that branch is skipped and noted.
-    """
-    if not t.is_square():
-        raise ShapeError("T must be square")
-    if t.cols != v.ambient_dim:
-        raise ShapeError(
-            f"operator size {t.cols} does not match ambient dim {v.ambient_dim}"
-        )
-    p_v = v.projector()
-    p_tv = orthonormalize_image(t, v).projector()
-    lhs = p_v @ t.entries.T
-    residuals = {"projection_identity": opnorm(lhs - lhs @ p_tv)}
-    notes: tuple[str, ...] = ()
-    gram_defect = opnorm(t.entries.T @ t.entries - np.eye(t.cols))
-    if gram_defect <= tol:
-        residuals["unitary_commutation"] = opnorm(p_tv @ t.entries - t.entries @ p_v)
-    else:
-        notes = ("unitary branch skipped: T^T T differs from I by "
-                 f"{gram_defect:.3e}",)
-    return build_report(
-        name="projection_identity_check",
-        residuals=residuals,
-        tolerances={"tol": tol},
-        constants={"unitarity_defect": gram_defect},
-        notes=notes,
-    )

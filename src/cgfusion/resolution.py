@@ -20,7 +20,7 @@ from .errors import (
     SingularFrameOperatorError,
 )
 from .measure import MeasureNodes
-from .operators import ORDER_TOL, Operator, _freeze, opnorm, symmetrize
+from .operators import ORDER_TOL, TOL_FLOOR, Operator, _freeze, opnorm, symmetrize
 from .report import VerificationReport, build_report, skipped_report
 from .systems import (
     FrameBounds,
@@ -137,7 +137,7 @@ def canonical_resolution_report(
     Measures its identity residual ||S S^-1 - I|| from the cached S and
     S^-1, the residual :func:`verify_resolution` gives the family of
     :func:`canonical_resolution`, bit for bit, without building it; it
-    passes within max(tol, 1e-8).  The energy bounds (A/B^2) ||f||^2 <=
+    passes within max(tol, TOL_FLOOR).  The energy bounds (A/B^2) ||f||^2 <=
     sum_i mu_i v_i^2 ||T_i f||^2 <= (B/A^2) ||f||^2 hold in closed form
     (the energy is f^T S^-1 f, with extremes 1/B and 1/A over unit f), so
     they are not compared.  A system that is not a frame gets a failed
@@ -157,25 +157,21 @@ def canonical_resolution_report(
     return build_report(
         name="canonical_resolution",
         residuals={"identity_residual": opnorm(s @ system._inverse - np.eye(system.ambient_dim))},
-        tolerances={"tol": max(tol, 1e-8)},
+        tolerances={"tol": max(tol, TOL_FLOOR)},
         constants={"lower": bounds.lower, "upper": bounds.upper},
     )
 
 
 def _stacked_factors(system: GFusionSystem, factors) -> np.ndarray:
-    """The factors T_i, one m_i x n map per node, stacked; a 2-d array is taken as stacked."""
+    """The factors T_i, one m_i x n map per node, stacked into a sum m_i x n matrix."""
     n = system.ambient_dim
-    if not (isinstance(factors, np.ndarray) and factors.ndim == 2):
-        mats = [t.entries if isinstance(t, Operator) else np.asarray(t, float) for t in factors]
-        if len(mats) != system.node_count:
-            raise ShapeError(f"{len(mats)} factors for {system.node_count} nodes")
-        for i, (t_i, m_i) in enumerate(zip(mats, system.codomain_dims)):
-            if t_i.shape != (m_i, n):
-                raise ShapeError(f"factor {i} must have shape {(m_i, n)}, got {t_i.shape}")
-        factors = np.concatenate([np.zeros((0, n)), *mats])
-    if factors.shape != (sum(system.codomain_dims), n):
-        raise ShapeError(f"stacked factors must have {n} columns and one row per codomain row")
-    return factors
+    mats = [t.entries if isinstance(t, Operator) else np.asarray(t, float) for t in factors]
+    if len(mats) != system.node_count:
+        raise ShapeError(f"{len(mats)} factors for {system.node_count} nodes")
+    for i, (t_i, m_i) in enumerate(zip(mats, system.codomain_dims)):
+        if t_i.shape != (m_i, n):
+            raise ShapeError(f"factor {i} must have shape {(m_i, n)}, got {t_i.shape}")
+    return np.concatenate([np.zeros((0, n)), *mats])
 
 
 def energy_lower_check(
@@ -187,7 +183,7 @@ def energy_lower_check(
     bound.  The inequality holds for arbitrary bounded factors, not only
     canonical ones, so a failure beyond ``tol`` indicates a broken
     system rather than a poor choice of factors.  ``factors`` is one map
-    per node or their stacked (sum m_i x n) matrix.
+    per node.
     """
     stacked = _stacked_factors(system, factors)
     vec = np.asarray(f, dtype=float)

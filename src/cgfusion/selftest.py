@@ -12,7 +12,7 @@ import numpy as np
 
 from .atomic import atomic_equiv_check, transform_shift
 from .direct_sum import canonical_dual, direct_sum_laws, parseval_residual, parsevalize
-from .operators import ORDER_TOL, Operator, opnorm
+from .operators import ORDER_TOL, TOL_FLOOR, Operator, opnorm
 from .pair import bounded_below_analysis, pair_adjoint_and_norm
 from .random_systems import (
     random_operator,
@@ -21,12 +21,12 @@ from .random_systems import (
     random_shared_weight_frames,
     random_system,
 )
-from .report import SAMPLED, VerificationReport, build_report
+from .report import VerificationReport, build_report
 from .resolution import canonical_resolution_report
 from .systems import assemble_frame_operator, frame_bounds
 
 
-def _worst(name: str, rows, tolerances: dict, summed=(), **fields) -> VerificationReport:
+def _worst(name: str, rows, tolerances: dict, summed=()) -> VerificationReport:
     """One report holding the largest value of each residual over ``rows``, from 0.0.
 
     ``rows`` yields one dict of residuals per corpus item; the residuals
@@ -37,7 +37,7 @@ def _worst(name: str, rows, tolerances: dict, summed=(), **fields) -> Verificati
         for key, value in row.items():
             held = residuals.get(key, 0.0)
             residuals[key] = held + value if key in summed else max(held, value)
-    return build_report(name=name, residuals=residuals, tolerances=tolerances, **fields)
+    return build_report(name=name, residuals=residuals, tolerances=tolerances)
 
 
 def _corpus(seed: int):
@@ -116,7 +116,7 @@ def run_selftest(seed: int = 0, tol: float = ORDER_TOL) -> list[VerificationRepo
     identical for identical seeds.
     """
     systems, frames, pairs, sum_parts, shifts, atomic_rand = _corpus(seed)
-    loose = {"tol": max(tol, 1e-8)}
+    loose = {"tol": max(tol, TOL_FLOOR)}
     return [
         _worst("selftest_bound_attainment", map(_bounds_row, systems + frames), {"tol": tol}),
         _worst("selftest_weight_scaling", map(_scaling_row, systems), {"tol": tol}),
@@ -124,7 +124,7 @@ def run_selftest(seed: int = 0, tol: float = ORDER_TOL) -> list[VerificationRepo
         _worst("selftest_atomic_equivalence",
                (_atomic_row(s, r_op, tol) for s, r_op in atomic_rand),
                {"tol": tol, "equivalence_mismatch": 0.0},
-               summed=("equivalence_mismatch",), provenance=SAMPLED),
+               summed=("equivalence_mismatch",)),
         _worst("selftest_shift_transform",
                (transform_shift(s, l_op, loose["tol"])[1].residuals for s, l_op in shifts),
                loose),

@@ -200,6 +200,12 @@ def douglas_minimal_factor(l, t):
     return s, float(np.linalg.norm(s, 2)) if s.size else 0.0
 
 
+def range_projector(m):
+    """Orthogonal projector m pinv(m) onto the column range of m, cut at rank 1e-12."""
+    m = np.asarray(m, float)
+    return m @ np.linalg.pinv(m, rcond=1e-12)
+
+
 E1 = {
     "masses": [1.0, 1.0],
     "weights": [1.0, 1.0],

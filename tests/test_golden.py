@@ -8,13 +8,16 @@ an output on purpose must update the pin and say why.
 
 import argparse
 import hashlib
+import importlib
 import json
+import pkgutil
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cgfusion
 from cgfusion import Operator, cli, save_system
 from cgfusion.cli import build_parser, main
 from cgfusion.report import EXACT, SAMPLED, SKIPPED
@@ -79,7 +82,7 @@ GOLDEN = {
     "random": (["random", "--seed", "7"], 0,
         "da3420297aab7e5c96638964fb6b3b0b33a00c28c187d356a37be3de8f85abfd"),
     "selftest": (["selftest", "--seed", "0"], 0,
-        "d144276fe7131508adb72bc13a324da4c5b41c15514ff3e89022387b1293e447"),
+        "4fee71babe8906a1836d08b62bb140c87060518a64bb153d00e1a98a21a476c3"),
 }
 
 
@@ -124,13 +127,13 @@ def test_out_file_is_pinned(workdir, name, capsys):
 
 
 def test_only_the_necessary_reports_are_sampled(workdir, monkeypatch):
-    """Only a mixed-norm hypothesis and a law run on random operators draw samples."""
+    """Only the mixed-norm perturbation hypothesis is checked on sampled directions."""
     printed = []
     monkeypatch.setattr(cli, "_print_reports", printed.extend)
     for argv, code, _ in GOLDEN.values():
         assert main(argv) == code
     sampled = {r.name for r in printed if r.provenance == SAMPLED}
-    assert sampled == {"perturbation_bound", "selftest_atomic_equivalence"}
+    assert sampled == {"perturbation_bound"}
 
 
 def _readme_provenance() -> dict:
@@ -168,14 +171,35 @@ def test_readme_provenance_table_matches_the_written_reports(workdir, monkeypatc
                     report.notes
         printed.clear()
     table = _readme_provenance()
-    other_selftest_rows = table.pop("selftest_*")
+    selftest_rows = table.pop("selftest_*")
     commands = set(next(a for a in build_parser()._actions
                         if isinstance(a, argparse._SubParsersAction)).choices)
     documented = {name: (sources & commands, provenance)
                   for name, (sources, provenance) in table.items() if sources & commands}
-    documented.update({name: other_selftest_rows
+    documented.update({name: selftest_rows
                        for name in written if name.startswith("selftest_") and name not in table})
     assert written == documented
+
+
+def test_readme_provenance_sources_exist():
+    """Each name in the table's "from" column is a subcommand or a library attribute."""
+    commands = set(next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices)
+    modules = [cgfusion] + [importlib.import_module(f"cgfusion.{info.name}")
+                            for info in pkgutil.iter_modules(cgfusion.__path__)]
+
+    def resolves(dotted):
+        for obj in modules:
+            try:
+                for part in dotted.split("."):
+                    obj = getattr(obj, part)
+            except AttributeError:
+                continue
+            return True
+        return False
+
+    sources = set().union(*(names for names, _ in _readme_provenance().values()))
+    assert sources and sorted(name for name in sources - commands if not resolves(name)) == []
 
 
 def test_inputs_load_without_the_stdlib_parser(workdir, monkeypatch):

@@ -18,11 +18,9 @@ from cgfusion import (
     operator_leq,
     opnorm,
     orthonormal_columns,
-    orthonormalize_image,
     pinv,
     positive_sqrt,
     project,
-    projection_identity_check,
 )
 
 from cgfusion.operators import BASIS_TOL, _basis_defect
@@ -236,9 +234,6 @@ class TestPositiveSqrt:
 
 
 class TestOrthonormalColumns:
-    def range_projector(self, m):
-        return m @ np.linalg.pinv(m)
-
     def test_rank_deficient_input(self):
         rng = np.random.default_rng(11)
         x, y = rng.standard_normal((2, 5))
@@ -246,69 +241,101 @@ class TestOrthonormalColumns:
         basis = orthonormal_columns(m)
         assert basis.shape == (5, 2)
         np.testing.assert_allclose(basis.T @ basis, np.eye(2), atol=1e-14)
-        np.testing.assert_allclose(basis @ basis.T, self.range_projector(m), atol=1e-13)
+        np.testing.assert_allclose(basis @ basis.T, oracles.range_projector(m), atol=1e-13)
 
     @pytest.mark.parametrize("shape", [(4, 3), (4, 0)])
     def test_zero_and_empty_inputs_give_empty_basis(self, shape):
         assert orthonormal_columns(np.zeros(shape)).shape == (4, 0)
 
 
+def image_basis(t: Operator, v: Subspace) -> np.ndarray:
+    """Orthonormal basis of the image T V, as orthonormal_columns(T B) for the basis B of V."""
+    return orthonormal_columns(t.entries @ v.basis)
+
+
+def image_projector(t: Operator, v: Subspace) -> np.ndarray:
+    """The projector onto T V from :func:`image_basis`, checked against the oracle's."""
+    basis = image_basis(t, v)
+    projector = basis @ basis.T
+    np.testing.assert_allclose(projector, oracles.range_projector(t.entries @ v.basis),
+                               atol=1e-12)
+    return projector
+
+
+def projection_residuals(t: Operator, v: Subspace) -> tuple[float, float]:
+    """||P_V T^T - P_V T^T P_TV|| (every T) and ||P_TV T - T P_V|| (orthogonal T)."""
+    p_v, p_tv = v.projector(), image_projector(t, v)
+    lhs = p_v @ t.entries.T
+    return opnorm(lhs - lhs @ p_tv), opnorm(p_tv @ t.entries - t.entries @ p_v)
+
+
 class TestOrthonormalizeImage:
+    """orthonormal_columns(T B) is an orthonormal basis of the image T V."""
+
     def test_scaling_preserves_span(self):
-        image = orthonormalize_image(diag(2, 3), Subspace.coordinate(2, [0]))
-        np.testing.assert_allclose(image.basis, [[1.0], [0.0]], atol=1e-15)
+        basis = image_basis(diag(2, 3), Subspace.coordinate(2, [0]))
+        np.testing.assert_allclose(basis, [[1.0], [0.0]], atol=1e-15)
 
     def test_rotation_moves_span(self):
-        image = orthonormalize_image(ROT90, Subspace.coordinate(2, [0]))
-        np.testing.assert_allclose(image.projector(), np.diag([0.0, 1.0]), atol=1e-14)
+        projector = image_projector(ROT90, Subspace.coordinate(2, [0]))
+        np.testing.assert_allclose(projector, np.diag([0.0, 1.0]), atol=1e-14)
 
     def test_kernel_collapses_to_empty(self):
-        image = orthonormalize_image(diag(1, 0), Subspace.coordinate(2, [1]))
-        assert image.dim == 0
-
-    def test_domain_mismatch(self):
-        with pytest.raises(ShapeError):
-            orthonormalize_image(Operator.zeros(2, 3), Subspace.full(2))
+        assert image_basis(diag(1, 0), Subspace.coordinate(2, [1])).shape == (2, 0)
 
     def test_rank_revealed_on_dependent_columns(self):
         rng = np.random.default_rng(9)
         basis = np.linalg.qr(rng.standard_normal((4, 3)))[0]
         t = Operator(np.outer(rng.standard_normal(4), rng.standard_normal(4)))
-        image = orthonormalize_image(t, Subspace(4, basis))
-        assert image.dim <= 1
-        gram = image.basis.T @ image.basis
-        np.testing.assert_allclose(gram, np.eye(image.dim), atol=1e-12)
+        image = image_basis(t, Subspace(4, basis))
+        assert image.shape == (4, 1)
+        np.testing.assert_allclose(image.T @ image, np.eye(1), atol=1e-12)
+        np.testing.assert_allclose(image @ image.T, oracles.range_projector(t.entries @ basis),
+                                   atol=1e-12)
 
 
 class TestProjectionIdentityCheck:
+    """P_V T^T = P_V T^T P_TV for every T and V, and P_TV T = T P_V for orthogonal T.
+
+    Both are laws, so they are checked here rather than at run time.
+    """
+
     def test_identity_operator(self):
-        report = projection_identity_check(Operator.identity(2), Subspace.coordinate(2, [0]))
-        assert report.passed
-        assert report.residuals["projection_identity"] <= 1e-14
-        assert report.residuals["unitary_commutation"] <= 1e-14
+        identity, commutation = projection_residuals(Operator.identity(2),
+                                                     Subspace.coordinate(2, [0]))
+        assert identity <= 1e-14
+        assert commutation <= 1e-14
 
-    def test_rotation_runs_unitary_branch(self):
-        report = projection_identity_check(ROT90, Subspace.coordinate(2, [0]))
-        assert report.passed
-        assert report.residuals["projection_identity"] <= 1e-12
-        assert report.residuals["unitary_commutation"] <= 1e-12
+    def test_rotation_commutes_with_the_projectors(self):
+        identity, commutation = projection_residuals(ROT90, Subspace.coordinate(2, [0]))
+        assert identity <= 1e-12
+        assert commutation <= 1e-12
 
-    def test_non_unitary_skips_branch(self):
-        report = projection_identity_check(diag(1, 0), Subspace.coordinate(2, [0]))
-        assert report.passed
-        assert report.residuals["projection_identity"] <= 1e-12
-        assert "unitary_commutation" not in report.residuals
-        assert any("skipped" in note for note in report.notes)
+    def test_singular_operator_keeps_the_identity(self):
+        identity, _ = projection_residuals(diag(1, 0), Subspace.coordinate(2, [0]))
+        assert identity <= 1e-12
+
+    def test_commutation_needs_an_orthogonal_operator(self):
+        # The shear maps e_1 to (1, 1), and P_TV T - T P_V has norm 1/sqrt(2).
+        identity, commutation = projection_residuals(Operator([[1.0, 1.0], [0.0, 1.0]]),
+                                                     Subspace.coordinate(2, [1]))
+        assert identity <= 1e-15
+        assert commutation > 0.5
 
     def test_identity_holds_for_random_operators(self):
         rng = np.random.default_rng(13)
+        dims = []
         for _ in range(25):
             n = int(rng.integers(2, 7))
             k = int(rng.integers(0, n + 1))
+            dims.append(k)
             t = Operator(rng.standard_normal((n, n)))
-            basis = np.linalg.qr(rng.standard_normal((n, max(k, 1))))[0][:, :k]
-            report = projection_identity_check(t, Subspace(n, basis))
-            assert report.residuals["projection_identity"] <= 1e-9 * max(1.0, opnorm(t.entries))
+            v = Subspace(n, np.linalg.qr(rng.standard_normal((n, max(k, 1))))[0][:, :k])
+            identity, _ = projection_residuals(t, v)
+            assert identity <= 1e-12 * max(1.0, opnorm(t.entries))
+            q = Operator(np.linalg.qr(t.entries)[0])
+            assert max(projection_residuals(q, v)) <= 1e-13
+        assert 0 in dims
 
 
 class TestValueTypes:

@@ -7,17 +7,23 @@ environment.
 """
 
 import argparse
+import ast
 import inspect
+import pickle
 import re
 from pathlib import Path
 
+import pytest
+
 import cgfusion
+from cgfusion import errors
 from cgfusion.cli import _FLAGS, build_parser
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+TESTS = Path(__file__).resolve().parent
+README = TESTS.parent / "README.md"
 
 #: Defaulted parameters over the callables of ``cgfusion.__all__`` and their public methods.
-DEFAULTED_PARAMETERS = 54
+DEFAULTED_PARAMETERS = 53
 #: Optional actions of every subcommand, ``--help`` aside.
 CLI_FLAGS = 39
 
@@ -101,3 +107,42 @@ def test_readme_flag_table_matches_the_parser():
         for name, sub in _subcommands().items()
     }
     assert _readme_shared_flags() == parsed
+
+
+def _error_samples():
+    """One instance of each class of ``cgfusion.errors``, two where it takes an extra field."""
+    extra = {
+        errors.RangeInclusionError: [errors.RangeInclusionError("range", residual=0.25),
+                                     errors.RangeInclusionError("range")],
+        errors.HypothesisNotMetError: [
+            errors.HypothesisNotMetError("weighted_resolution",
+                                         "the family does not resolve the identity"),
+            errors.HypothesisNotMetError("factor_fixed_by_measurement"),
+        ],
+        errors.ParameterError: [errors.ParameterError("lambda1 must be < 1", parameter="lambda1"),
+                                errors.ParameterError("A must be positive")],
+    }
+    for cls in vars(errors).values():
+        if inspect.isclass(cls) and issubclass(cls, Exception) and cls.__module__ == errors.__name__:
+            yield from extra.get(cls, [cls(f"{cls.__name__} message")])
+
+
+@pytest.mark.parametrize("error", list(_error_samples()), ids=lambda e: type(e).__name__)
+def test_errors_survive_a_pickle_round_trip(error):
+    """An error keeps its type, message and fields, as out of a process pool."""
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    for field in ("condition", "residual", "parameter"):
+        assert getattr(copy, field, None) == getattr(error, field, None)
+
+
+def test_oracles_import_nothing_from_the_library():
+    """``tests/oracles.py`` recomputes from definitions, so it must not reuse library code."""
+    tree = ast.parse((TESTS / "oracles.py").read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += ["." * node.level + (node.module or "") for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert imported and not [name for name in imported
+                             if name.split(".")[0] == "cgfusion" or name.startswith(".")]
