@@ -232,7 +232,9 @@ def transform_combined(
         if op.rows != n or op.cols != n:
             raise ShapeError(f"{name} must be {n}x{n}, got {op.rows}x{op.cols}")
     _shared_geometry_or_raise(chi, xi, tol)
-    cross = weighted_gram(chi, chi.nodes.mu * chi.weights**2, xi)
+    with np.errstate(over="ignore"):  # weighted_gram rejects an infinite weight
+        weights = chi.nodes.mu * chi.weights**2
+    cross = weighted_gram(chi, weights, xi)
     if opnorm(cross) > tol:
         raise HypothesisNotMetError(
             "vanishing_cross_synthesis",
@@ -265,8 +267,8 @@ def transform_shift(
     """Shift a system by M = I + L for positive semidefinite L.
 
     Positivity of L makes M invertible, so every subspace keeps its
-    dimension at any condition number of M.  The returned report verifies
-    that the transformed frame operator equals M S M^T.
+    dimension at any condition number of M.  The shifted frame operator is
+    M S M^T by construction of :func:`push_through`; the report carries ||L||.
     """
     n = system.ambient_dim
     if l.rows != n or l.cols != n:
@@ -277,15 +279,6 @@ def transform_shift(
     smallest = float(np.linalg.eigvalsh(symmetrize(entries))[0]) if entries.size else 0.0
     if smallest < -tol:
         raise NotPositiveError(f"L has negative eigenvalue {smallest:.3e}")
-    m = np.eye(n) + entries
-    shifted = push_through(system, m)
-    s_old = assemble_frame_operator(system).entries
-    s_new = assemble_frame_operator(shifted).entries
-    residual = opnorm(s_new - m @ s_old @ m.T)
-    report = build_report(
-        name="shift_transform_frame_operator",
-        residuals={"conjugation_residual": residual},
-        tolerances={"tol": tol},
-        constants={"shift_norm": opnorm(entries)},
-    )
-    return shifted, report
+    shifted = push_through(system, np.eye(n) + entries)
+    return shifted, build_report("shift_transform_frame_operator", {}, {"tol": tol},
+                                 {"shift_norm": opnorm(entries)})

@@ -1,8 +1,10 @@
 """Direct sums of systems, Parseval canonicalization, and canonical duals.
 
 The direct sum stacks two systems block-diagonally on the orthogonal sum
-of their ambient spaces; its frame operator is the block diagonal of the
-component operators and its bounds are the componentwise min/max.
+of their ambient spaces; by construction its frame operator is the block
+diagonal of the component operators and its bounds are the componentwise
+min/max.  These laws are tests against an independent oracle, not
+runtime checks.
 Parsevalization pushes any frame through the inverse square root of its
 frame operator, and the canonical dual through the inverse; both accept
 arbitrary frames, not only block-structured ones, since neither
@@ -61,30 +63,17 @@ def direct_sum_system(chi: GFusionSystem, xi: GFusionSystem) -> GFusionSystem:
 def direct_sum_laws(
     chi: GFusionSystem, xi: GFusionSystem, tol: float = ORDER_TOL
 ) -> tuple[GFusionSystem, VerificationReport]:
-    """The direct sum of two systems, with a report on its two laws.
+    """The direct sum of two systems, with a report of its bounds.
 
-    The combined frame operator must equal blockdiag(S_chi, S_xi), and
-    the combined bounds must be the min of the lower and the max of the
-    upper component bounds.
+    By construction of :func:`direct_sum_system` the frame operator is
+    blockdiag(S_chi, S_xi), so ``lower`` and ``upper`` are the min of the
+    lower and the max of the upper component bounds; the report records
+    them and has no residuals.
     """
     system = direct_sum_system(chi, xi)
-    s_sum = assemble_frame_operator(system).entries
-    block = np.zeros_like(s_sum)
-    block[: chi.ambient_dim, : chi.ambient_dim] = assemble_frame_operator(chi).entries
-    block[chi.ambient_dim :, chi.ambient_dim :] = assemble_frame_operator(xi).entries
-    b_chi, b_xi = frame_bounds(chi, tol), frame_bounds(xi, tol)
-    b_sum = frame_bounds(system, tol)
-    report = build_report(
-        name="direct_sum_laws",
-        residuals={
-            "blockdiag_residual": opnorm(s_sum - block),
-            "lower_bound_mismatch": abs(b_sum.lower - min(b_chi.lower, b_xi.lower)),
-            "upper_bound_mismatch": abs(b_sum.upper - max(b_chi.upper, b_xi.upper)),
-        },
-        tolerances={"tol": tol},
-        constants={"lower": b_sum.lower, "upper": b_sum.upper},
-    )
-    return system, report
+    bounds = frame_bounds(system, tol)
+    return system, build_report("direct_sum_laws", {}, {"tol": tol},
+                                {"lower": bounds.lower, "upper": bounds.upper})
 
 
 def parsevalize(system: GFusionSystem, tol: float = ORDER_TOL) -> GFusionSystem:

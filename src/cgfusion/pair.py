@@ -62,7 +62,8 @@ class PairSystem:
     @cached_property
     def _mixed_operator(self) -> Operator:
         # Safe to cache: the pair and both systems are immutable.
-        weights = self.chi.nodes.mu * self.chi.weights * self.xi.weights
+        with np.errstate(over="ignore"):  # weighted_gram rejects an infinite weight
+            weights = self.chi.nodes.mu * self.chi.weights * self.xi.weights
         return Operator(weighted_gram(self.xi, weights, self.chi))
 
     @cached_property

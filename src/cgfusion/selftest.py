@@ -10,17 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .atomic import atomic_equiv_check, transform_shift
-from .direct_sum import canonical_dual, direct_sum_laws, parseval_residual, parsevalize
-from .operators import ORDER_TOL, TOL_FLOOR, Operator, opnorm
+from .atomic import atomic_equiv_check
+from .direct_sum import canonical_dual, direct_sum_system, parseval_residual, parsevalize
+from .operators import ORDER_TOL, TOL_FLOOR, Operator
 from .pair import bounded_below_analysis, pair_adjoint_and_norm
-from .random_systems import (
-    random_operator,
-    random_pair,
-    random_positive_operator,
-    random_shared_weight_frames,
-    random_system,
-)
+from .random_systems import random_operator, random_pair, random_shared_weight_frames, random_system
 from .report import VerificationReport, build_report
 from .resolution import canonical_resolution_report
 from .systems import assemble_frame_operator, frame_bounds
@@ -51,14 +45,11 @@ def _corpus(seed: int):
     sum_parts = [random_shared_weight_frames(rng, int(rng.integers(2, 5)),
                                              int(rng.integers(2, 5)),
                                              int(rng.integers(2, 5))) for _ in range(8)]
-    shifts = [(frames[i % len(frames)],
-               random_positive_operator(rng, frames[i % len(frames)].ambient_dim))
-              for i in range(10)]
     atomic_rand = [(frames[i % len(frames)],
                     random_operator(rng, frames[i % len(frames)].ambient_dim,
                                     frames[i % len(frames)].ambient_dim))
                    for i in range(10)]
-    return systems, frames, pairs, sum_parts, shifts, atomic_rand
+    return systems, frames, pairs, sum_parts, atomic_rand
 
 
 def _bounds_row(system):
@@ -72,12 +63,6 @@ def _bounds_row(system):
     attain = max(abs(float(basis[:, j] @ (s @ basis[:, j])) - target)
                  for j, target in ((0, bounds.lower), (-1, bounds.upper)))
     return {"attainment_residual": attain}
-
-
-def _scaling_row(system, factor=1.7):
-    s = assemble_frame_operator(system).entries
-    s_scaled = assemble_frame_operator(system.with_weights(system.weights * factor)).entries
-    return {"scaling_residual": opnorm(s_scaled - factor**2 * s) / max(1.0, opnorm(s))}
 
 
 def _canonical_row(system):
@@ -101,11 +86,8 @@ def _pair_row(pair, tol):
 
 
 def _direct_sum_row(chi, xi):
-    system, laws = direct_sum_laws(chi, xi)
-    r = laws.residuals
-    return {"blockdiag_residual": r["blockdiag_residual"],
-            "bound_mismatch": max(r["lower_bound_mismatch"], r["upper_bound_mismatch"]),
-            "parseval_residual": parseval_residual(parsevalize(system)),
+    system = direct_sum_system(chi, xi)
+    return {"parseval_residual": parseval_residual(parsevalize(system)),
             "dual_residual": canonical_dual(system)[1].residuals["dual_operator_residual"]}
 
 
@@ -115,19 +97,15 @@ def run_selftest(seed: int = 0, tol: float = ORDER_TOL) -> list[VerificationRepo
     The corpus is drawn up front from one generator, so the reports are
     identical for identical seeds.
     """
-    systems, frames, pairs, sum_parts, shifts, atomic_rand = _corpus(seed)
+    systems, frames, pairs, sum_parts, atomic_rand = _corpus(seed)
     loose = {"tol": max(tol, TOL_FLOOR)}
     return [
         _worst("selftest_bound_attainment", map(_bounds_row, systems + frames), {"tol": tol}),
-        _worst("selftest_weight_scaling", map(_scaling_row, systems), {"tol": tol}),
         _worst("selftest_canonical_resolution", map(_canonical_row, frames), loose),
         _worst("selftest_atomic_equivalence",
                (_atomic_row(s, r_op, tol) for s, r_op in atomic_rand),
                {"tol": tol, "equivalence_mismatch": 0.0},
                summed=("equivalence_mismatch",)),
-        _worst("selftest_shift_transform",
-               (transform_shift(s, l_op, loose["tol"])[1].residuals for s, l_op in shifts),
-               loose),
         _worst("selftest_pair_laws", (_pair_row(p, tol) for p in pairs), loose),
         _worst("selftest_direct_sum_parseval_dual",
                (_direct_sum_row(chi, xi) for chi, xi in sum_parts), loose),

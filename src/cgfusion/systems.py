@@ -170,7 +170,9 @@ class GFusionSystem:
     @cached_property
     def _frame_operator(self) -> Operator:
         # Safe to cache: the system and all its arrays are immutable.
-        return Operator(symmetrize(weighted_gram(self, self.nodes.mu * self.weights**2)))
+        with np.errstate(over="ignore"):  # weighted_gram rejects an infinite weight
+            weights = self.nodes.mu * self.weights**2
+        return Operator(symmetrize(weighted_gram(self, weights)))
 
     @cached_property
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -280,17 +282,22 @@ def weighted_gram(
     codomain dimensions.  With w = mu v^2 this is the frame operator.  The
     product is summed over the row blocks of :func:`_row_blocks`, so the
     weighted copy of L it needs is one block; a system of one block gets
-    the single product (L^T diag(w)) Xi.
+    the single product (L^T diag(w)) Xi.  A sum beyond the double range
+    raises :class:`OperatorRangeError`.
     """
     other = system if other is None else other
     if other.codomain_dims != system.codomain_dims:
         raise ShapeError(f"codomains differ: {system.codomain_dims} vs {other.codomain_dims}")
     left, right = system.stacked, other.stacked
-    blocks = _row_blocks(system, node_weights)
-    rows, w = next(blocks)  # w: the block's weights as one row, so w.T is a column
-    gram = (left[rows] * w.T).T @ right[rows]
-    for rows, w in blocks:
-        gram += (left[rows] * w.T).T @ right[rows]
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = _row_blocks(system, node_weights)
+        rows, w = next(blocks)  # w: the block's weights as one row, so w.T is a column
+        gram = (left[rows] * w.T).T @ right[rows]
+        for rows, w in blocks:
+            gram += (left[rows] * w.T).T @ right[rows]
+    if not np.isfinite(gram).all():
+        raise OperatorRangeError("a weighted Gram of the effective maps, such as the frame "
+                                 "operator, overflows: a weight or a local operator is too large")
     return gram
 
 
@@ -404,9 +411,11 @@ def push_through(system: GFusionSystem, transform: np.ndarray) -> GFusionSystem:
     t = Operator(transform).entries
     if t.shape != (n, n):
         raise ShapeError(f"transform must be {n}x{n}, got {t.shape[0]}x{t.shape[1]}")
-    stacked = system.stacked @ t.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = system.stacked @ t.T
     if not np.isfinite(stacked).all():
-        raise ValueError("pushed effective maps must be finite")
+        raise OperatorRangeError("pushed effective maps must be finite: the transform "
+                                 "overflows them")
     return _sharing(system, _freeze(stacked), _push=(system, t))
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from cgfusion import GFusionSystem, MeasureNodes, Operator, PairSystem, Subspace
-from cgfusion import pair_frame_operator
+from cgfusion import assemble_frame_operator, pair_frame_operator, transform_shift
 
 import oracles
 
@@ -57,6 +57,22 @@ def transpose_law_residual(pair):
     oracle = oracles.mixed_operator(mu, s, v, (xi_bases, xi_locals), (chi_bases, chi_locals))
     gap = max(np.linalg.norm(transposed - swapped, 2), np.linalg.norm(transposed - oracle, 2))
     return gap / max(np.linalg.norm(oracle, 2), np.finfo(float).tiny)
+
+
+def shift_law_gap(system, shift):
+    """The shift's report, and the gap of the shifted frame operator to M S M^T, M = I + L.
+
+    S is the oracle's.  The shifted operator is taken both from the library
+    and from the oracle on the shifted system's per-node geometry; the
+    larger spectral-norm gap is returned with its scale ||M||^2 ||S||.
+    """
+    shifted, report = transform_shift(system, shift)
+    m = np.eye(system.ambient_dim) + shift.entries
+    s = oracles.frame_operator(*system_args(system))
+    want = m @ s @ m.T
+    gap = max(np.linalg.norm(got - want, 2) for got in (
+        assemble_frame_operator(shifted).entries, oracles.frame_operator(*system_args(shifted))))
+    return report, gap, np.linalg.norm(m, 2) ** 2 * np.linalg.norm(s, 2)
 
 
 def make_deficient_system(rng, n):

@@ -59,6 +59,7 @@ from conftest import (
     make_e2,
     make_single_node,
     make_system,
+    shift_law_gap,
     transpose_law_residual,
 )
 
@@ -202,10 +203,11 @@ def test_criterion_06_shift_transform_identity():
         system = random_system(rng, int(rng.integers(2, 10)), int(rng.integers(2, 6)),
                                ensure_frame=True)
         shift = random_positive_operator(rng, system.ambient_dim)
-        _, report = transform_shift(system, shift, 1e-8)
-        ok &= report.residuals["conjugation_residual"] <= 1e-8
-    _verdict(6, "shift-transform conjugation identity on 50 random (frame, positive "
-                "shift) pairs (residual <= 1e-8)", ok)
+        report, gap, scale = shift_law_gap(system, shift)
+        ok &= report.passed and gap <= 1e-8 and gap <= 1e-14 * scale
+    _verdict(6, "shift-transform conjugation identity S' = M S M^T against the oracle on 50 "
+                "random (frame, positive shift) pairs (gap <= 1e-8 and <= 1e-14 ||M||^2 ||S||)",
+             ok)
 
 
 def test_criterion_07_pair_laws():

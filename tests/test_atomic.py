@@ -24,7 +24,7 @@ from cgfusion import (
 )
 
 import oracles
-from conftest import make_system
+from conftest import make_system, shift_law_gap
 
 
 def ident(n=2):
@@ -312,9 +312,30 @@ class TestTransformShift:
             system = random_system(rng, int(rng.integers(2, 7)), int(rng.integers(2, 5)),
                                    ensure_frame=True)
             shift = random_positive_operator(rng, system.ambient_dim)
-            _, report = transform_shift(system, shift, 1e-8)
+            report, gap, scale = shift_law_gap(system, shift)
             assert report.passed
-            assert report.residuals["conjugation_residual"] <= 1e-8
+            assert gap <= 1e-8
+            assert gap <= 1e-14 * scale
+
+    def test_conjugation_identity_at_scale(self):
+        # Weights x 1e3 and L = 10 I put the roundoff of M S M^T near 1e-7,
+        # 2e-16 of ||M||^2 ||S||: a correct shift, whose report must pass.
+        system = random_system(np.random.default_rng(0), 4, 3, ensure_frame=True)
+        system = system.with_weights(system.weights * 1e3)
+        report, gap, scale = shift_law_gap(system, Operator(10.0 * np.eye(4)))
+        assert report.passed and report.residuals == {}
+        assert report.constants == {"shift_norm": pytest.approx(10.0, rel=1e-15)}
+        assert gap <= 1e-14 * scale
+        rng = np.random.default_rng(35)
+        for _ in range(20):
+            system = random_system(rng, int(rng.integers(2, 7)), int(rng.integers(2, 5)),
+                                   ensure_frame=True)
+            system = system.with_weights(system.weights * 10 ** rng.uniform(0, 4))
+            shift = random_positive_operator(rng, system.ambient_dim)
+            report, gap, scale = shift_law_gap(
+                system, Operator(shift.entries * 10 ** rng.uniform(0, 2)))
+            assert report.passed
+            assert gap <= 1e-14 * scale
 
 
 class TestDecompositionOperator:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 
@@ -5,7 +6,14 @@ import numpy as np
 import pytest
 
 import cgfusion.pair
-from cgfusion import Operator, random_system, save_system, validate_nodes, weighted_gram
+from cgfusion import (
+    Operator,
+    random_shared_weight_frames,
+    random_system,
+    save_system,
+    validate_nodes,
+    weighted_gram,
+)
 from cgfusion.cli import main
 from cgfusion.measure import WeightProfile
 
@@ -188,6 +196,16 @@ class TestTransform:
         l = write_matrix(tmp_path, "l.json", [[-1.0, 0.0], [0.0, 0.0]])
         assert main(["transform", e2_path, "--L", l]) == 1
 
+    def test_shift_at_scale_passes_and_writes_the_same_system(self, tmp_path):
+        # Weights x 1e3 and L = 10 I: the roundoff of M S M^T is about 1e-7.
+        system = random_system(np.random.default_rng(0), 4, 3, ensure_frame=True)
+        path, out = tmp_path / "s.json", tmp_path / "shifted.json"
+        save_system(system.with_weights(system.weights * 1e3), path)
+        l = write_matrix(tmp_path, "l.json", (10.0 * np.eye(4)).tolist())
+        assert main(["transform", str(path), "--L", l, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "2b5f82d1e90f300c51aa93428b8185a7ff0d33ab3e565bfafa073d22f311f792")
+
     def test_missing_l_is_usage_error(self, e2_path):
         assert main(["transform", e2_path]) == 2
 
@@ -295,6 +313,17 @@ class TestProducingCommands:
         capsys.readouterr()
         assert main(["check", str(out)]) == 0
         assert "lower = 1" in capsys.readouterr().out
+
+    def test_dsum_at_scale_passes_and_writes_the_same_system(self, tmp_path):
+        # Weights x 1e4: the bounds are near 1e8, with roundoff near 1e-8.
+        chi, xi = random_shared_weight_frames(np.random.default_rng(0), 3, 3, 3)
+        paths = [tmp_path / "chi.json", tmp_path / "xi.json"]
+        for system, path in zip((chi, xi), paths):
+            save_system(system.with_weights(system.weights * 1e4), path)
+        out = tmp_path / "sum.json"
+        assert main(["dsum", str(paths[0]), "--xi", str(paths[1]), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "a8b49001cb53a340695aad79bfe6d786a047c9748d8984edb965cdc63635b1eb")
 
     def test_parseval_rejects_non_frame(self, tmp_path):
         path = tmp_path / "single.json"
@@ -435,6 +464,34 @@ class TestFlags:
         for name, scale in (("k", 1.0), ("khuge", 1e200), ("ktiny", 1e-170)):
             save_system(make_system(2, [np.eye(2)], [np.eye(2)], [1.0]), paths[name],
                         operators={"K": Operator(scale * np.eye(2))})
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "{big}"],
+        ["resolve", "{big}"],
+        ["atomic", "{big}"],
+        ["parseval", "{big}"],
+        ["dual", "{big}"],
+        ["pair", "{big}", "--xi", "{big}"],
+        ["dsum", "{big}", "--xi", "{big}"],
+        ["kgf", "{big}", "--K", "{eye}", "--A", "1"],
+        ["transform", "{wide}", "--L", "{huge}"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_result_exits_two(self, argv, tmp_path, capsys):
+        # A weight of 1e200 is finite and positive, but its square is no double; nor is
+        # the image of a local operator of 1e200 under L = 1e200 I.
+        system = random_system(np.random.default_rng(1), 3, 2)
+        paths = {name: str(tmp_path / f"{name}.json") for name in ("big", "wide")}
+        save_system(system.with_weights([1e200, system.weights[1]]), paths["big"])
+        save_system(make_system(3, [np.eye(3)], [1e200 * np.eye(3)], [1.0]), paths["wide"])
+        paths["eye"] = write_matrix(tmp_path, "eye.json", np.eye(3).tolist())
+        paths["huge"] = write_matrix(tmp_path, "huge.json", (1e200 * np.eye(3)).tolist())
+        message = ("pushed effective maps must be finite: the transform overflows them"
+                   if argv[0] == "transform" else
+                   "a weighted Gram of the effective maps, such as the frame operator, "
+                   "overflows: a weight or a local operator is too large")
         assert main([arg.format(**paths) for arg in argv]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 

@@ -19,13 +19,28 @@ from cgfusion import (
 )
 
 import oracles
-from conftest import make_e1, make_e2, make_system
+from conftest import make_e1, make_e2, make_system, system_args
 
 
-def raw_args(system):
-    """Masses, weights, bases and local maps, as the oracle takes them."""
-    return (system.nodes.mu, system.weights, [sub.basis for sub in system.subspaces],
-            [loc.entries for loc in system.local_maps])
+def sum_law_gaps(chi, xi):
+    """The laws' report, the gaps of the sum's S and bounds to the oracle's, and ||S||.
+
+    The oracle's S is blockdiag(S_chi, S_xi).  The sum's S is taken both
+    from the library and from the oracle on the sum's per-node geometry;
+    its bounds are compared with the extreme eigenvalues of the oracle's S
+    and with the min and max of the component bounds.
+    """
+    system, laws = direct_sum_laws(chi, xi)
+    s_chi, s_xi = (oracles.frame_operator(*system_args(part)) for part in (chi, xi))
+    block = oracles.block_diagonal(s_chi, s_xi)
+    s_gap = max(opnorm(got - block) for got in (
+        assemble_frame_operator(system).entries, oracles.frame_operator(*system_args(system))))
+    (l_chi, u_chi), (l_xi, u_xi) = oracles.spectral_bounds(s_chi), oracles.spectral_bounds(s_xi)
+    block_lower, block_upper = oracles.spectral_bounds(block)
+    lower, upper = laws.constants["lower"], laws.constants["upper"]
+    wanted = [(lower, block_lower), (upper, block_upper),
+              (lower, min(l_chi, l_xi)), (upper, max(u_chi, u_xi))]
+    return laws, s_gap, max(abs(got - want) for got, want in wanted), opnorm(block)
 
 
 class TestDirectSum:
@@ -107,16 +122,29 @@ class TestDirectSum:
             chi, xi = random_shared_weight_frames(
                 rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)), int(rng.integers(2, 5))
             )
-            ds, laws = direct_sum_laws(chi, xi)
-            block = oracles.block_diagonal(
-                oracles.frame_operator(*raw_args(chi)), oracles.frame_operator(*raw_args(xi))
+            laws, s_gap, bound_gap, _ = sum_law_gaps(chi, xi)
+            assert laws.passed and laws.residuals == {}
+            assert s_gap <= 1e-12
+            assert bound_gap <= 1e-12
+
+    def test_direct_sum_laws_at_scale(self):
+        # Weights x 1e4 put the bounds near 1e8, where their roundoff is 1e-8:
+        # a correct sum, whose report must pass.
+        chi, xi = random_shared_weight_frames(np.random.default_rng(0), 3, 3, 3)
+        chi, xi = chi.with_weights(chi.weights * 1e4), xi.with_weights(xi.weights * 1e4)
+        laws, s_gap, bound_gap, scale = sum_law_gaps(chi, xi)
+        assert laws.passed and laws.residuals == {}
+        assert max(s_gap, bound_gap) <= 1e-14 * scale
+        rng = np.random.default_rng(54)
+        for _ in range(20):
+            chi, xi = random_shared_weight_frames(
+                rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)), int(rng.integers(2, 5))
             )
+            chi = chi.with_weights(chi.weights * 10 ** rng.uniform(0, 4))
+            xi = xi.with_weights(xi.weights * 10 ** rng.uniform(0, 4))
+            laws, s_gap, bound_gap, scale = sum_law_gaps(chi, xi)
             assert laws.passed
-            assert max(laws.residuals.values()) <= 1e-12
-            assert opnorm(assemble_frame_operator(ds).entries - block) <= 1e-12
-            lower, upper = oracles.spectral_bounds(block)
-            assert laws.constants["lower"] == pytest.approx(lower, abs=1e-12)
-            assert laws.constants["upper"] == pytest.approx(upper, abs=1e-12)
+            assert max(s_gap, bound_gap) <= 1e-14 * scale
 
 
 class TestParsevalize:

@@ -82,7 +82,7 @@ GOLDEN = {
     "random": (["random", "--seed", "7"], 0,
         "da3420297aab7e5c96638964fb6b3b0b33a00c28c187d356a37be3de8f85abfd"),
     "selftest": (["selftest", "--seed", "0"], 0,
-        "4fee71babe8906a1836d08b62bb140c87060518a64bb153d00e1a98a21a476c3"),
+        "3275cebac6dc332d814754db760e041d3ebb473dbc87138e76e775c4b3e040ff"),
 }
 
 

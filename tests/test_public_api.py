@@ -21,6 +21,7 @@ from cgfusion.cli import _FLAGS, build_parser
 
 TESTS = Path(__file__).resolve().parent
 README = TESTS.parent / "README.md"
+PACKAGE = Path(cgfusion.__file__).parent
 
 #: Defaulted parameters over the callables of ``cgfusion.__all__`` and their public methods.
 DEFAULTED_PARAMETERS = 53
@@ -61,15 +62,14 @@ def test_defaulted_parameter_count():
 
 
 def test_no_module_reads_the_environment():
-    package = Path(cgfusion.__file__).parent
-    readers = [path.name for path in sorted(package.glob("*.py"))
+    readers = [path.name for path in sorted(PACKAGE.glob("*.py"))
                if re.search(r"\b(environ|getenv)\b", path.read_text(encoding="utf-8"))]
     assert readers == []
 
 
 def test_cli_builds_no_report():
     """The CLI only loads, calls library functions that return reports, and writes."""
-    source = (Path(cgfusion.__file__).parent / "cli.py").read_text(encoding="utf-8")
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
     assert re.findall(r"build_report|VerificationReport\(|_energy_top", source) == []
 
 
@@ -146,3 +146,23 @@ def test_oracles_import_nothing_from_the_library():
                  if isinstance(node, ast.ImportFrom)]
     assert imported and not [name for name in imported
                              if name.split(".")[0] == "cgfusion" or name.startswith(".")]
+
+
+def _imported_names(tree) -> set[str]:
+    """Names bound by the imports of ``tree``, ``from __future__`` aside."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"}),
+                         ids=lambda path: path.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    """Only ``__init__.py`` imports to re-export; any other module uses every name it imports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(_imported_names(tree) - used) == []

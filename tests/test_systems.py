@@ -58,6 +58,7 @@ from conftest import (
     make_single_node,
     make_system,
     make_wide_system,
+    system_args,
 )
 
 
@@ -189,6 +190,10 @@ class TestFrameBounds:
             b1 = frame_bounds(scaled)
             assert b1.lower == pytest.approx(9.0 * b0.lower, rel=1e-9, abs=1e-12)
             assert b1.upper == pytest.approx(9.0 * b0.upper, rel=1e-9, abs=1e-12)
+            # S under weights x 3 is 9 S, with S the oracle's.
+            want = 9.0 * oracles.frame_operator(*system_args(system))
+            gap = np.linalg.norm(assemble_frame_operator(scaled).entries - want, 2)
+            assert gap <= 1e-14 * np.linalg.norm(want, 2)
 
     def test_orthonormal_local_maps_reduce_to_projections(self):
         rng = np.random.default_rng(10)
