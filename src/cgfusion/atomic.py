@@ -267,8 +267,10 @@ def transform_shift(
     """Shift a system by M = I + L for positive semidefinite L.
 
     Positivity of L makes M invertible, so every subspace keeps its
-    dimension at any condition number of M.  The shifted frame operator is
-    M S M^T by construction of :func:`push_through`; the report carries ||L||.
+    dimension at any condition number of M; ``tol`` is only that gate (no
+    eigenvalue of L below -tol).  The shifted frame operator is M S M^T by
+    construction of :func:`push_through`; the report carries ||L|| and,
+    as it measures nothing, no tolerance.
     """
     n = system.ambient_dim
     if l.rows != n or l.cols != n:
@@ -280,5 +282,5 @@ def transform_shift(
     if smallest < -tol:
         raise NotPositiveError(f"L has negative eigenvalue {smallest:.3e}")
     shifted = push_through(system, np.eye(n) + entries)
-    return shifted, build_report("shift_transform_frame_operator", {}, {"tol": tol},
+    return shifted, build_report("shift_transform_frame_operator", {}, {},
                                  {"shift_norm": opnorm(entries)})

@@ -49,7 +49,6 @@ from .pair import (
 from .random_systems import random_system
 from .report import EXACT, VerificationReport, _save_canonical
 from .resolution import canonical_resolution_report, frame_from_resolution_report
-from .selftest import run_selftest
 from .systems import GFusionSystem, frame_bounds, kgf_report
 from .sysio import (
     SCHEMA_VERSION,
@@ -240,7 +239,7 @@ def _cmd_pair(args, tol):
 
 
 def _cmd_dsum(args, tol):
-    system, report = direct_sum_laws(load_system(args.system), load_system(args.xi), tol)
+    system, report = direct_sum_laws(load_system(args.system), load_system(args.xi))
     return [report], system
 
 
@@ -258,10 +257,6 @@ def _cmd_random(args, tol):
     system = random_system(np.random.default_rng(args.seed), args.dim, args.nodes)
     reports = [validate_nodes(system.nodes, WeightProfile(system.weights))]
     return reports, system
-
-
-def _cmd_selftest(args, tol):
-    return run_selftest(seed=args.seed, tol=tol), {"tol": tol, "seed": args.seed}
 
 
 # --- parser -------------------------------------------------------------
@@ -304,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dsum", help="direct sum of two systems")
     p.add_argument("--xi", required=True, help="second system file")
-    _finish(p, _cmd_dsum, "--tol")
+    _finish(p, _cmd_dsum)
 
     p = sub.add_parser("parseval", help="canonical Parseval version")
     _finish(p, _cmd_parseval, "--tol")
@@ -316,9 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=_checked(int, 1), default=4)
     p.add_argument("--nodes", type=_checked(int, 1), default=3)
     _finish(p, _cmd_random, "--seed", system=False)
-
-    p = sub.add_parser("selftest", help="full seeded property campaign")
-    _finish(p, _cmd_selftest, "--tol", "--seed", system=False)
 
     return parser
 

@@ -29,7 +29,7 @@ from .errors import (
 #: and on structural residuals (operator identities).
 ORDER_TOL = 1e-9
 #: Floor of the tolerance of the Parseval identity and canonical resolution
-#: reports and of the looser selftest rows: each passes within max(tol, TOL_FLOOR).
+#: reports: each passes within max(tol, TOL_FLOOR).
 TOL_FLOOR = 1e-8
 #: Relative cutoff below which singular values count as zero.
 RANK_TOL = 1e-12

@@ -283,7 +283,8 @@ def weighted_gram(
     product is summed over the row blocks of :func:`_row_blocks`, so the
     weighted copy of L it needs is one block; a system of one block gets
     the single product (L^T diag(w)) Xi.  A sum beyond the double range
-    raises :class:`OperatorRangeError`.
+    raises :class:`OperatorRangeError`, which names the first node whose
+    own term overflows (:func:`_gram_overflow`).
     """
     other = system if other is None else other
     if other.codomain_dims != system.codomain_dims:
@@ -296,9 +297,29 @@ def weighted_gram(
         for rows, w in blocks:
             gram += (left[rows] * w.T).T @ right[rows]
     if not np.isfinite(gram).all():
-        raise OperatorRangeError("a weighted Gram of the effective maps, such as the frame "
-                                 "operator, overflows: a weight or a local operator is too large")
+        raise _gram_overflow(system, node_weights, other)
     return gram
+
+
+def _gram_overflow(system: GFusionSystem, node_weights, other: GFusionSystem) -> OperatorRangeError:
+    """The error of an overflowing :func:`weighted_gram`, formed on the error path only.
+
+    It names the first node whose own term w_i Lam_i^T Xi_i is not finite, and the
+    field to blame: ``local_operator`` if Lam_i^T Xi_i overflows, ``mu`` if
+    mu_i Lam_i^T Xi_i does, else ``v``; no node when only the sum overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (lam, xi) in enumerate(zip(system.effective_maps, other.effective_maps)):
+            if np.isfinite((lam * node_weights[i]).T @ xi).all():
+                continue
+            blamed = (("local_operator", 1.0), ("mu", system.nodes.mu[i]))
+            field = next((name for name, w in blamed if not np.isfinite((lam * w).T @ xi).all()),
+                         "v")
+            return OperatorRangeError(
+                f"node {system.nodes.ids[i]!r}: {field}: too large: its term of a weighted "
+                "Gram of the effective maps, such as the frame operator, overflows")
+    return OperatorRangeError("a weighted Gram of the effective maps, such as the frame "
+                              "operator, overflows: a weight or a local operator is too large")
 
 
 def _frame_operator_power(
@@ -414,8 +435,10 @@ def push_through(system: GFusionSystem, transform: np.ndarray) -> GFusionSystem:
     with np.errstate(over="ignore", invalid="ignore"):
         stacked = system.stacked @ t.T
     if not np.isfinite(stacked).all():
-        raise OperatorRangeError("pushed effective maps must be finite: the transform "
-                                 "overflows them")
+        row = int(np.argmin(np.isfinite(stacked).all(axis=1)))  # the first row not finite
+        node = system.nodes.ids[bisect_right(system._bounds, row) - 1]
+        raise OperatorRangeError(f"node {node!r}: local_operator: pushed effective maps must "
+                                 "be finite: the transform overflows them")
     return _sharing(system, _freeze(stacked), _push=(system, t))
 
 

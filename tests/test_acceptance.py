@@ -488,19 +488,27 @@ def test_criterion_11_cli_determinism(tmp_path):
     env = dict(os.environ)
     src = str((os.path.dirname(os.path.dirname(os.path.abspath(__file__)))))
     env["PYTHONPATH"] = os.path.join(src, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    # random, parseval of it, and the pair of that frame with itself, whose
+    # perturbation_bound samples directions seeded by --seed; each run in its
+    # own folder, with relative names, as the report records its paths.
+    chain = (["random", "--seed", "0", "--out", "r.json"],
+             ["parseval", "r.json", "--out", "p.json"],
+             ["pair", "p.json", "--xi", "p.json", "--seed", "0", "--out", "rep.json"])
     outputs = []
-    for name in ("first.json", "second.json"):
-        out = tmp_path / name
-        result = subprocess.run(
-            [sys.executable, "-m", "cgfusion", "selftest", "--seed", "0",
-             "--out", str(out)],
-            capture_output=True, text=True, env=env,
-        )
-        assert result.returncode == 0, result.stdout + result.stderr
-        outputs.append(out.read_bytes())
+    for name in ("first", "second"):
+        folder = tmp_path / name
+        folder.mkdir()
+        for argv in chain:
+            result = subprocess.run(
+                [sys.executable, "-m", "cgfusion", *argv],
+                capture_output=True, text=True, env=env, cwd=folder,
+            )
+            assert result.returncode == 0, result.stdout + result.stderr
+        outputs.append([(folder / out).read_bytes() for out in ("r.json", "p.json", "rep.json")])
     elapsed = time.perf_counter() - start
     ok = outputs[0] == outputs[1] and elapsed < 60.0
-    doc = json.loads(outputs[0])
+    doc = json.loads(outputs[0][2])
     ok &= doc["passed"] is True
-    _verdict(11, f"two selftest runs are byte-identical and green in {elapsed:.1f}s "
-                 "(< 60s)", ok)
+    ok &= {r["name"]: r["provenance"] for r in doc["reports"]}["perturbation_bound"] == "sampled"
+    _verdict(11, f"two seeded random -> parseval -> pair runs are byte-identical and green "
+                 f"in {elapsed:.1f}s (< 60s)", ok)

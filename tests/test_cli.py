@@ -343,18 +343,27 @@ class TestProducingCommands:
             assert validate_nodes(system.nodes, WeightProfile(system.weights)).passed
 
 
-class TestSelftest:
-    def test_deterministic_and_green(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["selftest", "--seed", "0", "--out", str(a)]) == 0
-        assert main(["selftest", "--seed", "0", "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_bounds_read_the_cached_spectrum(self, linalg_calls, capsys):
-        # One eigh of S per system, shared by frame_bounds and the attainment
-        # check; a second eigh of the same S per system made 116.
-        assert main(["selftest", "--seed", "0"]) == 0
-        assert linalg_calls["eigh"] == 86
+class TestSeededChain:
+    def test_deterministic_and_green(self, tmp_path, monkeypatch, capsys):
+        # random, then parseval of it, then the pair of that frame with itself,
+        # whose perturbation_bound samples directions seeded by --seed.  Each run
+        # has its own folder and relative names, as the report records its paths.
+        runs = []
+        for run in ("a", "b"):
+            (tmp_path / run).mkdir()
+            monkeypatch.chdir(tmp_path / run)
+            assert main(["random", "--seed", "0", "--out", "r.json"]) == 0
+            assert main(["parseval", "r.json", "--out", "p.json"]) == 0
+            assert main(["pair", "p.json", "--xi", "p.json", "--seed", "0",
+                         "--out", "rep.json"]) == 0
+            runs.append([(tmp_path / run / name).read_bytes()
+                         for name in ("r.json", "p.json", "rep.json")])
+        capsys.readouterr()
+        assert runs[0] == runs[1]
+        doc = json.loads(runs[0][2])
+        assert doc["passed"] is True and doc["parameters"]["seed"] == 0
+        provenance = {r["name"]: r["provenance"] for r in doc["reports"]}
+        assert provenance["perturbation_bound"] == "sampled"
 
 
 def exit_code(argv):
@@ -385,7 +394,7 @@ class TestFlags:
         (["check", "{e2}", "--tol", "-1"], {}, "--tol"),
         (["random", "--nodes", "0"], {}, "--nodes"),
         # No environment variable is read: one set here rescues no flag.
-        (["selftest", "--tol", "nan"], {"CGFUSION_TOL": "1e-3"}, "--tol"),
+        (["parseval", "{e2}", "--tol", "nan"], {"CGFUSION_TOL": "1e-3"}, "--tol"),
         (["pair", "{e2}", "--xi", "{e1}", "--trials", "-3"], {}, "--trials"),
         (["pair", "{e2}", "--xi", "{e1}", "--trials", "0"], {}, "--trials"),
         (["random", "--dim", "0"], {}, "--dim"),
@@ -488,12 +497,31 @@ class TestFlags:
         save_system(make_system(3, [np.eye(3)], [1e200 * np.eye(3)], [1.0]), paths["wide"])
         paths["eye"] = write_matrix(tmp_path, "eye.json", np.eye(3).tolist())
         paths["huge"] = write_matrix(tmp_path, "huge.json", (1e200 * np.eye(3)).tolist())
-        message = ("pushed effective maps must be finite: the transform overflows them"
+        # The error names the node and the field of the file to blame.
+        message = ("node 'n0': local_operator: pushed effective maps must be finite: "
+                   "the transform overflows them"
                    if argv[0] == "transform" else
-                   "a weighted Gram of the effective maps, such as the frame operator, "
-                   "overflows: a weight or a local operator is too large")
+                   "node 'n0': v: too large: its term of a weighted Gram of the effective "
+                   "maps, such as the frame operator, overflows")
         assert main([arg.format(**paths) for arg in argv]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("masses, locals_, weights, named", [
+        # mu_1 times the unweighted term 4 passes the double range; 4 itself does not.
+        ([1.0, 1e308], [1.0, 2.0], [1.0, 1.0], "node 'n1': mu: too large: its term"),
+        ([1.0, 1.0], [1.0, 1e200], [1.0, 1.0], "node 'n1': local_operator: too large: its term"),
+        ([1.0, 1.0], [1.0, 1.0], [1.0, 1e200], "node 'n1': v: too large: its term"),
+        # Each term is 1e308 and only their sum overflows: no node is named.
+        ([1.0, 1.0], [1.0, 1.0], [1e154, 1e154], "a weighted Gram"),
+    ], ids=["mu", "local_operator", "v", "sum"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_gram_names_the_node_and_the_field(self, masses, locals_, weights,
+                                                           named, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        save_system(make_system(1, [[[1.0]]] * 2, [[[x]] for x in locals_], weights, masses),
+                    path)
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {named}")
 
     @pytest.mark.parametrize("argv", [
         ["check", "{bad}"],
@@ -528,7 +556,8 @@ class TestFlags:
         ("node-id", "str is not valid UTF-8: surrogates not allowed"),
         ("path", "str is not valid UTF-8: surrogates not allowed"),
     ], ids=["seed", "node-id", "path"])
-    def test_unencodable_document_exits_two(self, case, reason, e2_path, tmp_path, capsys):
+    def test_unencodable_document_exits_two(self, case, reason, e1_path, e2_path, tmp_path,
+                                            capsys):
         # JSON text holds neither an int past 64 bits nor a lone surrogate: a node
         # id escaped as one, or a path argument whose bytes are not UTF-8.
         doc = json.loads(open(e2_path, encoding="utf-8").read())
@@ -537,7 +566,8 @@ class TestFlags:
         lone_id.write_text(json.dumps(doc), encoding="utf-8")
         undecodable = tmp_path / "\udcff.json"
         shutil.copy(e2_path, undecodable)
-        argv = {"seed": ["selftest", "--seed", str(2**70)],
+        # pair writes its --seed into the report parameters.
+        argv = {"seed": ["pair", e2_path, "--xi", e1_path, "--seed", str(2**70)],
                 "node-id": ["parseval", str(lone_id)],
                 "path": ["check", str(undecodable)]}[case]
         out = tmp_path / "out.json"
@@ -553,11 +583,12 @@ class TestFlags:
         ["resolve", "{e2}", "--seed", "1"],
         ["parseval", "{e2}", "--seed", "1"],
         ["random", "--tol", "1e-6"],
-        ["selftest", "--parallel"],
+        ["random", "--trials", "5"],
         ["check", "{e2}", "--trials", "5"],
         ["check", "{e2}", "--seed", "1"],
-        ["selftest", "--trials", "5"],
+        # dsum measures nothing, so it takes no --tol.
+        ["dsum", "{e2}", "--xi", "{e1}", "--tol", "1e-6"],
     ])
-    def test_unread_flag_exits_two(self, argv, e2_path, capsys):
-        assert exit_code([arg.format(e2=e2_path) for arg in argv]) == 2
+    def test_unread_flag_exits_two(self, argv, e1_path, e2_path, capsys):
+        assert exit_code([arg.format(e1=e1_path, e2=e2_path) for arg in argv]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err

@@ -81,8 +81,6 @@ GOLDEN = {
         "8eda48ca8862216e536f2724baea7a4412671ea2b496596415b8bdf3c4aff686"),
     "random": (["random", "--seed", "7"], 0,
         "da3420297aab7e5c96638964fb6b3b0b33a00c28c187d356a37be3de8f85abfd"),
-    "selftest": (["selftest", "--seed", "0"], 0,
-        "3275cebac6dc332d814754db760e041d3ebb473dbc87138e76e775c4b3e040ff"),
 }
 
 
@@ -171,13 +169,10 @@ def test_readme_provenance_table_matches_the_written_reports(workdir, monkeypatc
                     report.notes
         printed.clear()
     table = _readme_provenance()
-    selftest_rows = table.pop("selftest_*")
     commands = set(next(a for a in build_parser()._actions
                         if isinstance(a, argparse._SubParsersAction)).choices)
     documented = {name: (sources & commands, provenance)
                   for name, (sources, provenance) in table.items() if sources & commands}
-    documented.update({name: selftest_rows
-                       for name in written if name.startswith("selftest_") and name not in table})
     assert written == documented
 
 

@@ -24,9 +24,9 @@ README = TESTS.parent / "README.md"
 PACKAGE = Path(cgfusion.__file__).parent
 
 #: Defaulted parameters over the callables of ``cgfusion.__all__`` and their public methods.
-DEFAULTED_PARAMETERS = 53
+DEFAULTED_PARAMETERS = 52
 #: Optional actions of every subcommand, ``--help`` aside.
-CLI_FLAGS = 39
+CLI_FLAGS = 35
 
 
 def _defaulted(fn) -> int:

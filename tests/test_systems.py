@@ -642,12 +642,13 @@ class TestPushThrough:
         assert dual_report.passed and shift_report.passed
 
     def test_overflowing_image_raises_at_push_time(self):
-        # The local operator 4 times (T B)^T = 5e307 I is 2e308: not a float.
-        system = make_system(2, [np.eye(2)], [4.0 * np.eye(2)], [1.0])
+        # The local operator 4 times (T B)^T = 5e307 I is 2e308: not a float.  Node n0's
+        # image 5e307 I is, so the error names n1.
+        system = make_system(2, [np.eye(2)] * 2, [np.eye(2), 4.0 * np.eye(2)], [1.0, 1.0])
         with np.errstate(over="ignore"):
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(ValueError, match="node 'n1': local_operator: .* finite"):
                 push_through(system, 5e307 * np.eye(2))
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(ValueError, match="node 'n1': local_operator: .* finite"):
                 transform_shift(system, Operator(5e307 * np.eye(2)))
 
     def test_transform_must_be_square_on_the_ambient_space(self, e2):
