@@ -35,6 +35,7 @@ from .report import VerificationReport, build_report
 from .systems import (
     GFusionSystem,
     _analysis_rows,
+    _energy_weights,
     _frame_operator_power,
     _synthesis_rows,
     assemble_frame_operator,
@@ -232,9 +233,7 @@ def transform_combined(
         if op.rows != n or op.cols != n:
             raise ShapeError(f"{name} must be {n}x{n}, got {op.rows}x{op.cols}")
     _shared_geometry_or_raise(chi, xi, tol)
-    with np.errstate(over="ignore"):  # weighted_gram rejects an infinite weight
-        weights = chi.nodes.mu * chi.weights**2
-    cross = weighted_gram(chi, weights, xi)
+    cross = weighted_gram(chi, _energy_weights(chi), xi)
     if opnorm(cross) > tol:
         raise HypothesisNotMetError(
             "vanishing_cross_synthesis",

@@ -50,16 +50,7 @@ from .random_systems import random_system
 from .report import EXACT, VerificationReport, _save_canonical
 from .resolution import canonical_resolution_report, frame_from_resolution_report
 from .systems import GFusionSystem, frame_bounds, kgf_report
-from .sysio import (
-    SCHEMA_VERSION,
-    has_secondary_weights,
-    load_document,
-    load_operator,
-    load_system,
-    operators_from_document,
-    system_from_document,
-    system_to_document,
-)
+from .sysio import SCHEMA_VERSION, load_operator, load_system, system_to_document
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -95,18 +86,6 @@ def _finish(parser: argparse.ArgumentParser, handler, *names: str, system=True) 
         parser.add_argument(name, **_FLAGS[name])
     parser.add_argument("--out", default=None, help="write the machine-readable output here")
     parser.set_defaults(handler=handler)
-
-
-def _named_operator(flag_value, doc_operators, name, required=False) -> Operator | None:
-    if flag_value:
-        return load_operator(flag_value)
-    if name in doc_operators:
-        return doc_operators[name]
-    if required:
-        raise SystemFileError(
-            f"operator {name} required: pass --{name} or add operators.{name} to the file"
-        )
-    return None
 
 
 def _report_document(command: str, parameters: dict, reports: list[VerificationReport]) -> dict:
@@ -149,11 +128,9 @@ def _cmd_check(args, tol):
 
 
 def _cmd_kgf(args, tol):
-    doc = load_document(args.system)
-    system = system_from_document(doc, args.system)
-    k = _named_operator(args.K, operators_from_document(doc, args.system), "K", required=True)
+    system, k = load_system(args.system), load_operator(args.K)
     reports = [_naming_flags({"lower": "--A"}, kgf_report, system, k, args.A, tol)]
-    params = {"tol": tol, "system": args.system, "K": args.K or "operators.K"}
+    params = {"tol": tol, "system": args.system, "K": args.K}
     if args.A is not None:
         params["A"] = args.A
     return reports, params
@@ -166,11 +143,9 @@ def _cmd_resolve(args, tol):
 
 
 def _cmd_atomic(args, tol):
-    doc = load_document(args.system)
-    system = system_from_document(doc, args.system)
-    k = _named_operator(args.K, operators_from_document(doc, args.system), "K")
-    reports = [atomic_wrt_frame_operator(system, tol) if k is None
-               else atomic_equiv_check(system, k, tol)]
+    system = load_system(args.system)
+    reports = [atomic_wrt_frame_operator(system, tol) if args.K is None
+               else atomic_equiv_check(system, load_operator(args.K), tol)]
     return reports, {"tol": tol, "system": args.system, "K": args.K or "frame-operator"}
 
 
@@ -179,14 +154,13 @@ def _cmd_transform(args, tol):
     if unread and not args.xi:
         raise ParameterError(f"{', '.join(unread)}: read only by the combined transform, "
                              "which needs --xi")
-    doc = load_document(args.system)
-    system = system_from_document(doc, args.system)
-    doc_ops = operators_from_document(doc, args.system)
-    l_op = _named_operator(args.L, doc_ops, "L", required=True)
+    if args.xi and args.G is None:
+        raise ParameterError("--G: required by the combined transform (--xi)")
+    system, l_op = load_system(args.system), load_operator(args.L)
     if args.xi:
-        xi = load_system(args.xi)
-        g_op = _named_operator(args.G, doc_ops, "G", required=True)
-        k_op = _named_operator(args.K, doc_ops, "K") or Operator.identity(system.ambient_dim)
+        xi, g_op = load_system(args.xi), load_operator(args.G)
+        k_op = (Operator.identity(system.ambient_dim) if args.K is None
+                else load_operator(args.K))
         try:
             produced, report = transform_combined(system, xi, l_op, g_op, k_op, tol)
         except DegenerateKError as err:  # a zero K bounds nothing: a usage error
@@ -194,20 +168,6 @@ def _cmd_transform(args, tol):
     else:
         produced, report = transform_shift(system, l_op, tol)
     return [report], produced
-
-
-def _pair_from_args(args) -> PairSystem:
-    doc = load_document(args.system)
-    chi = system_from_document(doc, args.system)
-    if args.xi:
-        xi = load_system(args.xi)
-    elif has_secondary_weights(doc):
-        xi = system_from_document(doc, args.system, use_secondary=True)
-    else:
-        raise SystemFileError(
-            "pair needs --xi FILE or per-node secondary weights 's' in the system file"
-        )
-    return PairSystem(chi, xi)
 
 
 def _naming_flags(flags: dict, check, *args):
@@ -222,7 +182,7 @@ def _naming_flags(flags: dict, check, *args):
 
 
 def _cmd_pair(args, tol):
-    pair = _pair_from_args(args)
+    pair = PairSystem(load_system(args.system), load_system(args.xi))
     # A lambda not given takes the library's default, which may skip its check.
     lam2 = 0.0 if args.lambda2 is None else args.lambda2
     reports = [
@@ -234,7 +194,7 @@ def _cmd_pair(args, tol):
     ]
     return reports, {
         "tol": tol, "trials": args.trials, "seed": args.seed,
-        "system": args.system, "xi": args.xi or "secondary-weights",
+        "system": args.system, "xi": args.xi,
     }
 
 
@@ -272,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     _finish(p, _cmd_check, "--tol")
 
     p = sub.add_parser("kgf", help="lower-bound certificate against an operator")
-    p.add_argument("--K", default=None, help="operator file (default: operators.K)")
+    p.add_argument("--K", required=True, help="operator file")
     p.add_argument("--A", type=_checked(float), default=None, help="lower bound to certify")
     _finish(p, _cmd_kgf, "--tol")
 
@@ -284,14 +244,14 @@ def build_parser() -> argparse.ArgumentParser:
     _finish(p, _cmd_atomic, "--tol")
 
     p = sub.add_parser("transform", help="shift or combined system transform")
-    p.add_argument("--L", default=None, help="operator file (default: operators.L)")
+    p.add_argument("--L", required=True, help="operator file")
     p.add_argument("--G", default=None, help="operator file (combined transform)")
     p.add_argument("--K", default=None, help="operator file (combined transform)")
     p.add_argument("--xi", default=None, help="second system file (combined transform)")
     _finish(p, _cmd_transform, "--tol")
 
     p = sub.add_parser("pair", help="mixed-operator laws and perturbation bounds")
-    p.add_argument("--xi", default=None, help="second system file")
+    p.add_argument("--xi", required=True, help="second system file")
     p.add_argument("--lambda1", type=_checked(float), default=None)
     p.add_argument("--lambda2", type=_checked(float), default=None)
     p.add_argument("--lam", type=_checked(float), default=None)

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
 from .operators import ORDER_TOL, TOL_FLOOR, Operator, Subspace, opnorm
 from .report import VerificationReport, build_report
 from .systems import (
     GFusionSystem,
     _frame_operator_power,
+    _require_shared_nodes,
     assemble_frame_operator,
     frame_bounds,
     push_through,
@@ -40,8 +40,7 @@ def direct_sum_system(chi: GFusionSystem, xi: GFusionSystem) -> GFusionSystem:
     blockdiag(S_chi, S_xi) and the combined bounds are the componentwise
     (min of lowers, max of uppers) in every case.
     """
-    if chi.nodes.ids != xi.nodes.ids or not np.array_equal(chi.nodes.mu, xi.nodes.mu):
-        raise ShapeError("systems must share their measure nodes")
+    _require_shared_nodes(chi, xi)
     n, x = chi.ambient_dim, xi.ambient_dim
     subspaces = []
     locals_ = []

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 from .operators import ORDER_TOL, Operator, _freeze, opnorm, symmetrize
 from .report import SAMPLED, VerificationReport, build_report, skipped_report
-from .systems import GFusionSystem, frame_bounds, weighted_gram
+from .systems import GFusionSystem, _require_shared_nodes, frame_bounds, weighted_gram
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,10 +46,7 @@ class PairSystem:
             raise ShapeError(
                 f"ambient dimensions differ: {self.chi.ambient_dim} vs {self.xi.ambient_dim}"
             )
-        if self.chi.nodes.ids != self.xi.nodes.ids or not np.array_equal(
-            self.chi.nodes.mu, self.xi.nodes.mu
-        ):
-            raise ShapeError("systems must share their measure nodes")
+        _require_shared_nodes(self.chi, self.xi)
         if self.chi.codomain_dims != self.xi.codomain_dims:
             raise ShapeError(
                 f"local codomains differ: {self.chi.codomain_dims} vs {self.xi.codomain_dims}"

@@ -1,6 +1,6 @@
 """Seeded random generation of systems, operators, and pairs.
 
-Used by the property campaigns and the CLI ``random`` subcommand.  All
+Used by the CLI ``random`` subcommand and by the tests' seeded inputs.  All
 draws go through a single numpy Generator in a fixed order, so a given
 seed always produces the same objects.
 """

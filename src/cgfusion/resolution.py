@@ -25,6 +25,7 @@ from .report import VerificationReport, build_report, skipped_report
 from .systems import (
     FrameBounds,
     GFusionSystem,
+    _energy_weights,
     assemble_frame_operator,
     classify,
     frame_bounds,
@@ -191,7 +192,7 @@ def energy_lower_check(
         raise ShapeError(f"vector must have shape ({system.ambient_dim},)")
     upper = frame_bounds(system).upper
     tf = stacked @ vec
-    energy_weights = system.per_row(system.nodes.mu * system.weights**2)
+    energy_weights = system.per_row(_energy_weights(system))
     g = system.stacked.T @ (energy_weights * tf)
     energy = float(energy_weights @ tf**2)
     lhs = float(g @ g) / max(upper, 1e-300)
@@ -238,7 +239,7 @@ def bounded_resolution_check(
         )
     # diag(mu v^2) T gives both G = L^T diag(mu v^2) T and E = T^T diag(mu v^2) T;
     # G is the sum of the family, so its identity residual is ||G - I||.
-    weighted = stacked * system.per_row(system.nodes.mu * system.weights**2)[:, None]
+    weighted = stacked * system.per_row(_energy_weights(system))[:, None]
     identity_residual = opnorm(system.stacked.T @ weighted - np.eye(n))
     upper = frame_bounds(system).upper
     largest = float(np.max(np.linalg.norm(cube, 2, axis=(1, 2)), initial=0.0)) ** 2

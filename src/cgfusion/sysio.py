@@ -11,16 +11,16 @@ file looks like::
          "subspace": [[1.0, 0.0]],
          "local_operator": [[1.0]]},
         ...
-      ],
-      "operators": {"K": [[...], ...]}
+      ]
     }
 
 ``subspace`` lists basis vectors as rows (each of length ambient_dim);
-``local_operator`` is an m x k row-list acting on basis coordinates;
-``s`` is an optional secondary weight per node, and ``operators`` an
-optional table of named square matrices.  Writing serializes every
-float as the shortest decimal that round-trips, so a written file loads
-to bit-identical doubles.
+``local_operator`` is an m x k row-list acting on basis coordinates.
+An operator (K, L or G) is a file of its own, read by
+:func:`load_operator`; a system file with an ``operators`` table is
+rejected, so that no operator in it is silently left unread.  Writing
+serializes every float as the shortest decimal that round-trips, so a
+written file loads to bit-identical doubles.
 
 A basis whose orthonormality defect exceeds 1e-10 but stays within 1e-6
 is silently re-orthonormalized on load (column order and signs
@@ -136,12 +136,11 @@ def _subspace_from(value, where: str, ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim, basis)
 
 
-def system_from_document(doc: dict, where: str = "document", use_secondary: bool = False) -> GFusionSystem:
-    """Build and validate a system from a parsed document.
-
-    With ``use_secondary`` the per-node ``s`` weights are used in place
-    of ``v`` (they must then be present on every node).
-    """
+def system_from_document(doc: dict, where: str = "document") -> GFusionSystem:
+    """Build and validate a system from a parsed document."""
+    if "operators" in doc:
+        _fail(where, "an 'operators' table is not read: pass each operator as a file "
+                     "with --K, --L or --G")
     ambient_dim = doc.get("ambient_dim")
     if not isinstance(ambient_dim, int) or isinstance(ambient_dim, bool) or ambient_dim < 1:
         _fail(where, f"ambient_dim must be a positive integer, got {ambient_dim!r}")
@@ -161,22 +160,19 @@ def system_from_document(doc: dict, where: str = "document", use_secondary: bool
         if not isinstance(node_id, str) or not node_id:
             _fail(spot, "id must be a non-empty string")
         spot = f"{where}: node {node_id!r}"
-        for key in ("mu", "v", "s"):
+        for key in ("mu", "v"):
             value = raw.get(key)
-            if value is None and key == "s" and not use_secondary:
-                continue  # the secondary weight is optional
             if not _is_number(value) or not value > 0:
                 _fail(spot, f"{key} must be a number > 0, got {value!r}")
             if not value <= sys.float_info.max:  # infinity, or an int past the double range
                 _fail(spot, f"{key} must be finite")
-        mu, weight = raw["mu"], raw["s" if use_secondary else "v"]
         subspace = _subspace_from(raw.get("subspace", []), f"{spot}: subspace", ambient_dim)
         local = Operator(
             _matrix_from(raw.get("local_operator"), f"{spot}: local_operator", cols=subspace.dim)
         )
         ids.append(node_id)
-        masses.append(float(mu))
-        weights.append(float(weight))
+        masses.append(float(raw["mu"]))
+        weights.append(float(raw["v"]))
         subspaces.append(subspace)
         locals_.append(local)
     nodes = MeasureNodes(tuple(ids), np.array(masses))
@@ -184,24 +180,6 @@ def system_from_document(doc: dict, where: str = "document", use_secondary: bool
         return GFusionSystem(ambient_dim, nodes, tuple(subspaces), tuple(locals_), np.array(weights))
     except ValueError as err:
         _fail(where, str(err))
-
-
-def has_secondary_weights(doc: dict) -> bool:
-    nodes = doc.get("nodes")
-    return isinstance(nodes, list) and all(
-        isinstance(n, dict) and _is_number(n.get("s")) for n in nodes
-    )
-
-
-def operators_from_document(doc: dict, where: str = "document") -> dict[str, Operator]:
-    """Named square operators from the optional ``operators`` table."""
-    table = doc.get("operators", {})
-    if not isinstance(table, dict):
-        _fail(where, "operators must be an object of named matrices")
-    out = {}
-    for name, value in table.items():
-        out[name] = Operator(_matrix_from(value, f"{where}: operators[{name!r}]"))
-    return out
 
 
 def load_system(path: str | os.PathLike) -> GFusionSystem:
@@ -232,11 +210,7 @@ def _plain(matrix: np.ndarray) -> np.ndarray:
     return np.add(matrix, 0.0, order="C")
 
 
-def system_to_document(
-    system: GFusionSystem,
-    secondary_weights=None,
-    operators: dict[str, Operator] | None = None,
-) -> dict:
+def system_to_document(system: GFusionSystem) -> dict:
     """Document for a system (inverse of :func:`system_from_document`).
 
     Each matrix is a C-ordered float array with -0.0 written as 0 (equal
@@ -245,31 +219,20 @@ def system_to_document(
     """
     nodes = []
     for i in range(system.node_count):
-        node = {
+        nodes.append({
             "id": system.nodes.ids[i],
             "mu": float(system.nodes.mu[i]),
             "v": float(system.weights[i]),
             "subspace": _plain(system.subspaces[i].basis.T),
             "local_operator": _plain(system.local_maps[i].entries),
-        }
-        if secondary_weights is not None:
-            node["s"] = float(secondary_weights[i])
-        nodes.append(node)
-    doc = {
+        })
+    return {
         "version": SCHEMA_VERSION,
         "ambient_dim": system.ambient_dim,
         "nodes": nodes,
     }
-    if operators:
-        doc["operators"] = {name: _plain(op.entries) for name, op in operators.items()}
-    return doc
 
 
-def save_system(
-    system: GFusionSystem,
-    path: str | os.PathLike,
-    secondary_weights=None,
-    operators: dict[str, Operator] | None = None,
-) -> None:
+def save_system(system: GFusionSystem, path: str | os.PathLike) -> None:
     """Write a system file in canonical form."""
-    _save_canonical(system_to_document(system, secondary_weights, operators), path)
+    _save_canonical(system_to_document(system), path)

@@ -170,9 +170,7 @@ class GFusionSystem:
     @cached_property
     def _frame_operator(self) -> Operator:
         # Safe to cache: the system and all its arrays are immutable.
-        with np.errstate(over="ignore"):  # weighted_gram rejects an infinite weight
-            weights = self.nodes.mu * self.weights**2
-        return Operator(symmetrize(weighted_gram(self, weights)))
+        return Operator(symmetrize(weighted_gram(self, _energy_weights(self))))
 
     @cached_property
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -355,6 +353,21 @@ def _synthesis_weights(system: GFusionSystem) -> np.ndarray:
     return system.nodes.mu * system.weights
 
 
+def _energy_weights(system: GFusionSystem) -> np.ndarray:
+    """The node weights mu_i v_i^2 of the frame operator and of measurement energies.
+
+    Where v_i^2 overflows, the weight is (mu_i v_i) v_i, finite whenever the
+    weight is; a weight still infinite is left for :func:`weighted_gram` to reject.
+    """
+    mu, v = system.nodes.mu, system.weights
+    with np.errstate(over="ignore"):
+        weights = mu * v**2
+        if not np.isfinite(weights).all():
+            spilled = ~np.isfinite(weights)
+            weights[spilled] = mu[spilled] * v[spilled] * v[spilled]
+    return weights
+
+
 def _synthesis_rows(system: GFusionSystem, phi: np.ndarray) -> np.ndarray:
     """Synthesis sum_i mu_i v_i Lam_i^T phi_i of each stacked field row of phi."""
     return (phi * system.per_row(_synthesis_weights(system))) @ system.stacked
@@ -448,6 +461,12 @@ def _require_comparison_operator(system: GFusionSystem, k: Operator) -> None:
         raise ShapeError(f"comparison operator must be {n}x{n}, got {k.rows}x{k.cols}")
 
 
+def _require_shared_nodes(chi: GFusionSystem, xi: GFusionSystem) -> None:
+    """Raise :class:`ShapeError` unless both systems have the same node ids and masses."""
+    if chi.nodes.ids != xi.nodes.ids or not np.array_equal(chi.nodes.mu, xi.nodes.mu):
+        raise ShapeError("systems must share their measure nodes")
+
+
 def kgf_check(
     system: GFusionSystem, k: Operator, lower: float, tol: float = ORDER_TOL
 ) -> OrderCertificate:
@@ -480,8 +499,9 @@ def kgf_lower_bound(system: GFusionSystem, k: Operator, tol: float = ORDER_TOL) 
     eigensolver's roundoff on S (about 1e-16 ||S||).  Returns 0 when A
     is at most ``tol``: no positive constant works beyond that slack.
     K = 0 raises :class:`DegenerateKError`: every constant works, so the
-    condition certifies nothing.  A K that puts the squared norm above
-    outside the positive doubles raises :class:`OperatorRangeError`.
+    condition certifies nothing.  A K for which that squared norm is not a
+    positive double (it underflows to 0 or overflows) raises
+    :class:`OperatorRangeError`.
     """
     _require_comparison_operator(system, k)
     if np.abs(k.entries).max() == 0.0:

@@ -7,7 +7,6 @@ import pytest
 
 import cgfusion.pair
 from cgfusion import (
-    Operator,
     random_shared_weight_frames,
     random_system,
     save_system,
@@ -17,6 +16,7 @@ from cgfusion import (
 from cgfusion.cli import main
 from cgfusion.measure import WeightProfile
 
+import oracles
 from conftest import make_e1, make_e2, make_single_node, make_system
 
 
@@ -34,9 +34,26 @@ def e1_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def e1w_path(tmp_path):
+    """e1 with weights (0.8, 1): a second system on e1's nodes at deviation 0.2."""
+    path = tmp_path / "e1w.json"
+    save_system(make_e1().with_weights([0.8, 1.0]), path)
+    return str(path)
+
+
 def write_matrix(tmp_path, name, matrix):
     path = tmp_path / name
     path.write_text(json.dumps(matrix), encoding="utf-8")
+    return str(path)
+
+
+def with_operator_table(system_path, tmp_path):
+    """A copy of the system file with an ``operators`` table holding K = I."""
+    doc = json.loads(open(system_path, encoding="utf-8").read())
+    doc["operators"] = {"K": [[1.0, 0.0], [0.0, 1.0]]}
+    path = tmp_path / "ops.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
 
 
@@ -76,7 +93,7 @@ class TestCheck:
         assert main(["check", str(path)]) == 2
         assert "node 'a': mu must be a number > 0, got True" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", ["mu", "v", "s"])
+    @pytest.mark.parametrize("field", ["mu", "v"])
     @pytest.mark.parametrize("literal, problem", [
         ("Infinity", "must be finite"),
         ("1e400", "must be finite"),
@@ -85,7 +102,7 @@ class TestCheck:
         ("NaN", "must be a number > 0, got nan"),
     ], ids=["Infinity", "1e400", "int-1e400", "-Infinity", "NaN"])
     def test_non_finite_weight_is_usage_error(self, field, literal, problem, tmp_path, capsys):
-        node = {"id": "a", "mu": 1, "v": 1, "s": 1, "subspace": [[1]], "local_operator": [[1]]}
+        node = {"id": "a", "mu": 1, "v": 1, "subspace": [[1]], "local_operator": [[1]]}
         text = json.dumps({"version": "1", "ambient_dim": 1, "nodes": [node]})
         path = tmp_path / "weights.json"
         path.write_text(text.replace(f'"{field}": 1', f'"{field}": {literal}'), encoding="utf-8")
@@ -105,6 +122,34 @@ class TestCheck:
         path.write_text("{", encoding="utf-8")
         assert main(["check", str(path)]) == 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tiny_mass_keeps_a_huge_weight_in_range(self, tmp_path, capsys):
+        # Node n1 has mu 1e-300 and v 1e200: v^2 is no double, but mu v^2 = 1e100 is.
+        path, out = tmp_path / "tiny.json", tmp_path / "report.json"
+        save_system(make_e1().with_weights([1.0, 1e200]), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["nodes"][1]["mu"] = 1e-300
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", str(path), "--out", str(out)]) == 0
+        assert "upper = 1e+100" in capsys.readouterr().out
+        reports = json.loads(out.read_text())["reports"]
+        constants = next(r["constants"] for r in reports if r["name"] == "frame_bounds")
+        # The oracle's node carries mass 1 and weight 1e50: the same mu v^2.
+        bases = [np.eye(2)[:, :1], np.eye(2)[:, 1:]]
+        expected = oracles.spectral_bounds(
+            oracles.frame_operator([1.0, 1.0], [1.0, 1e50], bases, [[[1.0]], [[1.0]]]))
+        np.testing.assert_allclose([constants["lower"], constants["upper"]], expected,
+                                   rtol=1e-14, atol=0)
+
+    def test_operator_table_is_usage_error(self, e2_path, tmp_path, capsys):
+        # Operators come only from their flag files: a table in the system file is
+        # refused, not left unread while atomic or transform fall back to defaults.
+        path = with_operator_table(e2_path, tmp_path)
+        assert main(["check", path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: an 'operators' table is not read: pass each operator as a file "
+            "with --K, --L or --G\n")
+
 
 class TestKgf:
     def test_small_bound_passes(self, e2_path, tmp_path):
@@ -121,13 +166,17 @@ class TestKgf:
         assert main(["kgf", e2_path, "--K", k]) == 0
         assert "a_star" in capsys.readouterr().out
 
-    def test_operator_from_system_file(self, tmp_path):
-        path = tmp_path / "sys.json"
-        save_system(make_e2(), path, operators={"K": Operator.identity(2)})
-        assert main(["kgf", str(path), "--A", "1"]) == 0
+    def test_operator_from_system_file(self, e2_path, tmp_path, capsys):
+        # K is read only from --K: a K in the system file is refused, even beside --K.
+        k = write_matrix(tmp_path, "k.json", [[1.0, 0.0], [0.0, 1.0]])
+        assert main(["kgf", with_operator_table(e2_path, tmp_path), "--K", k, "--A", "1"]) == 2
+        assert "'operators'" in capsys.readouterr().err
 
-    def test_missing_operator_is_usage_error(self, e2_path):
-        assert main(["kgf", e2_path, "--A", "1"]) == 2
+    def test_missing_operator_is_usage_error(self, e2_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["kgf", e2_path, "--A", "1"])
+        assert excinfo.value.code == 2
+        assert "the following arguments are required: --K" in capsys.readouterr().err
 
 
 class TestResolve:
@@ -206,8 +255,16 @@ class TestTransform:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "2b5f82d1e90f300c51aa93428b8185a7ff0d33ab3e565bfafa073d22f311f792")
 
-    def test_missing_l_is_usage_error(self, e2_path):
-        assert main(["transform", e2_path]) == 2
+    def test_missing_l_is_usage_error(self, e2_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["transform", e2_path])
+        assert excinfo.value.code == 2
+        assert "the following arguments are required: --L" in capsys.readouterr().err
+
+    def test_combined_transform_without_g_is_usage_error(self, e2_path, tmp_path, capsys):
+        eye = write_matrix(tmp_path, "eye.json", np.eye(2).tolist())
+        assert main(["transform", e2_path, "--xi", e2_path, "--L", eye]) == 2
+        assert capsys.readouterr().err == "error: --G: required by the combined transform (--xi)\n"
 
     @pytest.mark.parametrize("flag", ["--G", "--K"])
     def test_combined_operator_without_xi_is_usage_error(self, flag, e2_path, tmp_path, capsys):
@@ -255,24 +312,24 @@ class TestPair:
     def test_two_files(self, e2_path, e1_path):
         assert main(["pair", e2_path, "--xi", e1_path, "--trials", "20"]) == 0
 
-    def test_secondary_weights(self, tmp_path):
-        path = tmp_path / "pair.json"
-        save_system(make_e1(), path, secondary_weights=[0.8, 1.0])
-        assert main(["pair", str(path), "--trials", "20"]) == 0
+    def test_secondary_weights(self, e1_path, e1w_path):
+        # The second system is e1 reweighted, read from its own --xi file.
+        assert main(["pair", e1_path, "--xi", e1w_path, "--trials", "20"]) == 0
 
-    def test_missing_xi_is_usage_error(self, e2_path):
-        assert main(["pair", e2_path]) == 2
+    def test_missing_xi_is_usage_error(self, e2_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["pair", e2_path])
+        assert excinfo.value.code == 2
+        assert "the following arguments are required: --xi" in capsys.readouterr().err
 
-    def test_explicit_lambda_failure(self, tmp_path):
-        path = tmp_path / "pair.json"
-        save_system(make_e1(), path, secondary_weights=[0.8, 1.0])
-        assert main(["pair", str(path), "--lam", "0.05", "--trials", "10"]) == 1
+    def test_explicit_lambda_failure(self, e1_path, e1w_path):
+        assert main(["pair", e1_path, "--xi", e1w_path, "--lam", "0.05", "--trials", "10"]) == 1
 
     @pytest.mark.parametrize("perturbed", [False, True])
-    def test_mixed_operator_built_once(self, tmp_path, e2_path, e1_path, monkeypatch, perturbed):
+    def test_mixed_operator_built_once(self, e2_path, e1_path, e1w_path, monkeypatch, perturbed):
         # One product for the mixed operator, shared by every check; with
-        # e2 against e1 both perturbation checks are skipped, with e1s both
-        # go ahead.
+        # e2 against e1 both perturbation checks are skipped, with e1 against
+        # e1w both go ahead.
         calls = []
 
         def counted(*args, **kwargs):
@@ -281,9 +338,7 @@ class TestPair:
 
         monkeypatch.setattr(cgfusion.pair, "weighted_gram", counted)
         if perturbed:
-            path = tmp_path / "e1s.json"
-            save_system(make_e1(), path, secondary_weights=[0.8, 1.0])
-            argv = ["pair", str(path), "--lam", "0.3", "--trials", "10"]
+            argv = ["pair", e1_path, "--xi", e1w_path, "--lam", "0.3", "--trials", "10"]
         else:
             argv = ["pair", e2_path, "--xi", e1_path]
         assert main(argv) == 0
@@ -405,22 +460,21 @@ class TestFlags:
         (["pair", "{e2}", "--xi", "{e1}", "--lambda1", "nan"], {}, "--lambda1"),
         (["pair", "{e2}", "--xi", "{e1}", "--lambda2", "inf"], {}, "--lambda2"),
         (["pair", "{e2}", "--xi", "{e1}", "--lam", "nan"], {}, "--lam"),
-        # e1s has deviation 0.2, so every derived lambda is admissible and
-        # only the value given is out of range.
-        (["pair", "{e1s}", "--lambda1", "1.5"], {}, "--lambda1"),
-        (["pair", "{e1s}", "--lambda2", "-2"], {}, "--lambda2"),
-        (["pair", "{e1s}", "--lam", "1.5"], {}, "--lam"),
+        # e1 against e1w has deviation 0.2, so every derived lambda is
+        # admissible and only the value given is out of range.
+        (["pair", "{e1}", "--xi", "{e1w}", "--lambda1", "1.5"], {}, "--lambda1"),
+        (["pair", "{e1}", "--xi", "{e1w}", "--lambda2", "-2"], {}, "--lambda2"),
+        (["pair", "{e1}", "--xi", "{e1w}", "--lam", "1.5"], {}, "--lam"),
         # e2 against e1 has deviation 1, so the derived lambda1 is not
         # admissible either; the lambda2 given is still a usage error.
         (["pair", "{e2}", "--xi", "{e1}", "--lambda2", "-2"], {}, "--lambda2"),
     ])
-    def test_invalid_number_exits_two(self, argv, env, named, e1_path, e2_path, tmp_path,
-                                      monkeypatch, capsys):
+    def test_invalid_number_exits_two(self, argv, env, named, e1_path, e2_path, e1w_path,
+                                      tmp_path, monkeypatch, capsys):
         for key, value in env.items():
             monkeypatch.setenv(key, value)
-        paths = {"e1": e1_path, "e2": e2_path, "e1s": str(tmp_path / "e1s.json"),
+        paths = {"e1": e1_path, "e2": e2_path, "e1w": e1w_path,
                  "k": write_matrix(tmp_path, "k.json", [[1.0, 0.0], [0.0, 1.0]])}
-        save_system(make_e1(), paths["e1s"], secondary_weights=[0.8, 1.0])
         assert exit_code([arg.format(**paths) for arg in argv]) == 2
         assert named in capsys.readouterr().err
 
@@ -454,25 +508,26 @@ class TestFlags:
         assert f"error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
-        (["kgf", "{k}", "--A", "1e308"], "--A: A K K^T overflows at A = 1e+308"),
-        (["kgf", "{khuge}"],
+        (["kgf", "{eye}", "--K", "{k}", "--A", "1e308"], "--A: A K K^T overflows at A = 1e+308"),
+        (["kgf", "{eye}", "--K", "{khuge}"],
          "comparison operator of norm 1e+200 puts the kgf constant outside the double range"),
-        (["atomic", "{khuge}"],
+        (["atomic", "{eye}", "--K", "{khuge}"],
          "comparison operator of norm 1e+200 puts the kgf constant outside the double range"),
-        (["kgf", "{ktiny}"],
+        (["kgf", "{eye}", "--K", "{ktiny}"],
          "comparison operator of norm 1e-170 puts the kgf constant outside the double range"),
-        (["atomic", "{ktiny}"],
+        (["atomic", "{eye}", "--K", "{ktiny}"],
          "comparison operator of norm 1e-170 puts the kgf constant outside the double range"),
         # K K^T overflows before A scales it: the operator is named, not --A.
-        (["kgf", "{khuge}", "--A", "1"], "comparison operator of norm 1e+200 overflows K K^T"),
+        (["kgf", "{eye}", "--K", "{khuge}", "--A", "1"],
+         "comparison operator of norm 1e+200 overflows K K^T"),
     ], ids=["kgf-A", "kgf-huge-K", "atomic-huge-K", "kgf-tiny-K", "atomic-tiny-K", "kgf-A-huge-K"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_out_of_range_operator_exits_two(self, argv, message, tmp_path, capsys):
         # The kgf constant is 1/||diag(w)^(-1/2) Q^T K||^2, with S = I here.
-        paths = {name: str(tmp_path / f"{name}.json") for name in ("k", "khuge", "ktiny")}
-        for name, scale in (("k", 1.0), ("khuge", 1e200), ("ktiny", 1e-170)):
-            save_system(make_system(2, [np.eye(2)], [np.eye(2)], [1.0]), paths[name],
-                        operators={"K": Operator(scale * np.eye(2))})
+        paths = {name: write_matrix(tmp_path, f"{name}.json", (scale * np.eye(2)).tolist())
+                 for name, scale in (("k", 1.0), ("khuge", 1e200), ("ktiny", 1e-170))}
+        paths["eye"] = str(tmp_path / "eye.json")
+        save_system(make_system(2, [np.eye(2)], [np.eye(2)], [1.0]), paths["eye"])
         assert main([arg.format(**paths) for arg in argv]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -486,6 +541,8 @@ class TestFlags:
         ["dsum", "{big}", "--xi", "{big}"],
         ["kgf", "{big}", "--K", "{eye}", "--A", "1"],
         ["transform", "{wide}", "--L", "{huge}"],
+        # The weight to blame is the v of the --xi file.
+        pytest.param(["pair", "{e1}", "--xi", "{bigxi}"], id="pair-xi"),
     ], ids=lambda argv: argv[0])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_result_exits_two(self, argv, tmp_path, capsys):
@@ -495,6 +552,9 @@ class TestFlags:
         paths = {name: str(tmp_path / f"{name}.json") for name in ("big", "wide")}
         save_system(system.with_weights([1e200, system.weights[1]]), paths["big"])
         save_system(make_system(3, [np.eye(3)], [1e200 * np.eye(3)], [1.0]), paths["wide"])
+        paths["e1"], paths["bigxi"] = str(tmp_path / "e1.json"), str(tmp_path / "bigxi.json")
+        save_system(make_e1(), paths["e1"])
+        save_system(make_e1().with_weights([1e200, 1.0]), paths["bigxi"])
         paths["eye"] = write_matrix(tmp_path, "eye.json", np.eye(3).tolist())
         paths["huge"] = write_matrix(tmp_path, "huge.json", (1e200 * np.eye(3)).tolist())
         # The error names the node and the field of the file to blame.
@@ -577,7 +637,8 @@ class TestFlags:
         assert out.read_text(encoding="utf-8") == "old"
 
     @pytest.mark.parametrize("argv", [
-        ["kgf", "{e2}", "--seed", "1"],
+        # --K is given so that only the unread flag is wrong; no file is read.
+        ["kgf", "{e2}", "--K", "{e2}", "--seed", "1"],
         ["atomic", "{e2}", "--trials", "5"],
         ["resolve", "{e2}", "--trials", "5"],
         ["resolve", "{e2}", "--seed", "1"],

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import cgfusion
-from cgfusion import Operator, cli, save_system
+from cgfusion import cli, save_system
 from cgfusion.cli import build_parser, main
 from cgfusion.report import EXACT, SAMPLED, SKIPPED
 
@@ -44,8 +44,8 @@ GOLDEN = {
         "396075646e41034b3941223b5cb94470ed2f2d36ef6366de27d11728f5e57c60"),
     "kgf-certify": (["kgf", "e2.json", "--K", "k.json", "--A", "1"], 0,
         "66cbb13925ad2d5c7c4c83ec8bf8c3900a36a136314aefc4ff29cfe3fbd68f5f"),
-    "kgf-file-operator": (["kgf", "e2k.json", "--A", "2"], 1,
-        "7f5972dca282acc4751b4b1f07271139c3723e42f92f43501d63986e62da8688"),
+    "kgf-file-operator": (["kgf", "e2.json", "--K", "k.json", "--A", "2"], 1,
+        "a3f7a595e77534e15c16e75ff4148651c395536d09d2da1c503a911b587d22c7"),
     "resolve-e1": (["resolve", "e1.json"], 0,
         "eb53c642bac02b9eb2d52dfea8c2a21af8d08423fd27a04934fdee874e9530bc"),
     "resolve-e2": (["resolve", "e2.json"], 0,
@@ -66,8 +66,9 @@ GOLDEN = {
         "428cea2257725ab718f4fff4fa8227e86e7079d45d3eb8aad15cdf96bb4ff901"),
     "pair-files": (["pair", "e2.json", "--xi", "e1.json"], 0,
         "c675e728ff5489d3b42f341cdfee7925f6c4bb8bc5677a33703f0f449e1c4cd5"),
-    "pair-secondary": (["pair", "e1s.json", "--lam", "0.05", "--trials", "10"], 1,
-        "45eaf33743723e4724089353e14075e476a7f787829e27f2b13b4befd31c7dcf"),
+    "pair-secondary": (["pair", "e1.json", "--xi", "e1w.json",
+                        "--lam", "0.05", "--trials", "10"], 1,
+        "a220270ccdb7b17def9935bf43f4e8bebd8a4433902e2d7f8ebb98f14f3fc0dc"),
     "dsum": (["dsum", "e2.json", "--xi", "e1.json"], 0,
         "5566f411524418d499e8600a629174a47325b26b92067a38454e5107891dcbb9"),
     "parseval": (["parseval", "e2.json"], 0,
@@ -89,8 +90,7 @@ def write_inputs():
     save_system(make_e1(), "e1.json")
     save_system(make_e2(), "e2.json")
     save_system(make_single_node(), "single.json")
-    save_system(make_e2(), "e2k.json", operators={"K": Operator.identity(2)})
-    save_system(make_e1(), "e1s.json", secondary_weights=[0.8, 1.0])
+    save_system(make_e1().with_weights([0.8, 1.0]), "e1w.json")
     save_system(make_deficient_system(np.random.default_rng(5), 4), "deficient.json")
     save_system(make_wide_system(np.random.default_rng(11)), "wide.json")
     lines = [[[1.0], [0.0]], [[0.0], [1.0]]]

@@ -24,7 +24,7 @@ README = TESTS.parent / "README.md"
 PACKAGE = Path(cgfusion.__file__).parent
 
 #: Defaulted parameters over the callables of ``cgfusion.__all__`` and their public methods.
-DEFAULTED_PARAMETERS = 52
+DEFAULTED_PARAMETERS = 48
 #: Optional actions of every subcommand, ``--help`` aside.
 CLI_FLAGS = 35
 

@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import orjson
@@ -7,15 +8,9 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from cgfusion import Operator, SystemFileError, load_operator, load_system, save_system
+from cgfusion import SystemFileError, load_operator, load_system, save_system, sysio
 from cgfusion.report import _save_canonical, dumps_canonical
-from cgfusion.sysio import (
-    has_secondary_weights,
-    load_document,
-    operators_from_document,
-    system_from_document,
-    system_to_document,
-)
+from cgfusion.sysio import load_document, system_from_document, system_to_document
 
 import oracles
 from conftest import (
@@ -143,6 +138,47 @@ class TestLoadSystem:
             load_system(path)
 
 
+class _ReadKeys(dict):
+    """A parsed object that records each key the loader reads with ``get`` or ``[]``."""
+
+    def __init__(self, data, read):
+        super().__init__(data)
+        self.read = read
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def readme_example() -> dict:
+    """The example of the README's "System file format" section, parsed."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("### System file format"):]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+def test_readme_example_holds_exactly_what_the_loader_reads(tmp_path, monkeypatch):
+    example = readme_example()
+    path = write_doc(tmp_path, example)
+    top, node = set(), set()
+
+    def recording(_path):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["nodes"] = [_ReadKeys(raw, node) for raw in doc["nodes"]]
+        return _ReadKeys(doc, top)
+
+    monkeypatch.setattr(sysio, "_read_json", recording)
+    system = load_system(path)
+    assert system.node_count == len(example["nodes"])
+    assert top == set(example)
+    for raw in example["nodes"]:
+        assert node == set(raw)
+
+
 class TestSaveLoad:
     def test_save_then_load_is_bit_exact(self, tmp_path, e2):
         path = tmp_path / "e2.json"
@@ -204,24 +240,35 @@ class TestSaveLoad:
         for zero in (0.0, -0.0):
             system = make_system(2, [[[1.0], [zero]]], [[[1.0], [zero]]], [1.0])
             paths.append(tmp_path / f"{zero}.json")
-            save_system(system, paths[-1], operators={"K": Operator([[zero, 1.0], [1.0, zero]])})
+            save_system(system, paths[-1])
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert b"-0" not in paths[1].read_bytes()
 
     def test_secondary_weights_round_trip(self, tmp_path, e2):
+        # A pair's second system is a file of its own: e2 reweighted.
         path = tmp_path / "pair.json"
-        save_system(e2, path, secondary_weights=[1.0, 1.0])
-        doc = load_document(path)
-        assert has_secondary_weights(doc)
-        xi = system_from_document(doc, str(path), use_secondary=True)
-        np.testing.assert_array_equal(xi.weights, [1.0, 1.0])
+        save_system(e2.with_weights([0.5, 1.5]), path)
+        xi = load_system(path)
+        np.testing.assert_array_equal(xi.weights, [0.5, 1.5])
+        assert xi.nodes.ids == e2.nodes.ids
+        np.testing.assert_array_equal(xi.nodes.mu, e2.nodes.mu)
+
+    @pytest.mark.parametrize("value", [0.5, -1.0, True, "x"])
+    def test_secondary_weight_key_is_ignored(self, tmp_path, e2, value):
+        # A node's "s" is an unknown key: never read, never written.
+        doc = json.loads(json.dumps(system_to_document(e2), default=np.ndarray.tolist))
+        for node in doc["nodes"]:
+            node["s"] = value
+        system = system_from_document(doc)
+        np.testing.assert_array_equal(system.weights, e2.weights)
+        assert all("s" not in node for node in system_to_document(system)["nodes"])
 
 
 #: A valid one-node file; each test below puts a non-number in one field.
 BOOL_DOC = {
     "version": "1",
     "ambient_dim": 1,
-    "nodes": [{"id": "a", "mu": 1.0, "v": 1.0, "s": 1.0,
+    "nodes": [{"id": "a", "mu": 1.0, "v": 1.0,
                "subspace": [[1.0]], "local_operator": [[1.0]]}],
 }
 
@@ -235,18 +282,12 @@ class TestBooleansAreNotNumbers:
         with pytest.raises(SystemFileError, match="ambient_dim must be a positive integer"):
             system_from_document(doc)
 
-    @pytest.mark.parametrize("field", ["mu", "v", "s"])
+    @pytest.mark.parametrize("field", ["mu", "v"])
     def test_node_weights(self, field):
         doc = json.loads(json.dumps(BOOL_DOC))
         doc["nodes"][0][field] = True
         with pytest.raises(SystemFileError, match=f"node 'a': {field} must be a number > 0"):
             system_from_document(doc)
-
-    def test_has_secondary_weights_agrees(self):
-        doc = json.loads(json.dumps(BOOL_DOC))
-        assert has_secondary_weights(doc)
-        doc["nodes"][0]["s"] = True
-        assert not has_secondary_weights(doc)
 
     @pytest.mark.parametrize("value", [{}, None, "x"])
     def test_subspace_must_be_a_list(self, value):
@@ -264,10 +305,16 @@ class TestBooleansAreNotNumbers:
 
 class TestOperators:
     def test_named_operator_table(self, tmp_path, e2):
-        path = tmp_path / "with_ops.json"
-        save_system(e2, path, operators={"K": Operator.identity(2)})
-        ops = operators_from_document(load_document(path))
-        np.testing.assert_array_equal(ops["K"].entries, np.eye(2))
+        # Operators are files of their own: a system file with an "operators" key,
+        # even an empty one, is refused and names the flags that read them.
+        doc = json.loads(json.dumps(system_to_document(e2), default=np.ndarray.tolist))
+        for table in ({"K": [[1.0, 0.0], [0.0, 1.0]]}, {}, None):
+            doc["operators"] = table
+            path = write_doc(tmp_path, doc)
+            with pytest.raises(SystemFileError) as caught:
+                load_system(path)
+            assert str(caught.value) == (f"{path}: an 'operators' table is not read: pass "
+                                         "each operator as a file with --K, --L or --G")
 
     def test_bare_matrix_file(self, tmp_path):
         path = tmp_path / "k.json"
@@ -488,11 +535,11 @@ class TestCanonicalJson:
 
     def test_wide_system_document_matches_plain_writer(self):
         system = make_wide_system(np.random.default_rng(3))
-        doc = system_to_document(
-            system,
-            secondary_weights=np.linspace(0.5, 1.5, system.node_count),
-            operators={"K": Operator(np.random.default_rng(4).standard_normal((40, 40)))},
-        )
+        # Extra entries the writer takes like any others: a row of weights, and a
+        # 40 x 40 matrix one level down.
+        doc = system_to_document(system)
+        doc["weights"] = np.linspace(0.5, 1.5, system.node_count)
+        doc["matrices"] = {"K": np.random.default_rng(4).standard_normal((40, 40))}
         assert_written_as_plain_writer(doc)
 
     def test_failed_write_keeps_the_existing_file(self, tmp_path):

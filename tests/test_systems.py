@@ -17,9 +17,11 @@ from cgfusion import (
     assemble_frame_operator,
     atomic_wrt_frame_operator,
     bounded_below_analysis,
+    bounded_resolution_check,
     canonical_dual,
     canonical_resolution,
     dumps_canonical,
+    energy_lower_check,
     frame_bounds,
     kgf_check,
     kgf_lower_bound,
@@ -35,6 +37,7 @@ from cgfusion import (
     symmetric_perturbation,
     synthesis,
     system_to_document,
+    transform_combined,
     transform_shift,
     validate_nodes,
     verify_resolution,
@@ -46,6 +49,7 @@ from cgfusion.systems import (
     KGF_SLACK,
     GFusionSystem,
     _adjoint_mismatch,
+    _energy_weights,
     _frame_operator_power,
     push_through,
 )
@@ -845,3 +849,71 @@ class TestBlockEdges:
         assert expected > 1e-3
         got = adjoint_consistency(system, trials=100, seed=3).residuals["adjoint_mismatch"]
         assert got == pytest.approx(expected, rel=1e-12)
+
+
+#: A node of mass 1e-300 and weight 1e200: v^2 is no double, mu v^2 = 1e100 is.
+TINY_MASS, HUGE_WEIGHT = 1e-300, 1e200
+#: The oracle's mass and weight of that node: 1 (1e50)^2 = 1e100 as well.
+ORACLE_WEIGHTS = ([1.0, 1.0], [1.0, 1e50])
+
+
+def tiny_mass_system(n, locals_):
+    """Two nodes on the coordinate lines of R^2 (or both on R^1 for ``n`` = 1), the
+    second of mass 1e-300 and weight 1e200."""
+    bases = [np.eye(n)[:, :1], np.eye(n)[:, n - 1:]]
+    return make_system(n, bases, locals_, [1.0, HUGE_WEIGHT], [1.0, TINY_MASS])
+
+
+class TestEnergyWeights:
+    """mu_i v_i^2 stays in range when v_i^2 alone does not, at each of its four uses."""
+
+    def test_equal_to_mu_v_squared_where_that_is_finite(self):
+        for seed in range(5):
+            system = random_system(np.random.default_rng(seed), 4, 6)
+            np.testing.assert_array_equal(_energy_weights(system),
+                                          system.nodes.mu * system.weights**2)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_frame_operator(self):
+        system = tiny_mass_system(2, [[[1.0]], [[1.0]]])
+        bases = [sub.basis for sub in system.subspaces]
+        expected = oracles.spectral_bounds(oracles.frame_operator(*ORACLE_WEIGHTS, bases,
+                                                                  [[[1.0]], [[1.0]]]))
+        bounds = frame_bounds(system)
+        np.testing.assert_allclose([bounds.lower, bounds.upper], expected, rtol=1e-14, atol=0)
+        assert expected[1] == pytest.approx(1e100, rel=1e-14)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cross_term_of_the_combined_transform(self):
+        chi = tiny_mass_system(2, [[[1.0]], [[0.0]]])
+        xi = tiny_mass_system(2, [[[0.0]], [[1.0]]])
+        half = Operator(0.5 * np.eye(2))
+        combined, report = transform_combined(chi, xi, half, half, Operator.identity(2))
+        assert report.passed
+        # Lam_i + Xi_i on the lines and M = I: the e1 geometry with chi's weights.
+        bases = [sub.basis for sub in chi.subspaces]
+        expected = oracles.frame_operator(*ORACLE_WEIGHTS, bases, [[[1.0]], [[1.0]]])
+        np.testing.assert_allclose(assemble_frame_operator(combined).entries, expected,
+                                   rtol=0, atol=1e-14 * 1e100)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_energy_lower_check(self):
+        system = tiny_mass_system(2, [[[1.0]], [[1.0]]])
+        factors = [lam.copy() for lam in system.effective_maps]
+        f = np.array([0.0, 1e-50])
+        report = energy_lower_check(system, factors, f)
+        assert report.passed
+        energy = oracles.energy_operator(*ORACLE_WEIGHTS, factors)
+        assert report.constants["rhs"] == pytest.approx(f @ energy @ f, rel=1e-14)
+        assert report.constants["rhs"] == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bounded_resolution_check(self):
+        # n = 1: S = 1 + 1e100, and T_i = S^-1 Lam_i is fixed by its measurement.
+        system = tiny_mass_system(1, [[[1.0]], [[1.0]]])
+        factors = [np.array([[1.0 / (1.0 + 1e100)]])] * 2
+        report = bounded_resolution_check(system, factors)
+        assert report.passed
+        energy = oracles.energy_operator(*ORACLE_WEIGHTS, factors)[0, 0]
+        assert report.constants["energy_max"] == pytest.approx(energy, rel=1e-14)
+        assert report.constants["upper_bound"] == pytest.approx(1e100, rel=1e-14)

@@ -6,6 +6,7 @@ resolution family do not build the family; a reweighted system shares its
 source's stacked matrix and geometry.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -32,7 +33,7 @@ from cgfusion import (
 from cgfusion.cli import main
 from cgfusion.operators import symmetrize
 from cgfusion.resolution import ResolutionFamily, _held
-from cgfusion.sysio import operators_from_document, system_from_document
+from cgfusion.sysio import system_from_document
 from cgfusion.systems import push_through
 
 from conftest import lift_codomains, make_e2, make_system, make_wide_system
@@ -42,7 +43,7 @@ def write_inputs(tmp_path, system):
     path = tmp_path / "in.json"
     save_system(system, path)
     shift = tmp_path / "l.json"
-    save_system(system, shift, operators={"L": Operator(0.5 * np.eye(system.ambient_dim))})
+    shift.write_text(json.dumps((0.5 * np.eye(system.ambient_dim)).tolist()), encoding="utf-8")
     return str(path), str(shift)
 
 
@@ -50,7 +51,7 @@ class TestDocumentsOnlyForOut:
     ARGV = {
         "parseval": ["parseval", "{in}"],
         "dual": ["dual", "{in}"],
-        "transform": ["transform", "{shift}"],
+        "transform": ["transform", "{in}", "--L", "{shift}"],
     }
 
     @pytest.mark.parametrize("command", sorted(ARGV))
@@ -75,9 +76,8 @@ class TestSystemDocuments:
         signed_zero = make_system(2, bases=[np.eye(2)], local_maps=[[[1.0, -0.0]]], weights=[1.0])
         flat = parsevalize(random_system(rng, 4, 5, ensure_frame=True))
         for system in (make_e2(), signed_zero, make_wide_system(rng, n=12, count=4), flat):
-            k = Operator(np.diag(np.arange(system.ambient_dim) - 0.0))
-            doc = system_to_document(system, operators={"K": k})
-            matrices = [doc["operators"]["K"]]
+            doc = system_to_document(system)
+            matrices = []
             for node in doc["nodes"]:
                 matrices += [node["subspace"], node["local_operator"]]
             for matrix in matrices:
@@ -88,8 +88,7 @@ class TestSystemDocuments:
                 np.testing.assert_array_equal(got.basis, want.basis)
             for got, want in zip(back.local_maps, system.local_maps, strict=True):
                 np.testing.assert_array_equal(got.entries, want.entries)
-            np.testing.assert_array_equal(operators_from_document(doc)["K"].entries, k.entries)
-            again = system_to_document(back, operators={"K": k})
+            again = system_to_document(back)
             assert dumps_canonical(again) == dumps_canonical(doc)
 
     def test_save_holds_the_text_about_twice(self, tmp_path):
