@@ -26,8 +26,9 @@ from .errors import (
 from .measure import CoefficientField
 from .operators import (
     ORDER_TOL,
-    SYM_TOL,
     Operator,
+    _require_positive,
+    _require_symmetric,
     opnorm,
     symmetrize,
 )
@@ -123,9 +124,9 @@ def atomic_equiv_check(
 
     Face one: the largest constant a_star with a_star K K^T below the
     frame operator.  Face two: decomposability of K f for every basis
-    vector f.  The report asserts they agree (a_star > tol iff all
-    decompositions succeed) and, when decompositions exist, the
-    quantitative link 1/c^2 <= a_star + tol.
+    vector f.  The report asserts they agree (a_star > 0, past the cut of
+    :func:`kgf_lower_bound`, iff all decompositions succeed) and, when
+    decompositions exist, the quantitative link 1/c^2 <= a_star + tol.
     """
     try:
         a_star = kgf_lower_bound(system, k, tol)
@@ -144,7 +145,7 @@ def atomic_equiv_check(
     decomposable = bool(
         np.all(reconstruction <= tol * np.maximum(1.0, np.linalg.norm(k.entries, axis=0)))
     )
-    residuals = {"equivalence_mismatch": 0.0 if (a_star > tol) == decomposable else 1.0}
+    residuals = {"equivalence_mismatch": 0.0 if (a_star > 0.0) == decomposable else 1.0}
     constants = {"a_star": a_star, "c": c, "worst_reconstruction": worst_recon}
     notes = []
     if decomposable:
@@ -171,11 +172,11 @@ def atomic_wrt_frame_operator(
     Must hold for every frame, with a strictly positive a_star; raises
     :class:`SingularFrameOperatorError` when the system is not a frame.
     """
-    require_frame(system, tol)
+    require_frame(system)
     inner = atomic_equiv_check(system, assemble_frame_operator(system), tol)
     a_star = inner.constants.get("a_star", 0.0)
     residuals = dict(inner.residuals)
-    residuals["a_star_nonpositive"] = 0.0 if a_star > tol else 1.0
+    residuals["a_star_nonpositive"] = 0.0 if a_star > 0.0 else 1.0
     tolerances = dict(inner.tolerances)
     tolerances["a_star_nonpositive"] = 0.0
     return build_report(
@@ -266,20 +267,16 @@ def transform_shift(
     """Shift a system by M = I + L for positive semidefinite L.
 
     Positivity of L makes M invertible, so every subspace keeps its
-    dimension at any condition number of M; ``tol`` is only that gate (no
-    eigenvalue of L below -tol).  The shifted frame operator is M S M^T by
+    dimension at any condition number of M; ``tol`` is only that gate (L
+    symmetric within ``SYM_TOL`` of its largest entry, no eigenvalue below
+    -tol ||L||).  The shifted frame operator is M S M^T by
     construction of :func:`push_through`; the report carries ||L|| and,
     as it measures nothing, no tolerance.
     """
     n = system.ambient_dim
     if l.rows != n or l.cols != n:
         raise ShapeError(f"L must be {n}x{n}, got {l.rows}x{l.cols}")
-    entries = l.entries
-    if entries.size and np.abs(entries - entries.T).max() > SYM_TOL:
-        raise NotPositiveError("L must be symmetric to be positive")
-    smallest = float(np.linalg.eigvalsh(symmetrize(entries))[0]) if entries.size else 0.0
-    if smallest < -tol:
-        raise NotPositiveError(f"L has negative eigenvalue {smallest:.3e}")
-    shifted = push_through(system, np.eye(n) + entries)
+    _require_positive(np.linalg.eigvalsh(_require_symmetric(l, "L", NotPositiveError)), tol, "L")
+    shifted = push_through(system, np.eye(n) + l.entries)
     return shifted, build_report("shift_transform_frame_operator", {}, {},
-                                 {"shift_norm": opnorm(entries)})
+                                 {"shift_norm": opnorm(l.entries)})

@@ -71,7 +71,7 @@ def _checked(kind, least=None):
 
 _FLAGS = {
     "--tol": dict(type=_checked(float, 0), default=ORDER_TOL,
-                  help=f"tolerance (default {ORDER_TOL:g})"),
+                  help=f"relative tolerance (default {ORDER_TOL:g})"),
     "--trials": dict(type=_checked(int, 1), default=100,
                      help="random directions of the perturbation_bound hypothesis check"),
     "--seed": dict(type=_checked(int, 0), default=0, help="random seed"),
@@ -204,7 +204,7 @@ def _cmd_dsum(args, tol):
 
 
 def _cmd_parseval(args, tol):
-    flat = parsevalize(load_system(args.system), tol)
+    flat = parsevalize(load_system(args.system))
     return [parseval_report(flat, tol)], flat
 
 

@@ -73,17 +73,16 @@ def direct_sum_laws(chi: GFusionSystem, xi: GFusionSystem) -> tuple[GFusionSyste
                                 {"lower": bounds.lower, "upper": bounds.upper})
 
 
-def parsevalize(system: GFusionSystem, tol: float = ORDER_TOL) -> GFusionSystem:
+def parsevalize(system: GFusionSystem) -> GFusionSystem:
     """Canonical Parseval version of a frame.
 
     Pushes the system through the invertible S^(-1/2) (``push_through``):
     subspaces become S^(-1/2) F_i, of the same dimensions, and effective maps
     pick up S^(-1/2) on the right.  The result's frame operator is the
-    identity within roundoff.
+    identity within roundoff.  A frame passes the rank cut of S^(-1/2).
     """
-    require_frame(system, tol)
-    # Uncut (rank_tol 0): every eigenvalue of a frame's S is positive, at any condition number.
-    return push_through(system, _frame_operator_power(system, -0.5, 0.0))
+    require_frame(system)
+    return push_through(system, _frame_operator_power(system, -0.5))
 
 
 def parseval_residual(system: GFusionSystem) -> float:
@@ -105,8 +104,9 @@ def canonical_dual(
     The dual is the system pushed through the invertible S^-1, dimensions
     kept; its frame operator must equal S^-1, and its optimal bounds are the
     reciprocals [1/B, 1/A] of the original ones, which the report checks.
+    Each residual is in units of S^-1, so it passes within tol ||S^-1|| = tol / A.
     """
-    bounds = require_frame(system, tol)
+    bounds = require_frame(system)
     s_inv = system._inverse
     dual = push_through(system, s_inv)
     s_dual = assemble_frame_operator(dual).entries
@@ -118,7 +118,7 @@ def canonical_dual(
             "lower_bound_defect": max(0.0, 1.0 / bounds.upper - dual_bounds.lower),
             "upper_bound_excess": max(0.0, dual_bounds.upper - 1.0 / bounds.lower),
         },
-        tolerances={"tol": tol},
+        tolerances={"tol": tol / bounds.lower},
         constants={
             "dual_lower": dual_bounds.lower,
             "dual_upper": dual_bounds.upper,

@@ -25,20 +25,24 @@ from .errors import (
     SingularError,
 )
 
-#: Default tolerance: on the minimum eigenvalue in semidefinite-order checks
-#: and on structural residuals (operator identities).
+#: Default tolerance, relative by the closeness rule: a residual or gap passes within
+#: tol times the norm of the operator it is measured in, a dimensionless one within tol.
 ORDER_TOL = 1e-9
 #: Floor of the tolerance of the Parseval identity and canonical resolution
 #: reports: each passes within max(tol, TOL_FLOOR).
 TOL_FLOOR = 1e-8
-#: Relative cutoff below which singular values count as zero.
+#: The rank rule (:func:`is_singular`): a singular value or eigenvalue at most
+#: RANK_TOL times the largest one counts as zero.
 RANK_TOL = 1e-12
-#: Absolute tolerance when an input is required to be symmetric.
+#: Symmetry tolerance of an input, relative: max|A - A^T| <= SYM_TOL max|A|.
 SYM_TOL = 1e-8
 #: Orthonormality tolerance for subspace bases.
 BASIS_TOL = 1e-10
-#: Eigenvalues below this are treated as zero when inverting.
-SINGULAR_FLOOR = 1e-12
+
+
+def is_singular(smallest: float, largest: float) -> bool:
+    """The rank rule: ``smallest`` counts as zero when at most ``RANK_TOL`` times ``largest``."""
+    return smallest <= RANK_TOL * largest
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -179,16 +183,22 @@ class OrderCertificate:
     gap: float
 
 
-def _require_symmetric(op: Operator, label: str) -> np.ndarray:
+def _require_symmetric(op: Operator, label: str, error=NotSymmetricError) -> np.ndarray:
+    """The symmetric part of a square ``op``; ``error`` unless symmetric within ``SYM_TOL``."""
     if not op.is_square():
         raise ShapeError(f"{label} must be square, got {op.rows}x{op.cols}")
     a = op.entries
-    if a.size and np.abs(a - a.T).max() > SYM_TOL:
-        raise NotSymmetricError(
-            f"{label} is not symmetric within {SYM_TOL:g} "
-            f"(defect {np.abs(a - a.T).max():.3e})"
-        )
+    defect = np.abs(a - a.T).max(initial=0.0)
+    if defect and defect > SYM_TOL * np.abs(a).max():
+        raise error(f"{label} is not symmetric within {SYM_TOL:g} of its largest entry "
+                    f"(defect {defect:.3e})")
     return symmetrize(a)
+
+
+def _require_positive(w: np.ndarray, tol: float, label: str) -> None:
+    """Raise :class:`NotPositiveError` if ascending eigenvalues ``w`` reach below -tol max|w|."""
+    if w.size and w[0] < -tol * max(-w[0], w[-1]):
+        raise NotPositiveError(f"{label} has negative eigenvalue {w[0]:.3e}")
 
 
 def project(subspace: Subspace, f) -> np.ndarray:
@@ -205,7 +215,8 @@ def operator_leq(t: Operator, s: Operator, tol: float = ORDER_TOL) -> OrderCerti
     """Certify T <= S in the semidefinite order.
 
     Both operators must be square, the same size, and symmetric within
-    ``SYM_TOL``.  The gap is computed with a symmetric eigensolver.
+    ``SYM_TOL`` of their largest entry.  The gap is computed with a symmetric
+    eigensolver and must be at least -``tol``.
     """
     a = _require_symmetric(t, "T")
     b = _require_symmetric(s, "S")
@@ -273,17 +284,15 @@ def positive_sqrt(s: Operator, invert: bool = False) -> Operator:
     Eigendecomposes S = Q diag(w) Q^T, clips w at 0 and maps it through
     :func:`_spectral_power`, the map of the cached S^p of a system.
     Raises :class:`NotPositiveError` when an eigenvalue sits below
-    -``SYM_TOL`` and :class:`SingularError` when inversion is requested
-    with the smallest eigenvalue at or below ``SINGULAR_FLOOR``.  The map
-    is uncut (rank_tol 0): past these checks every eigenvalue it inverts
-    is positive, at any condition number.
+    -``ORDER_TOL`` ||S|| and :class:`SingularError` when inversion is
+    requested of an S singular by the rank rule.  The map is uncut
+    (rank_tol 0): past these checks every eigenvalue it inverts is positive.
     """
     a = _require_symmetric(s, "S")
     w, q = np.linalg.eigh(a)
-    if w.size and w[0] < -SYM_TOL:
-        raise NotPositiveError(f"operator has negative eigenvalue {w[0]:.3e}")
-    if invert and (w.size == 0 or w[0] <= SINGULAR_FLOOR):
-        raise SingularError("cannot invert: smallest eigenvalue is not positive")
+    _require_positive(w, ORDER_TOL, "operator")
+    if invert and (w.size == 0 or is_singular(w[0], w[-1])):
+        raise SingularError("cannot invert: the operator is singular by the rank rule")
     return Operator(_spectral_power(np.clip(w, 0.0, None), q, -0.5 if invert else 0.5, 0.0))
 
 

@@ -86,18 +86,18 @@ def pair_frame_operator(pair: PairSystem) -> Operator:
 
 
 def pair_adjoint_and_norm(pair: PairSystem, tol: float = ORDER_TOL) -> VerificationReport:
-    """Verify the norm bound ||M|| <= sqrt(D1 D2) for the mixed operator M.
+    """Verify the norm bound ||M|| <= sqrt(D1 D2) for the mixed operator M within tol sqrt(D1 D2).
 
     The adjoint law, that M^T is the mixed operator of the swapped pair,
     holds by construction: both are products of the same two stacked
     matrices, so it is not measured here.
     """
     d1, d2 = pair.bessel_bounds()
-    norm = float(pair._singular_values[0])
+    norm, bound = float(pair._singular_values[0]), float(np.sqrt(d1 * d2))
     return build_report(
         name="pair_adjoint_and_norm",
-        residuals={"norm_excess": max(0.0, norm - float(np.sqrt(d1 * d2)))},
-        tolerances={"tol": tol},
+        residuals={"norm_excess": max(0.0, norm - bound)},
+        tolerances={"tol": tol * bound},
         constants={"operator_norm": norm, "bessel_xi": d1, "bessel_chi": d2},
         notes=("convention: bessel_chi bounds the analysis-side system, "
                "bessel_xi the synthesis side",),

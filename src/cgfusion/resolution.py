@@ -17,7 +17,6 @@ from .errors import (
     HypothesisNotMetError,
     ParameterError,
     ShapeError,
-    SingularFrameOperatorError,
 )
 from .measure import MeasureNodes
 from .operators import ORDER_TOL, TOL_FLOOR, Operator, _freeze, opnorm, symmetrize
@@ -105,7 +104,7 @@ def _held(nodes, left, right, row_weights, bounds, shared, gram, family=None):
     return family
 
 
-def canonical_resolution(system: GFusionSystem, tol: float = ORDER_TOL) -> ResolutionFamily:
+def canonical_resolution(system: GFusionSystem) -> ResolutionFamily:
     """The resolution induced by an invertible frame operator.
 
     Factors are T_i = Lam_i S^-1 and the family is W_i = v_i^2 Lam_i^T T_i:
@@ -113,7 +112,7 @@ def canonical_resolution(system: GFusionSystem, tol: float = ORDER_TOL) -> Resol
     times S^-1.  Raises :class:`SingularFrameOperatorError` when the
     system is not a frame.
     """
-    require_frame(system, tol)
+    require_frame(system)
     s = assemble_frame_operator(system).entries
     return _held(system.nodes, system.stacked, system.stacked, system.per_row(system.weights**2),
                  system._bounds, system._inverse, s)
@@ -144,16 +143,10 @@ def canonical_resolution_report(
     they are not compared.  A system that is not a frame gets a failed
     report with a note.
     """
-    try:
-        bounds = require_frame(system, tol)
-    except SingularFrameOperatorError:
-        return build_report(
-            name="canonical_resolution",
-            residuals={},
-            tolerances={"tol": tol},
-            notes=("not a frame; the canonical resolution is undefined",),
-            force_fail=True,
-        )
+    bounds = frame_bounds(system)
+    if bounds.classification == "bessel-only":  # the rank rule of require_frame
+        return build_report("canonical_resolution", {}, {"tol": tol}, force_fail=True,
+                            notes=("not a frame; the canonical resolution is undefined",))
     s = assemble_frame_operator(system).entries
     return build_report(
         name="canonical_resolution",

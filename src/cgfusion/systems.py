@@ -23,6 +23,7 @@ kgf constant, S^+ and S^(-1/2) are all read from that one S = Q diag(w) Q^T.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,6 +48,7 @@ from .operators import (
     _freeze,
     _positive_qr,
     _spectral_power,
+    is_singular,
     operator_leq,
     opnorm,
     symmetrize,
@@ -62,7 +64,7 @@ CLASSIFICATIONS = (
     "parseval",
 )
 
-#: Share of ``tol`` added to S when :func:`kgf_lower_bound` takes its
+#: Share of tol ||S|| added to S when :func:`kgf_lower_bound` takes its
 #: closed form; keeps the constant inside :func:`kgf_check`'s boundary.
 KGF_SLACK = 0.5
 
@@ -225,7 +227,7 @@ class FrameBounds:
     def __post_init__(self):
         if self.classification not in CLASSIFICATIONS:
             raise ValueError(f"unknown classification {self.classification!r}")
-        if self.lower > self.upper + 1e-12:
+        if self.lower > self.upper + RANK_TOL * self.upper:
             raise ValueError("lower bound exceeds upper bound")
 
     def report(self, tol: float = ORDER_TOL) -> VerificationReport:
@@ -320,15 +322,9 @@ def _gram_overflow(system: GFusionSystem, node_weights, other: GFusionSystem) ->
                               "operator, overflows: a weight or a local operator is too large")
 
 
-def _frame_operator_power(
-    system: GFusionSystem, power: float, rank_tol: float = RANK_TOL
-) -> np.ndarray:
-    """S^power from the cached eigenpairs of S by :func:`~cgfusion.operators._spectral_power`.
-
-    With ``power`` = -1 and the default cut (that of
-    :func:`~cgfusion.operators.pinv`) this is S^+.
-    """
-    return _spectral_power(*system._eigh, power, rank_tol)
+def _frame_operator_power(system: GFusionSystem, power: float) -> np.ndarray:
+    """S^power from the cached eigenpairs of S, cut by the rank rule: S^-1 is S^+, as in pinv."""
+    return _spectral_power(*system._eigh, power, RANK_TOL)
 
 
 def assemble_frame_operator(system: GFusionSystem) -> Operator:
@@ -356,14 +352,16 @@ def _synthesis_weights(system: GFusionSystem) -> np.ndarray:
 def _energy_weights(system: GFusionSystem) -> np.ndarray:
     """The node weights mu_i v_i^2 of the frame operator and of measurement energies.
 
-    Where v_i^2 overflows, the weight is (mu_i v_i) v_i, finite whenever the
-    weight is; a weight still infinite is left for :func:`weighted_gram` to reject.
+    Where v_i^2 overflows or falls below the normal range, the weight is
+    (mu_i v_i) v_i, accurate whenever the weight is a normal double; a weight
+    still infinite is left for :func:`weighted_gram` to reject.
     """
     mu, v = system.nodes.mu, system.weights
     with np.errstate(over="ignore"):
-        weights = mu * v**2
-        if not np.isfinite(weights).all():
-            spilled = ~np.isfinite(weights)
+        squares = v**2
+        weights = mu * squares
+        if not (np.isfinite(weights).all() and squares.min(initial=math.inf) >= sys.float_info.min):
+            spilled = ~np.isfinite(weights) | (squares < sys.float_info.min)
             weights[spilled] = mu[spilled] * v[spilled] * v[spilled]
     return weights
 
@@ -395,12 +393,13 @@ def synthesis(system: GFusionSystem, phi: CoefficientField) -> np.ndarray:
 
 
 def classify(lower: float, upper: float, tol: float) -> str:
-    """Label of bounds: "bessel-only" at lower <= tol, else "parseval", "tight" or "frame"."""
-    if lower <= tol:
+    """Label of bounds at any scale: "bessel-only" if ``lower`` is singular by the rank rule,
+    else "parseval" (both within ``tol`` of 1), "tight" (within tol * upper) or "frame"."""
+    if is_singular(lower, upper):
         return "bessel-only"
     if abs(lower - 1.0) <= tol and abs(upper - 1.0) <= tol:
         return "parseval"
-    if abs(lower - upper) <= tol:
+    if abs(lower - upper) <= tol * upper:
         return "tight"
     return "frame"
 
@@ -413,14 +412,14 @@ def frame_bounds(system: GFusionSystem, tol: float = ORDER_TOL) -> FrameBounds:
     return FrameBounds(lower, upper, classify(lower, upper, tol))
 
 
-def require_frame(system: GFusionSystem, tol: float = ORDER_TOL) -> FrameBounds:
+def require_frame(system: GFusionSystem) -> FrameBounds:
     """The frame bounds of ``system``, which must be a frame.
 
-    Raises :class:`SingularFrameOperatorError` when the lower bound is at
-    most ``tol``.
+    Raises :class:`SingularFrameOperatorError` when the lower bound is
+    singular by the rank rule: "bessel-only" in :func:`classify`.
     """
-    bounds = frame_bounds(system, tol)
-    if bounds.lower <= tol:
+    bounds = frame_bounds(system)
+    if bounds.classification == "bessel-only":
         raise SingularFrameOperatorError(
             f"not a frame: smallest frame-operator eigenvalue {bounds.lower:.3e}"
         )
@@ -472,8 +471,10 @@ def kgf_check(
 ) -> OrderCertificate:
     """Certify that the frame operator dominates lower * K K^T.
 
-    A K whose K K^T overflows raises :class:`OperatorRangeError`; a ``lower``
-    that takes A K K^T out of the double range, :class:`ParameterError`.
+    It holds when the gap lambda_min(S - lower K K^T) is at least -tol ||S||,
+    ||S|| read from the cached eigenpairs.  A K whose K K^T overflows raises
+    :class:`OperatorRangeError`; a ``lower`` that takes A K K^T out of the
+    double range, :class:`ParameterError`.
     """
     _require_comparison_operator(system, k)
     with np.errstate(over="ignore"):
@@ -485,37 +486,38 @@ def kgf_check(
         target = symmetrize(float(lower) * gram)
     if not np.isfinite(target).all():
         raise ParameterError(f"A K K^T overflows at A = {lower:g}", "lower")
-    return operator_leq(Operator(target), assemble_frame_operator(system), tol)
+    return operator_leq(Operator(target), assemble_frame_operator(system),
+                        tol * frame_bounds(system).upper)
 
 
 def kgf_lower_bound(system: GFusionSystem, k: Operator, tol: float = ORDER_TOL) -> float:
-    """Largest constant A with A K K^T <= S + KGF_SLACK * tol * I, in closed form.
+    """Largest constant A with A K K^T <= S + KGF_SLACK tol ||S|| I, in closed form.
 
-    With S + c tol I = Q diag(w) Q^T (c = :data:`KGF_SLACK`), the
-    supremum is A = 1 / ||diag(w)^(-1/2) Q^T K||_2^2, read from the cached
-    eigenpairs of S (w - c tol, Q).  The slack keeps A half of ``tol`` inside
-    the -tol boundary of :func:`kgf_check`, so ``kgf_check(system, k, A, tol)``
-    certifies the returned constant whenever ``tol`` exceeds the
-    eigensolver's roundoff on S (about 1e-16 ||S||).  Returns 0 when A
-    is at most ``tol``: no positive constant works beyond that slack.
-    K = 0 raises :class:`DegenerateKError`: every constant works, so the
-    condition certifies nothing.  A K for which that squared norm is not a
-    positive double (it underflows to 0 or overflows) raises
-    :class:`OperatorRangeError`.
+    With S + c tol ||S|| I = Q diag(w) Q^T (c = :data:`KGF_SLACK`), from the cached
+    eigenpairs of S, A = 1 / ||diag(w)^(-1/2) Q^T K||_2^2.  The slack keeps A half of
+    tol ||S|| inside the boundary of :func:`kgf_check`, so ``kgf_check(system, k, A,
+    tol)`` certifies A whenever ``tol`` exceeds the eigensolver's relative roundoff
+    (about 1e-16).  A is cut to 0 when A ||K^T q_j||^2 <= tol ||S|| along every
+    eigenvector q_j of S, the rows of sqrt(A) Q^T K (each at most sqrt(w_j), so none
+    overflows): A K K^T is then zero by the closeness rule, and only the slack made A
+    positive.  K = 0 raises :class:`DegenerateKError`: every constant works, so the
+    condition certifies nothing.  A K for which that squared norm is not a positive
+    double (it underflows to 0 or overflows) raises :class:`OperatorRangeError`.
     """
     _require_comparison_operator(system, k)
     if np.abs(k.entries).max() == 0.0:
         raise DegenerateKError("comparison operator is zero; the bound is vacuous")
     w, q = system._eigh
-    w = w + KGF_SLACK * tol
+    slack = tol * frame_bounds(system).upper
+    w = w + KGF_SLACK * slack
     if w[0] <= 0.0:
         return 0.0
-    norm = opnorm((q.T @ k.entries) / np.sqrt(w)[:, None])
+    rotated = q.T @ k.entries
+    norm = opnorm(rotated / np.sqrt(w)[:, None])
     if not 0.0 < norm * norm < math.inf:
         raise OperatorRangeError(f"comparison operator of norm {opnorm(k.entries):.3g} "
                                  "puts the kgf constant outside the double range")
-    a = 1.0 / norm**2
-    return a if a > tol else 0.0
+    return 1.0 / norm**2 if np.square(rotated / norm).sum(axis=1).max() > slack else 0.0
 
 
 def kgf_report(
@@ -523,22 +525,21 @@ def kgf_report(
 ) -> VerificationReport:
     """The ``kgf_check`` report at ``lower``, or with ``lower`` None the ``kgf_lower_bound`` one.
 
-    Its ``order_defect`` is how far the :func:`kgf_check` gap at ``lower``
-    falls below -``tol``, or the gap at the constant of :func:`kgf_lower_bound`
-    below -10 ``tol``.  A zero K fails the lower bound with a note: it
-    certifies nothing.
+    Its ``order_defect`` is how far the :func:`kgf_check` gap at ``lower``, or at the
+    constant of :func:`kgf_lower_bound`, falls below 0, within the tol ||S|| of
+    :func:`kgf_check`.  A zero K fails the lower bound with a note: it certifies nothing.
     """
     if lower is not None:
-        name, slack, constants = "kgf_check", tol, {"lower": lower}
+        name, constants = "kgf_check", {"lower": lower}
     else:
-        name, slack = "kgf_lower_bound", 10 * tol
+        name = "kgf_lower_bound"
         try:
             lower = kgf_lower_bound(system, k, tol)
         except DegenerateKError as err:
             return build_report(name, {}, {"tol": tol}, notes=(str(err),), force_fail=True)
         constants = {"a_star": lower}
-    gap = kgf_check(system, k, lower, tol).gap
-    return build_report(name, {"order_defect": max(0.0, -(gap + slack))}, {"order_defect": 0.0},
+    gap, bound = kgf_check(system, k, lower, tol).gap, tol * frame_bounds(system).upper
+    return build_report(name, {"order_defect": max(0.0, -gap)}, {"order_defect": bound},
                         {**constants, "gap": gap})
 
 

@@ -124,20 +124,44 @@ class TestCheck:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_tiny_mass_keeps_a_huge_weight_in_range(self, tmp_path, capsys):
-        # Node n1 has mu 1e-300 and v 1e200: v^2 is no double, but mu v^2 = 1e100 is.
+        # Both nodes have mu 1e-300 and v 1e200: v^2 is no double, but mu v^2 = 1e100
+        # is, and S = 1e100 I is a tight frame by the scale-free rules.
         path, out = tmp_path / "tiny.json", tmp_path / "report.json"
-        save_system(make_e1().with_weights([1.0, 1e200]), path)
+        save_system(make_e1().with_weights([1e200, 1e200]), path)
         doc = json.loads(path.read_text(encoding="utf-8"))
-        doc["nodes"][1]["mu"] = 1e-300
+        for node in doc["nodes"]:
+            node["mu"] = 1e-300
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["check", str(path), "--out", str(out)]) == 0
-        assert "upper = 1e+100" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "upper = 1e+100" in printed and "classification: tight" in printed
         reports = json.loads(out.read_text())["reports"]
         constants = next(r["constants"] for r in reports if r["name"] == "frame_bounds")
-        # The oracle's node carries mass 1 and weight 1e50: the same mu v^2.
+        # The oracle's nodes carry mass 1 and weight 1e50: the same mu v^2.
         bases = [np.eye(2)[:, :1], np.eye(2)[:, 1:]]
         expected = oracles.spectral_bounds(
-            oracles.frame_operator([1.0, 1.0], [1.0, 1e50], bases, [[[1.0]], [[1.0]]]))
+            oracles.frame_operator([1.0, 1.0], [1e50, 1e50], bases, [[[1.0]], [[1.0]]]))
+        np.testing.assert_allclose([constants["lower"], constants["upper"]], expected,
+                                   rtol=1e-14, atol=0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_mass_keeps_a_tiny_weight_in_range(self, tmp_path, capsys):
+        # Node n1 has mu 1e300 and v 1e-200: v^2 underflows to 0, but mu v^2 = 1e-100
+        # is a double, and S = diag(1, 1e-100) (bessel-only by the rank rule).
+        path, out = tmp_path / "huge.json", tmp_path / "report.json"
+        save_system(make_e1().with_weights([1.0, 1e-200]), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["nodes"][1]["mu"] = 1e300
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", str(path), "--out", str(out)]) == 1
+        printed = capsys.readouterr().out
+        assert "lower = 1e-100" in printed and "classification: bessel-only" in printed
+        reports = json.loads(out.read_text())["reports"]
+        constants = next(r["constants"] for r in reports if r["name"] == "frame_bounds")
+        # The oracle's node n1 carries mass 1 and weight 1e-50: the same mu v^2.
+        bases = [np.eye(2)[:, :1], np.eye(2)[:, 1:]]
+        expected = oracles.spectral_bounds(
+            oracles.frame_operator([1.0, 1.0], [1.0, 1e-50], bases, [[[1.0]], [[1.0]]]))
         np.testing.assert_allclose([constants["lower"], constants["upper"]], expected,
                                    rtol=1e-14, atol=0)
 

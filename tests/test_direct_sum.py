@@ -178,12 +178,17 @@ class TestParsevalize:
             parsevalize(single_node)
 
     def test_ill_conditioned_frame(self):
-        # S = diag(1e13, 1/2): kappa = 2e13 is past the 1e-12 rank cut, and
-        # the small eigenvalue must still be inverted, not cut to 0.
+        # S = diag(1e11, 1/2): kappa = 2e11 is inside the 1e-12 rank rule, so the
+        # small eigenvalue is inverted; at diag(1e13, 1/2), past it, S is no frame.
         e = np.eye(2)
-        system = make_system(2, [e[:, :1], e[:, 1:]], [[[np.sqrt(1e13)]], [[np.sqrt(0.5)]]],
-                             [1.0, 1.0])
-        assert parseval_residual(parsevalize(system)) <= 1e-12
+        for top, is_frame in ((1e11, True), (1e13, False)):
+            system = make_system(2, [e[:, :1], e[:, 1:]], [[[np.sqrt(top)]], [[np.sqrt(0.5)]]],
+                                 [1.0, 1.0])
+            if is_frame:
+                assert parseval_residual(parsevalize(system)) <= 1e-12
+            else:
+                with pytest.raises(SingularFrameOperatorError, match="^not a frame"):
+                    parsevalize(system)
 
     def test_parseval_residual(self, e1, e2):
         assert parseval_residual(e1) == 0.0

@@ -41,11 +41,11 @@ GOLDEN = {
     "check-single": (["check", "single.json"], 1,
         "9c44e3853a04eb9a98d2a2d8d34c6826e58ee72aef2b56f6d446bb57e48f0184"),
     "kgf-lower-bound": (["kgf", "e2.json", "--K", "k.json"], 0,
-        "396075646e41034b3941223b5cb94470ed2f2d36ef6366de27d11728f5e57c60"),
+        "058e0251ef8ff4f83420c127acf958a1545efabe0639ea3e8b614c384b100e84"),
     "kgf-certify": (["kgf", "e2.json", "--K", "k.json", "--A", "1"], 0,
-        "66cbb13925ad2d5c7c4c83ec8bf8c3900a36a136314aefc4ff29cfe3fbd68f5f"),
+        "b8ac532f5cd7f583afbb48b26dc43ad2844ad83f2a12945c0b1c52226d95214f"),
     "kgf-file-operator": (["kgf", "e2.json", "--K", "k.json", "--A", "2"], 1,
-        "a3f7a595e77534e15c16e75ff4148651c395536d09d2da1c503a911b587d22c7"),
+        "8ac48e115ece99459cca2314606434854015075c7dc6f765452db97575cb5751"),
     "resolve-e1": (["resolve", "e1.json"], 0,
         "eb53c642bac02b9eb2d52dfea8c2a21af8d08423fd27a04934fdee874e9530bc"),
     "resolve-e2": (["resolve", "e2.json"], 0,
@@ -57,7 +57,7 @@ GOLDEN = {
     "atomic-e1": (["atomic", "e1.json"], 0,
         "75963e295b6b9757da88ea102c9ba5d5043f714a9cddb99c9e35df5bef7b798e"),
     "atomic-e2-K": (["atomic", "e2.json", "--K", "k.json"], 0,
-        "b3824dc85298fc3e0c49fe0a5601df05e4c794f2c3730aeef68754a8b372d685"),
+        "5f0f003603c08ee5ca0bf35872a64b6f69b70f8977334bc627f234c761271ce6"),
     "atomic-single": (["atomic", "single.json"], 1, None),
     "transform-shift": (["transform", "e2.json", "--L", "l.json"], 0,
         "625b26551f6fbfc678dac8cb5acf8200070fbc10668dc82cc77b555e1a998651"),
@@ -65,7 +65,7 @@ GOLDEN = {
                             "--L", "half.json", "--G", "half.json"], 0,
         "428cea2257725ab718f4fff4fa8227e86e7079d45d3eb8aad15cdf96bb4ff901"),
     "pair-files": (["pair", "e2.json", "--xi", "e1.json"], 0,
-        "c675e728ff5489d3b42f341cdfee7925f6c4bb8bc5677a33703f0f449e1c4cd5"),
+        "4bc024ef03e2c61362d95e74d3fa9cfa1fb11687026a96c3db72cdfac1bfc0cb"),
     "pair-secondary": (["pair", "e1.json", "--xi", "e1w.json",
                         "--lam", "0.05", "--trials", "10"], 1,
         "a220270ccdb7b17def9935bf43f4e8bebd8a4433902e2d7f8ebb98f14f3fc0dc"),

@@ -24,9 +24,15 @@ README = TESTS.parent / "README.md"
 PACKAGE = Path(cgfusion.__file__).parent
 
 #: Defaulted parameters over the callables of ``cgfusion.__all__`` and their public methods.
-DEFAULTED_PARAMETERS = 48
+DEFAULTED_PARAMETERS = 45
 #: Optional actions of every subcommand, ``--help`` aside.
 CLI_FLAGS = 35
+#: (module, function, value) of every float literal below 1e-3 in a function body:
+#: adjoint_consistency's tolerance, which goes with the function (ROADMAP item 1),
+#: and two guards of a division by a zero upper bound.
+SMALL_LITERALS = [("resolution.py", "bounded_resolution_check", 1e-300),
+                  ("resolution.py", "energy_lower_check", 1e-300),
+                  ("systems.py", "adjoint_consistency", 1e-9)]
 
 
 def _defaulted(fn) -> int:
@@ -65,6 +71,21 @@ def test_no_module_reads_the_environment():
     readers = [path.name for path in sorted(PACKAGE.glob("*.py"))
                if re.search(r"\b(environ|getenv)\b", path.read_text(encoding="utf-8"))]
     assert readers == []
+
+
+def test_tolerances_are_named_constants():
+    """A threshold is a documented module constant, not a literal in a function body."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in (node for stmt in fn.body for node in ast.walk(stmt)):
+                    if (isinstance(node, ast.Constant) and isinstance(node.value, float)
+                            and 0.0 < abs(node.value) < 1e-3):
+                        # A nested function is walked last: it names its own literals.
+                        found[path.name, node.lineno, node.col_offset] = (
+                            path.name, fn.name, node.value)
+    assert sorted(found.values()) == SMALL_LITERALS
 
 
 def test_cli_builds_no_report():
